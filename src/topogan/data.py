@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -39,54 +39,19 @@ GAUSS_KERNEL_SIZE = 5
 GAUSS_SIGMA = 1.0
 
 
-@dataclass(frozen=True)
-class Continuous:
-    """Continuous condition, e.g. a target volume fraction in [0, 1]."""
+def condition_dim(kind: str, cardinality: int, error=ParameterError) -> int:
+    """Width of an encoded condition: one-hot `cardinality` for class, 1 for continuous.
 
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ParameterError(f"continuous condition must lie in [0,1], got {self.value}")
-
-
-@dataclass(frozen=True)
-class ClassLabel:
-    """Discrete condition: class `index` out of `cardinality` classes."""
-
-    index: int
-    cardinality: int
-
-    def __post_init__(self):
-        if not (0 <= self.index < self.cardinality):
-            raise ParameterError(
-                f"class index {self.index} outside cardinality {self.cardinality}"
-            )
-
-
-@dataclass
-class SampleMeta:
-    volfrac: float = 0.0
-    penal: float = 0.0
-    rmin: float = 0.0
-    compliance: float = 0.0
-    converged: bool = True
-
-
-@dataclass
-class ConditionedSample:
-    """One training image with its condition and optional provenance meta."""
-
-    image: np.ndarray
-    condition: Continuous | ClassLabel
-    meta: SampleMeta = field(default_factory=SampleMeta)
-
-    def __post_init__(self):
-        self.image = np.asarray(self.image, dtype=np.float32)
-        if self.image.ndim != 2:
-            raise DimensionError(f"sample image must be 2D, got shape {self.image.shape}")
-        if self.image.size and (self.image.min() < 0.0 or self.image.max() > 1.0):
-            raise ParameterError("sample pixels must lie in [0, 1]")
+    The one check of a condition kind; `error` is the exception type the
+    caller reports a bad kind or cardinality with.
+    """
+    if kind == KIND_CLASS:
+        if cardinality < 1:
+            raise error("class conditions need cardinality >= 1")
+        return cardinality
+    if kind == KIND_CONTINUOUS:
+        return 1
+    raise error(f"unknown condition kind '{kind}'")
 
 
 @dataclass(frozen=True)
@@ -131,18 +96,15 @@ class Dataset:
         self.conditions = np.ascontiguousarray(conditions, dtype=np.float32)
         if self.conditions.shape != (n,):
             raise DimensionError("conditions must have one entry per image")
-        if kind not in (KIND_CONTINUOUS, KIND_CLASS):
-            raise ParameterError(f"unknown condition kind '{kind}'")
         self.kind = kind
         self.cardinality = int(cardinality)
+        condition_dim(kind, self.cardinality)
         if kind == KIND_CLASS:
-            if self.cardinality < 1:
-                raise ParameterError("class datasets need cardinality >= 1")
             if n and (self.conditions.min() < 0 or self.conditions.max() >= self.cardinality):
                 raise ParameterError("class index outside cardinality")
         elif n and (self.conditions.min() < 0.0 or self.conditions.max() > 1.0):
             raise ParameterError("continuous conditions must lie in [0, 1]")
-        if n and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ParameterError("pixels must lie in [0, 1]")
 
         def meta_arr(a):
@@ -174,54 +136,6 @@ class Dataset:
     def width(self) -> int:
         return self.images.shape[2]
 
-    def condition_of(self, i: int) -> Continuous | ClassLabel:
-        if self.kind == KIND_CLASS:
-            return ClassLabel(int(self.conditions[i]), self.cardinality)
-        return Continuous(float(self.conditions[i]))
-
-    def sample(self, i: int) -> ConditionedSample:
-        return ConditionedSample(
-            image=self.images[i],
-            condition=self.condition_of(i),
-            meta=SampleMeta(
-                volfrac=float(self.volfrac[i]),
-                penal=float(self.penal[i]),
-                rmin=float(self.rmin[i]),
-                compliance=float(self.compliance[i]),
-                converged=bool(self.converged[i]),
-            ),
-        )
-
-    @staticmethod
-    def from_samples(samples: list[ConditionedSample]) -> "Dataset":
-        if not samples:
-            raise ParameterError("cannot build a dataset from zero samples")
-        first = samples[0].condition
-        kind = KIND_CLASS if isinstance(first, ClassLabel) else KIND_CONTINUOUS
-        cardinality = first.cardinality if isinstance(first, ClassLabel) else 0
-        shape = samples[0].image.shape
-        conds = []
-        for s in samples:
-            if s.image.shape != shape:
-                raise DimensionError("all samples must share image dimensions")
-            same_kind = isinstance(s.condition, ClassLabel) == (kind == KIND_CLASS)
-            if not same_kind:
-                raise ParameterError("all samples must share the condition kind")
-            conds.append(
-                s.condition.index if kind == KIND_CLASS else s.condition.value
-            )
-        return Dataset(
-            images=np.stack([s.image for s in samples]),
-            conditions=np.asarray(conds),
-            kind=kind,
-            cardinality=cardinality,
-            volfrac=[s.meta.volfrac for s in samples],
-            penal=[s.meta.penal for s in samples],
-            rmin=[s.meta.rmin for s in samples],
-            compliance=[s.meta.compliance for s in samples],
-            converged=[1 if s.meta.converged else 0 for s in samples],
-        )
-
     def equals(self, other: "Dataset") -> bool:
         return (
             self.kind == other.kind
@@ -243,54 +157,59 @@ def sweep_generate(grid: SweepGrid, bc: BoundaryConditions | None = None,
     Non-converged runs are kept (flagged in meta and logged), so the sample
     count always equals the grid size.
     """
-    samples = []
-    for v, p, r in product(grid.volfracs, grid.penals, grid.rmins):
-        params = SimpParams(volfrac=v, penal=p, rmin=r)
-        result = run_simp(grid.mesh, params, bc=bc, solver=solver)
+    points = list(product(grid.volfracs, grid.penals, grid.rmins))
+    images, compliance, converged = [], [], []
+    for v, p, r in points:
+        result = run_simp(grid.mesh, SimpParams(volfrac=v, penal=p, rmin=r), bc=bc,
+                          solver=solver)
         if not result.converged:
             log.warning(
                 "SIMP run volfrac=%s penal=%s rmin=%s did not converge in %d iterations",
                 v, p, r, result.iterations,
             )
-        samples.append(ConditionedSample(
-            image=np.clip(result.density.values, 0.0, 1.0),
-            condition=Continuous(v),
-            meta=SampleMeta(
-                volfrac=v, penal=p, rmin=r,
-                compliance=result.compliance_history[-1],
-                converged=result.converged,
-            ),
-        ))
-    return Dataset.from_samples(samples)
+        images.append(np.clip(result.density.values, 0.0, 1.0))
+        compliance.append(result.compliance_history[-1])
+        converged.append(result.converged)
+    volfrac, penal, rmin = zip(*points)
+    return Dataset(images=np.stack(images), conditions=volfrac, kind=KIND_CONTINUOUS,
+                   volfrac=volfrac, penal=penal, rmin=rmin, compliance=compliance,
+                   converged=converged)
 
 
-def augment(sample: ConditionedSample, noise_count: int, noise_amplitude: float,
-            seed: int) -> ConditionedSample:
+def augment(image: np.ndarray, noise_count: int, noise_amplitude: float,
+            seed: int) -> np.ndarray:
     """Perturb `noise_count` uniformly chosen pixels by U(-amplitude, +amplitude)."""
     if noise_count < 0:
         raise ParameterError(f"noise_count must be >= 0, got {noise_count}")
     if not (0.0 <= noise_amplitude <= 1.0):
         raise ParameterError(f"noise amplitude must lie in [0,1], got {noise_amplitude}")
     rng = np.random.default_rng(seed)
-    image = sample.image.astype(np.float64).copy()
+    image = np.array(image, dtype=np.float64)
     count = min(noise_count, image.size)
     if count:
         flat_idx = rng.choice(image.size, size=count, replace=False)
         noise = rng.uniform(-noise_amplitude, noise_amplitude, size=count)
         np.add.at(image.ravel(), flat_idx, noise)
         np.clip(image, 0.0, 1.0, out=image)
-    return ConditionedSample(image=image, condition=sample.condition, meta=sample.meta)
+    return image
 
 
 def augment_dataset(ds: Dataset, noise_fraction: float = 0.01,
                     noise_amplitude: float = 0.5, seed: int = 0) -> Dataset:
     """Double the dataset: each sample followed (at the end) by one noisy copy."""
     noise_count = max(1, int(round(noise_fraction * ds.height * ds.width)))
-    noisy = [
-        augment(ds.sample(i), noise_count, noise_amplitude, seed=seed + i)
-        for i in range(len(ds))
-    ]
-    return Dataset.from_samples([ds.sample(i) for i in range(len(ds))] + noisy)
+    noisy = np.empty_like(ds.images)
+    for i, image in enumerate(ds.images):
+        noisy[i] = augment(image, noise_count, noise_amplitude, seed=seed + i)
+
+    def twice(a):
+        return np.concatenate([a, a])
+
+    return Dataset(
+        images=np.concatenate([ds.images, noisy]), conditions=twice(ds.conditions), kind=ds.kind, cardinality=ds.cardinality,
+        volfrac=twice(ds.volfrac), penal=twice(ds.penal), rmin=twice(ds.rmin),
+        compliance=twice(ds.compliance), converged=twice(ds.converged),
+    )
 
 
 def gaussian_kernel(size: int = GAUSS_KERNEL_SIZE, sigma: float = GAUSS_SIGMA) -> np.ndarray:
@@ -376,14 +295,18 @@ def read_dataset(path) -> Dataset:
         pixels = np.frombuffer(blob, dtype="<f4", count=width * height, offset=offset)
         images[i] = pixels.reshape(height, width)
         offset += 4 * width * height
-    if not (np.isfinite(images).all() and np.isfinite(conditions).all()):
+    if not all(np.isfinite(a).all()
+               for a in (images, conditions, volfrac, penal, rmin, compliance)):
         raise FormatError("NaN or infinity in record data", offset=_HEADER.size)
-    return Dataset(
-        images=images, conditions=conditions,
-        kind=KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
-        cardinality=cardinality, volfrac=volfrac, penal=penal, rmin=rmin,
-        compliance=compliance, converged=converged,
-    )
+    try:
+        return Dataset(
+            images=images, conditions=conditions,
+            kind=KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
+            cardinality=cardinality, volfrac=volfrac, penal=penal, rmin=rmin,
+            compliance=compliance, converged=converged,
+        )
+    except ParameterError as exc:
+        raise FormatError(f"record data out of range: {exc}", offset=_HEADER.size) from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ and aggregate the absolute errors against the target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import class_target_fraction, postprocess
+from .data import KIND_CLASS, class_target_fraction, postprocess
 from .exceptions import DimensionError
 from .fem import (
     BoundaryConditions,
@@ -43,7 +43,7 @@ class EvalReport:
     checkpoint: str
     seed: int
     objective: str = ""
-    per_sample_compliance: list[float] | None = field(default=None)
+    per_sample_compliance: list[float] | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -74,15 +74,12 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     The target is the condition itself for continuous conditions, or the
     class's known fill fraction for the synthetic class datasets.
     """
-    gen, meta = generator_from_checkpoint(checkpoint_path)
-    if gen.spec.condition_kind == "class":
+    gen, config = generator_from_checkpoint(checkpoint_path)
+    if gen.spec.condition_kind == KIND_CLASS:
         target = class_target_fraction(int(condition), gen.spec.condition_cardinality)
     else:
         target = float(condition)
-    from .objectives import objective_names
-    objective = objective_names()[int(meta.get("objective", 0))]
-
-    images = sample(checkpoint_path, condition, count, seed)
+    images = sample(gen, condition, count, seed)
     measured = [measure_volfrac(postprocess(img)) for img in images]
     errs = np.abs(np.asarray(measured) - target) if measured else np.array([])
     compliances = None
@@ -98,7 +95,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
         per_sample=[float(v) for v in measured],
         checkpoint=str(checkpoint_path),
         seed=seed,
-        objective=objective,
+        objective=config.objective,
         per_sample_compliance=compliances,
     )
 

@@ -14,29 +14,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import KIND_CLASS, condition_dim
 from .exceptions import DomainError, SpecError
 
 WEIGHT_STD = 0.02
 SCORE_EPS = 1e-12
 
-KIND_CONTINUOUS = "continuous"
-KIND_CLASS = "class"
-
-
-def _check_condition_kind(kind: str, cardinality: int) -> int:
-    if kind == KIND_CLASS:
-        if cardinality < 1:
-            raise SpecError("class conditions need cardinality >= 1")
-        return cardinality
-    if kind == KIND_CONTINUOUS:
-        return 1
-    raise SpecError(f"unknown condition kind '{kind}'")
-
-
 def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarray:
     """(N,) raw condition values -> (N, cond_dim) dense encoding (one-hot or scalar)."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    dim = _check_condition_kind(kind, cardinality)
+    dim = condition_dim(kind, cardinality, SpecError)
     if kind == KIND_CLASS:
         idx = values.astype(np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= cardinality):
@@ -66,7 +53,7 @@ class GeneratorSpec:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
-        _check_condition_kind(self.condition_kind, self.condition_cardinality)
+        condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
         if self.z_dim < 1:
             raise SpecError(f"z_dim must be >= 1, got {self.z_dim}")
         if self.out_h % 4 or self.out_w % 4:
@@ -79,7 +66,7 @@ class GeneratorSpec:
 
     @property
     def cond_dim(self) -> int:
-        return _check_condition_kind(self.condition_kind, self.condition_cardinality)
+        return condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,7 @@ class DiscriminatorSpec:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
-        _check_condition_kind(self.condition_kind, self.condition_cardinality)
+        condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
         if self.in_h % 4 or self.in_w % 4:
             raise SpecError(
                 f"input {self.in_h}x{self.in_w} must be divisible by 4 "
@@ -111,7 +98,7 @@ class DiscriminatorSpec:
 
     @property
     def cond_dim(self) -> int:
-        return _check_condition_kind(self.condition_kind, self.condition_cardinality)
+        return condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
 
 
 def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
@@ -263,10 +250,3 @@ class Discriminator:
         score = ad.clamp(score, SCORE_EPS, 1.0 - SCORE_EPS)
         return score.reshape(f.data.shape[0])
 
-
-def build_generator(spec: GeneratorSpec, seed: int) -> Generator:
-    return Generator(spec, seed)
-
-
-def build_discriminator(spec: DiscriminatorSpec, seed: int) -> Discriminator:
-    return Discriminator(spec, seed)

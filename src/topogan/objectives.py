@@ -1,12 +1,19 @@
 """Adversarial objectives over discriminator score batches.
 
-Four formulations are exposed by name: `gan` and `cgan` share the two-term
-score formula (conditioning happens upstream, in how the scores were
-produced); `crcgan-a` and `crcgan-b` add a third discriminator term that
-scores real images paired with a wrong condition (variant A: random
-condition y2 for the same image; variant B: a second real image whose true
-condition differs from y). Discriminator losses are negated objectives, so
-both players minimize. All logs carry the global 1e-12 floor clamp.
+One loss formula serves every objective. The discriminator minimizes
+
+    d_loss = -E[log D(x, y)] - w E[log(1 - D(x, y2))] - E[log(1 - D(G(z, y), y))]
+
+and the generator minimizes -E[log D(G(z, y), y)] (non-saturating) or
+E[log(1 - D(G(z, y), y))]. The middle term, the matching-aware term of
+GAN-CLS (Reed et al. 2016), scores real images paired with a wrong
+condition; it is present exactly when the objective needs mismatched scores.
+The registry maps each objective name to that need: `gan` and `cgan` use two
+terms (conditioning happens upstream, in how the scores were produced),
+`crcgan-a` (a random wrong condition y2 for the same image) and `crcgan-b`
+(a second real image whose true condition differs from y) use three. The
+variants differ only in how the training step builds the mismatched
+scores. All logs carry the global 1e-12 floor clamp.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, log_clamped, mean
-from .data import ClassLabel, Continuous
+from .data import KIND_CLASS, condition_dim
 from .exceptions import ContractError, DomainError
 
 MISMATCH_MARGIN = 0.05
@@ -51,82 +58,37 @@ def _as_score_tensor(scores, name: str) -> Tensor:
     return t
 
 
-def _generator_loss(d_fake: Tensor, non_saturating: bool) -> Tensor:
-    if non_saturating:
-        return -mean(log_clamped(d_fake))
-    return mean(log_clamped(1.0 - d_fake))
-
-
-def gan_losses(scores: ScoreBatch, non_saturating: bool = False) -> tuple[Tensor, Tensor]:
-    """Two-term adversarial game: d_loss = -E[log D(x)] - E[log(1 - D(G(z)))]."""
-    if scores.d_real_mismatched is not None:
-        raise ContractError("gan_losses takes no mismatched scores")
-    d_loss = -mean(log_clamped(scores.d_real_matched)) \
-        - mean(log_clamped(1.0 - scores.d_fake))
-    return d_loss, _generator_loss(scores.d_fake, non_saturating)
-
-
-def cgan_losses(scores: ScoreBatch, non_saturating: bool = False) -> tuple[Tensor, Tensor]:
-    """Identical formula to gan_losses; every score is condition-dependent."""
-    return gan_losses(scores, non_saturating)
-
-
-def _three_term_losses(scores: ScoreBatch, non_saturating: bool,
-                       mismatch_weight: float) -> tuple[Tensor, Tensor]:
-    if scores.d_real_mismatched is None:
-        raise ContractError("this objective needs mismatched real scores")
-    d_loss = -mean(log_clamped(scores.d_real_matched)) \
-        - mismatch_weight * mean(log_clamped(1.0 - scores.d_real_mismatched)) \
-        - mean(log_clamped(1.0 - scores.d_fake))
-    return d_loss, _generator_loss(scores.d_fake, non_saturating)
-
-
-def crcgan_a_losses(scores: ScoreBatch, non_saturating: bool = False,
-                    mismatch_weight: float = 1.0) -> tuple[Tensor, Tensor]:
-    """Third term penalizes high scores on real images with a random wrong y2.
-
-    The mismatch term drives the discriminator to verify image/condition
-    consistency; it does not appear in the generator loss.
-    """
-    return _three_term_losses(scores, non_saturating, mismatch_weight)
-
-
-def crcgan_b_losses(scores: ScoreBatch, non_saturating: bool = False,
-                    mismatch_weight: float = 1.0) -> tuple[Tensor, Tensor]:
-    """Variant with mismatched scores built from second real samples x2.
-
-    x2 is a real sample whose true condition differs from the y under
-    evaluation; at score level the formula coincides with crcgan_a_losses.
-    """
-    return _three_term_losses(scores, non_saturating, mismatch_weight)
-
-
-@dataclass(frozen=True)
-class Objective:
-    name: str
-    loss_fn: object
-    needs_mismatch: bool
-
-
-_OBJECTIVES = {
-    "gan": Objective("gan", gan_losses, False),
-    "cgan": Objective("cgan", cgan_losses, False),
-    "crcgan-a": Objective("crcgan-a", crcgan_a_losses, True),
-    "crcgan-b": Objective("crcgan-b", crcgan_b_losses, True),
-}
+# objective name -> whether its loss needs mismatched real scores
+OBJECTIVES = {"gan": False, "cgan": False, "crcgan-a": True, "crcgan-b": True}
 
 
 def objective_names() -> list[str]:
-    return list(_OBJECTIVES)
+    return list(OBJECTIVES)
 
 
-def get_objective(name: str) -> Objective:
+def needs_mismatch(objective: str) -> bool:
     try:
-        return _OBJECTIVES[name]
+        return OBJECTIVES[objective]
     except KeyError:
         raise DomainError(
-            f"unknown objective '{name}' (choose from {', '.join(_OBJECTIVES)})"
+            f"unknown objective '{objective}' (choose from {', '.join(OBJECTIVES)})"
         ) from None
+
+
+def losses(objective: str, scores: ScoreBatch, non_saturating: bool = False,
+           mismatch_weight: float = 1.0) -> tuple[Tensor, Tensor]:
+    """(d_loss, g_loss) of `objective`; the mismatch term enters only d_loss."""
+    needed = needs_mismatch(objective)
+    if needed != (scores.d_real_mismatched is not None):
+        raise ContractError(f"objective '{objective}' "
+                            f"{'needs' if needed else 'takes no'} mismatched real scores")
+    d_loss = -mean(log_clamped(scores.d_real_matched))
+    if scores.d_real_mismatched is not None:
+        d_loss = d_loss - mismatch_weight * mean(log_clamped(1.0 - scores.d_real_mismatched))
+    d_loss = d_loss - mean(log_clamped(1.0 - scores.d_fake))
+    if non_saturating:
+        return d_loss, -mean(log_clamped(scores.d_fake))
+    return d_loss, mean(log_clamped(1.0 - scores.d_fake))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +98,7 @@ def get_objective(name: str) -> Objective:
 class ConditionSampler:
     """Uniform condition distribution, discrete labels or a continuous range."""
 
-    kind: str  # 'class' | 'continuous'
+    kind: str  # KIND_CLASS or KIND_CONTINUOUS
     cardinality: int = 0
     low: float = 0.0
     high: float = 1.0
@@ -145,44 +107,30 @@ class ConditionSampler:
     rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind == "class":
-            if self.cardinality < 1:
-                raise DomainError("class sampler needs cardinality >= 1")
-        elif self.kind == "continuous":
-            if not (self.low < self.high):
-                raise DomainError("continuous sampler needs low < high")
-        else:
-            raise DomainError(f"unknown condition kind '{self.kind}'")
+        condition_dim(self.kind, self.cardinality, DomainError)
+        if self.kind != KIND_CLASS and not (self.low < self.high):
+            raise DomainError("continuous sampler needs low < high")
         self.rng = np.random.default_rng(self.seed)
 
 
-def _condition_value(y) -> float:
-    if isinstance(y, ClassLabel):
-        return float(y.index)
-    if isinstance(y, Continuous):
-        return y.value
-    return float(y)
-
-
-def sample_mismatched_condition(y1, sampler: ConditionSampler,
+def sample_mismatched_condition(y1: float, sampler: ConditionSampler,
                                 rng: np.random.Generator | None = None):
     """Draw y2 from the sampler's distribution, resampling until it mismatches y1.
 
-    Discrete: y2 != y1. Continuous: |y2 - y1| >= margin. Deterministic given
-    the sampler's seed (or the explicitly supplied generator).
+    Class labels: y2 != y1; continuous values: |y2 - y1| >= margin.
+    Deterministic given the sampler's seed (or the explicitly supplied generator).
     """
     rng = sampler.rng if rng is None else rng
-    y1_value = _condition_value(y1)
-    if sampler.kind == "class":
+    if sampler.kind == KIND_CLASS:
         if sampler.cardinality < 2:
             raise DomainError("no mismatched label exists with cardinality 1")
         for _ in range(_MAX_RESAMPLES):
             y2 = int(rng.integers(0, sampler.cardinality))
-            if y2 != int(y1_value):
+            if y2 != int(y1):
                 return y2
     else:
         for _ in range(_MAX_RESAMPLES):
             y2 = float(rng.uniform(sampler.low, sampler.high))
-            if abs(y2 - y1_value) >= sampler.margin:
+            if abs(y2 - y1) >= sampler.margin:
                 return y2
     raise DomainError("could not draw a mismatched condition (domain too tight)")

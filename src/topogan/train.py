@@ -6,27 +6,34 @@ so that a resumed run replays the identical order. All other randomness
 (noise, mismatch draws) comes from one generator whose state rides along in
 the checkpoint, making interrupt/resume bit-identical.
 
-Checkpoint binary (little-endian): magic "CRCG", u32 version=1, u64 step,
-u32 tensor count; per tensor u16 name length, UTF-8 name, u8 ndim, u32 dims,
-f64 data. Network/optimizer structure travels as 0-d "meta.*" tensors; the
-trailing length-prefixed blob holds the rng state. Metrics are one JSON
-object per line with keys step, iter, d_loss, g_loss, diversity,
-mean_score_real, mean_score_fake, mean_score_mismatch (null when unused),
-wall_ms.
+Checkpoint binary (little-endian): magic "CRCG", u32 version=2, u32 header
+length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
+back, and a u32 CRC32 of every byte before it. The header holds the step,
+the TrainConfig fields (the objective by name), both network specs (the
+condition kind by name), the Adam step counts, the rng state, the trailing
+diversity window, and the tensor table [[name, shape], ...] that orders the
+tensor data. A checkpoint is written to a temporary file in its directory and
+renamed into place, so a crash never leaves a partial file under its name.
+Metrics are one JSON object per line with keys step, iter, d_loss, g_loss,
+diversity, mean_score_real, mean_score_fake, mean_score_mismatch (null when
+unused), wall_ms; a resumed run first drops the records past its checkpoint.
 """
 from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 import struct
 import time
-from dataclasses import dataclass, replace
+import zlib
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import AdamState, Tensor, adam_step
-from .data import Dataset
+from .data import KIND_CLASS, KIND_CONTINUOUS, Dataset
 from .exceptions import (
     ConsistencyError,
     ContractError,
@@ -35,26 +42,24 @@ from .exceptions import (
     ParameterError,
     TrainingAbort,
 )
-from .nets import (
-    Discriminator,
-    DiscriminatorSpec,
-    Generator,
-    GeneratorSpec,
-    build_discriminator,
-    build_generator,
-)
+from .nets import Discriminator, DiscriminatorSpec, Generator, GeneratorSpec
 from .objectives import (
     ConditionSampler,
     ScoreBatch,
-    get_objective,
-    objective_names,
+    losses,
+    needs_mismatch,
     sample_mismatched_condition,
 )
 
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"CRCG"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+_CKPT_PREFIX = struct.Struct("<4sII")   # magic, version, header length
+_CKPT_CRC = struct.Struct("<I")
+# TrainConfig fields a resumed run may change: they set the budget, not the model
+_BUDGET_FIELDS = ("steps", "iterations", "steps_per_iteration", "checkpoint_every",
+                  "metrics_every")
 
 COLLAPSE_WINDOW = 100    # trailing steps for the diversity median
 COLLAPSE_FACTOR = 0.1    # warn when diversity < factor * trailing median
@@ -85,7 +90,7 @@ class TrainConfig:
     metrics_every: int = 1
 
     def __post_init__(self):
-        get_objective(self.objective)
+        needs_mismatch(self.objective)
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
         if self.minibatch_discrimination and self.batch_size < 2:
@@ -125,14 +130,14 @@ class TrainState:
 
 
 def _sampler_for(dataset: Dataset, config: TrainConfig) -> ConditionSampler:
-    if dataset.kind == "class":
-        return ConditionSampler(kind="class", cardinality=dataset.cardinality,
+    if dataset.kind == KIND_CLASS:
+        return ConditionSampler(kind=KIND_CLASS, cardinality=dataset.cardinality,
                                 seed=config.seed)
     lo = float(dataset.conditions.min())
     hi = float(dataset.conditions.max())
     if hi - lo < config.mismatch_margin:
         hi = lo + max(2 * config.mismatch_margin, 1e-3)
-    return ConditionSampler(kind="continuous", low=lo, high=min(hi, 1.0),
+    return ConditionSampler(kind=KIND_CONTINUOUS, low=lo, high=min(hi, 1.0),
                             margin=config.mismatch_margin, seed=config.seed)
 
 
@@ -147,8 +152,8 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         feature_dim=config.feature_dim, minibatch=config.minibatch_discrimination,
         minibatch_kernels=config.minibatch_kernels, minibatch_dim=config.minibatch_dim)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
-    gen = build_generator(gen_spec, seed=seeds[0])
-    disc = build_discriminator(disc_spec, seed=seeds[1])
+    gen = Generator(gen_spec, seed=seeds[0])
+    disc = Discriminator(disc_spec, seed=seeds[1])
     gp, dp = list(gen.params().values()), list(disc.params().values())
     return TrainState(
         config=config, gen=gen, disc=disc,
@@ -200,7 +205,7 @@ def _mismatch_partners(conds: np.ndarray, sampler: ConditionSampler,
     """Index j per sample i with a differing condition, drawn within the batch."""
     out = np.empty(conds.size, dtype=np.int64)
     for i, c in enumerate(conds):
-        if sampler.kind == "class":
+        if sampler.kind == KIND_CLASS:
             candidates = np.flatnonzero(conds.astype(int) != int(c))
         else:
             candidates = np.flatnonzero(np.abs(conds - c) >= sampler.margin)
@@ -218,7 +223,6 @@ def training_step(state: TrainState, images: np.ndarray,
     if images.shape[0] != cfg.batch_size:
         raise ContractError(
             f"batch size {images.shape[0]} != configured {cfg.batch_size}")
-    objective = get_objective(cfg.objective)
     t0 = time.monotonic()
     b = cfg.batch_size
     x_real = np.asarray(images, dtype=np.float64)[:, None, :, :]
@@ -232,7 +236,7 @@ def training_step(state: TrainState, images: np.ndarray,
     fake = state.gen.forward(z, conds).detach()
     d_real = state.disc.forward(x_real, conds)
     d_mismatch = None
-    if objective.needs_mismatch:
+    if needs_mismatch(cfg.objective):
         if cfg.objective == "crcgan-a":
             y2 = _mismatch_conditions(conds, state.sampler, state.rng)
             d_mismatch = state.disc.forward(x_real, y2)
@@ -242,7 +246,7 @@ def training_step(state: TrainState, images: np.ndarray,
     d_fake = state.disc.forward(fake, conds)
     scores = ScoreBatch(d_real_matched=d_real, d_fake=d_fake,
                         d_real_mismatched=d_mismatch)
-    d_loss, _ = objective.loss_fn(scores, non_saturating=cfg.non_saturating)
+    d_loss, _ = losses(cfg.objective, scores, non_saturating=cfg.non_saturating)
     if not np.isfinite(d_loss.item()):
         raise TrainingAbort(f"non-finite discriminator loss at step {state.step + 1}")
     for p in disc_params.values():
@@ -258,7 +262,7 @@ def training_step(state: TrainState, images: np.ndarray,
     g_scores = ScoreBatch(
         d_real_matched=d_real.detach(), d_fake=d_fake2,
         d_real_mismatched=None if d_mismatch is None else d_mismatch.detach())
-    _, g_loss = objective.loss_fn(g_scores, non_saturating=cfg.non_saturating)
+    _, g_loss = losses(cfg.objective, g_scores, non_saturating=cfg.non_saturating)
     if not np.isfinite(g_loss.item()):
         raise TrainingAbort(f"non-finite generator loss at step {state.step + 1}")
     for p in gen_params.values():
@@ -299,77 +303,78 @@ def training_step(state: TrainState, images: np.ndarray,
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
-def _rng_blob(rng: np.random.Generator) -> bytes:
-    return json.dumps(rng.bit_generator.state).encode("utf-8")
+def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write `header`, the tensor table and the tensors as one CRC-checked file.
+
+    The bytes go to a temporary file in the same directory, which is synced
+    and then renamed over `path`.
+    """
+    path = Path(path)
+    arrays = {name: np.asarray(a, dtype="<f8") for name, a in tensors.items()}
+    table = [[name, list(a.shape)] for name, a in arrays.items()]
+    head = json.dumps({**header, "tensors": table}).encode("utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        crc = 0
+        for chunk in (_CKPT_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(head)), head,
+                      *(a.tobytes() for a in arrays.values())):
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+        fh.write(_CKPT_CRC.pack(crc))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
-def _rng_from_blob(blob: bytes) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(blob.decode("utf-8"))
-    return rng
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, tensors) of a checkpoint; a malformed file raises FormatError.
 
-
-def save_checkpoint(path, step: int, tensors: dict[str, np.ndarray],
-                    rng_blob: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IQI", CKPT_VERSION, step, len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8").tobytes())
-        fh.write(struct.pack("<I", len(rng_blob)))
-        fh.write(rng_blob)
-
-
-def load_checkpoint(path) -> tuple[int, dict[str, np.ndarray], bytes]:
+    The tensors are read-only views of the file's bytes.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 20:
+    if len(blob) < _CKPT_PREFIX.size + _CKPT_CRC.size:
         raise FormatError("truncated checkpoint header", offset=len(blob))
-    if blob[:4] != CKPT_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}", offset=0)
-    version, step, count = struct.unpack_from("<IQI", blob, 4)
+    magic, version, head_len = _CKPT_PREFIX.unpack_from(blob)
+    if magic != CKPT_MAGIC:
+        raise FormatError(f"bad magic {magic!r}", offset=0)
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    offset = 20
-    tensors: dict[str, np.ndarray] = {}
+    end = len(blob) - _CKPT_CRC.size
+    if zlib.crc32(memoryview(blob)[:end]) != _CKPT_CRC.unpack_from(blob, end)[0]:
+        raise FormatError("CRC32 mismatch: checkpoint is corrupt or truncated", offset=end)
+    offset = _CKPT_PREFIX.size + head_len
+    if offset > end:
+        raise FormatError("header runs past the end of the file", offset=_CKPT_PREFIX.size)
     try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{ndim}I", blob, offset) if ndim else ()
-            offset += 4 * ndim
-            n_values = int(np.prod(dims)) if ndim else 1
-            if len(blob) < offset + 8 * n_values:
-                raise FormatError("truncated tensor data", offset=offset)
-            arr = np.frombuffer(blob, dtype="<f8", count=n_values, offset=offset)
-            offset += 8 * n_values
-            tensors[name] = arr.reshape(dims).copy()
-        (blob_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        rng_blob = blob[offset:offset + blob_len]
-        if len(rng_blob) != blob_len:
-            raise FormatError("truncated rng state blob", offset=offset)
-    except struct.error as exc:
-        raise FormatError(f"truncated checkpoint: {exc}", offset=offset) from exc
-    return step, tensors, rng_blob
-
-
-_KIND_CODE = {"continuous": 0.0, "class": 1.0}
+        header = json.loads(blob[_CKPT_PREFIX.size:offset].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise FormatError(f"unreadable header: {exc}", offset=_CKPT_PREFIX.size) from None
+    table = header.pop("tensors", None) if isinstance(header, dict) else None
+    if not isinstance(table, list):
+        raise FormatError("header has no tensor table", offset=_CKPT_PREFIX.size)
+    tensors: dict[str, np.ndarray] = {}
+    for entry in table:
+        name, shape = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise FormatError("bad tensor table entry", offset=_CKPT_PREFIX.size)
+        count = math.prod(shape)
+        if offset + 8 * count > end:
+            raise FormatError(f"tensor {name} runs past the end of the data", offset=offset)
+        try:
+            tensors[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                          offset=offset).reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise FormatError(f"tensor {name}: {exc}", offset=_CKPT_PREFIX.size) from None
+        offset += 8 * count
+    if offset != end:
+        raise FormatError("bytes left after the last tensor", offset=offset)
+    return header, tensors
 
 
 def _state_tensors(state: TrainState) -> dict[str, np.ndarray]:
-    cfg = state.config
+    """The arrays a checkpoint stores, by name: both networks and their Adam moments."""
     tensors: dict[str, np.ndarray] = {}
     for name, p in state.gen.params().items():
         tensors[f"g.{name}"] = p.data
@@ -380,100 +385,82 @@ def _state_tensors(state: TrainState) -> dict[str, np.ndarray]:
         for (name, _), m, v in zip(net.params().items(), adam.m, adam.v):
             tensors[f"adam.{prefix}.m.{name}"] = m
             tensors[f"adam.{prefix}.v.{name}"] = v
-        tensors[f"meta.adam_step_{prefix}"] = np.float64(adam.step)
-    kind = state.gen.spec.condition_kind
-    meta = {
-        "objective": float(objective_names().index(cfg.objective)),
-        "batch_size": float(cfg.batch_size),
-        "seed": float(cfg.seed),
-        "z_dim": float(cfg.z_dim),
-        "out_h": float(state.gen.spec.out_h),
-        "out_w": float(state.gen.spec.out_w),
-        "cond_kind": _KIND_CODE[kind],
-        "cond_cardinality": float(state.gen.spec.condition_cardinality),
-        "gen_c0": float(cfg.gen_channels[0]),
-        "gen_c1": float(cfg.gen_channels[1]),
-        "disc_c1": float(cfg.disc_channels[0]),
-        "disc_c2": float(cfg.disc_channels[1]),
-        "feature_dim": float(cfg.feature_dim),
-        "minibatch": float(cfg.minibatch_discrimination),
-        "minibatch_kernels": float(cfg.minibatch_kernels),
-        "minibatch_dim": float(cfg.minibatch_dim),
-        "non_saturating": float(cfg.non_saturating),
-        "lr": cfg.lr,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "eps": cfg.eps,
-        "mismatch_margin": cfg.mismatch_margin,
-    }
-    for key, value in meta.items():
-        tensors[f"meta.{key}"] = np.float64(value)
-    # trailing window only: it is all the collapse monitor ever looks at
-    tensors["meta.diversity_history"] = np.asarray(
-        state.diversity_history[-COLLAPSE_WINDOW:], dtype=np.float64)
     return tensors
 
 
 def write_state(state: TrainState, path) -> None:
-    save_checkpoint(path, state.step, _state_tensors(state), _rng_blob(state.rng))
+    save_checkpoint(path, {
+        "step": state.step,
+        "config": asdict(state.config),
+        "generator": asdict(state.gen.spec),
+        "discriminator": asdict(state.disc.spec),
+        "adam_steps": {"g": state.adam_g.step, "d": state.adam_d.step},
+        "rng": state.rng.bit_generator.state,
+        # trailing window only: it is all the collapse monitor ever looks at
+        "diversity_window": state.diversity_history[-COLLAPSE_WINDOW:],
+    }, _state_tensors(state))
 
 
-def config_from_checkpoint(path, steps: int | None = None,
-                           iterations: int | None = None, **overrides) -> TrainConfig:
-    """Rebuild the structural TrainConfig stored in a checkpoint's meta tensors."""
-    _, tensors, _ = load_checkpoint(path)
+def _specs(header: dict) -> tuple[TrainConfig, GeneratorSpec, DiscriminatorSpec]:
+    """The training config and network specs a checkpoint header stores."""
+    def build(cls, key):
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in header[key].items()})
 
-    def meta(key):
-        return float(tensors[f"meta.{key}"])
+    try:
+        return (build(TrainConfig, "config"), build(GeneratorSpec, "generator"),
+                build(DiscriminatorSpec, "discriminator"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint header does not describe a run: {exc}") from None
 
-    if steps is None and iterations is None:
-        steps = 0
-    return TrainConfig(
-        objective=objective_names()[int(meta("objective"))],
-        batch_size=int(meta("batch_size")),
-        steps=steps, iterations=iterations,
-        seed=int(meta("seed")),
-        z_dim=int(meta("z_dim")),
-        gen_channels=(int(meta("gen_c0")), int(meta("gen_c1"))),
-        disc_channels=(int(meta("disc_c1")), int(meta("disc_c2"))),
-        feature_dim=int(meta("feature_dim")),
-        minibatch_discrimination=bool(meta("minibatch")),
-        minibatch_kernels=int(meta("minibatch_kernels")),
-        minibatch_dim=int(meta("minibatch_dim")),
-        non_saturating=bool(meta("non_saturating")),
-        lr=meta("lr"), beta1=meta("beta1"), beta2=meta("beta2"), eps=meta("eps"),
-        mismatch_margin=meta("mismatch_margin"),
-        **overrides,
-    )
+
+def _fill(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> None:
+    """Copy each checkpoint tensor into the target array of the same name."""
+    for name, target in targets.items():
+        source = tensors.get(name)
+        if source is None or source.shape != target.shape:
+            raise FormatError(f"checkpoint tensor {name} is missing or misshapen")
+        target[...] = source
 
 
 def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
-    """Restore a TrainState; `config` must structurally match the checkpoint."""
-    stored = config_from_checkpoint(path, steps=config.steps,
-                                    iterations=config.iterations,
-                                    steps_per_iteration=config.steps_per_iteration,
-                                    checkpoint_every=config.checkpoint_every,
-                                    metrics_every=config.metrics_every)
+    """Restore a TrainState; `config` may differ from the stored one in its budget only."""
+    header, tensors = load_checkpoint(path)
+    stored, gen_spec, disc_spec = _specs(header)
+    stored = replace(stored, **{f: getattr(config, f) for f in _BUDGET_FIELDS})
     if stored != config:
         raise ConsistencyError(
             "config does not match checkpoint structure "
             f"(stored {stored}, requested {config})")
-    step, tensors, rng_blob = load_checkpoint(path)
     state = init_state(config, dataset)
-    for name, p in state.gen.params().items():
-        p.data[...] = tensors[f"g.{name}"]
-    for name, p in state.disc.params().items():
-        p.data[...] = tensors[f"d.{name}"]
-    for prefix, net, adam in (("g", state.gen, state.adam_g),
-                              ("d", state.disc, state.adam_d)):
-        adam.step = int(float(tensors[f"meta.adam_step_{prefix}"]))
-        for i, (name, _) in enumerate(net.params().items()):
-            adam.m[i][...] = tensors[f"adam.{prefix}.m.{name}"]
-            adam.v[i][...] = tensors[f"adam.{prefix}.v.{name}"]
-    state.step = step
-    state.rng = _rng_from_blob(rng_blob)
-    state.diversity_history = tensors["meta.diversity_history"].tolist()
+    if (state.gen.spec, state.disc.spec) != (gen_spec, disc_spec):
+        raise ConsistencyError("dataset does not fit the checkpoint's networks")
+    _fill(_state_tensors(state), tensors)
+    try:
+        state.adam_g.step = int(header["adam_steps"]["g"])
+        state.adam_d.step = int(header["adam_steps"]["d"])
+        state.step = int(header["step"])
+        state.rng.bit_generator.state = header["rng"]
+        state.diversity_history = [float(d) for d in header["diversity_window"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint header lacks training state: {exc}") from None
     return state
+
+
+def _truncate_metrics(path: Path, step: int) -> None:
+    """Drop the records after `step`, left by a run that went on past its checkpoint."""
+    if not path.exists():
+        return
+    with open(path, "rb+") as fh:
+        keep = 0
+        for line in fh:
+            try:
+                if json.loads(line)["step"] > step:
+                    break
+            except ValueError:  # a record cut short by the crash
+                break
+            keep += len(line)
+        fh.truncate(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +481,13 @@ def train(config: TrainConfig, dataset: Dataset, out_dir,
     metrics_path = out_dir / "metrics.jsonl"
     final_path = out_dir / "final.ckpt"
 
-    if dataset.kind == "class" and get_objective(config.objective).needs_mismatch \
+    if dataset.kind == KIND_CLASS and needs_mismatch(config.objective) \
             and dataset.cardinality < 2:
         raise DomainError("mismatch objectives need at least 2 classes")
 
     if resume_from is not None:
         state = load_state(resume_from, dataset, config)
+        _truncate_metrics(metrics_path, state.step)
         mode = "a"
     else:
         state = init_state(config, dataset)
@@ -520,6 +508,7 @@ def train(config: TrainConfig, dataset: Dataset, out_dir,
             if state.step % config.metrics_every == 0 or state.step == total_steps:
                 metrics_fh.write(json.dumps(record) + "\n")
             if config.checkpoint_every and state.step % config.checkpoint_every == 0:
+                metrics_fh.flush()  # the records up to a checkpoint outlive a crash
                 write_state(state, out_dir / f"step{state.step:08d}.ckpt")
     write_state(state, final_path)
     return TrainOutcome(checkpoint_path=final_path, metrics_path=metrics_path,
@@ -534,32 +523,19 @@ def read_metrics(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 # sampling from a checkpoint
 
-def generator_from_checkpoint(path) -> tuple[Generator, dict]:
-    _, tensors, _ = load_checkpoint(path)
-
-    def meta(key):
-        return float(tensors[f"meta.{key}"])
-
-    kind = "class" if meta("cond_kind") == 1.0 else "continuous"
-    spec = GeneratorSpec(
-        out_h=int(meta("out_h")), out_w=int(meta("out_w")),
-        z_dim=int(meta("z_dim")), condition_kind=kind,
-        condition_cardinality=int(meta("cond_cardinality")),
-        channels=(int(meta("gen_c0")), int(meta("gen_c1"))))
-    gen = build_generator(spec, seed=0)
-    for name, p in gen.params().items():
-        p.data[...] = tensors[f"g.{name}"]
-    return gen, {k[len("meta."):]: float(v) for k, v in tensors.items()
-                 if k.startswith("meta.") and v.ndim == 0}
+def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
+    """The trained generator stored in a checkpoint, and the config it was trained with."""
+    header, tensors = load_checkpoint(path)
+    config, gen_spec, _ = _specs(header)
+    gen = Generator(gen_spec, seed=0)
+    _fill({f"g.{name}": p.data for name, p in gen.params().items()}, tensors)
+    return gen, config
 
 
-def sample(checkpoint_path, condition, count: int, seed: int) -> np.ndarray:
+def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     """Generate `count` images at a fixed condition; deterministic given seed."""
-    gen, _ = generator_from_checkpoint(checkpoint_path)
     spec = gen.spec
-    if isinstance(condition, (int, np.integer)) and spec.condition_kind == "continuous":
-        condition = float(condition)
-    if spec.condition_kind == "class":
+    if spec.condition_kind == KIND_CLASS:
         condition = int(condition)
         if not (0 <= condition < spec.condition_cardinality):
             raise DomainError(

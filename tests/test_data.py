@@ -6,9 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topogan.data import (
-    ClassLabel,
-    ConditionedSample,
-    Continuous,
     Dataset,
     SweepGrid,
     augment,
@@ -114,54 +111,53 @@ def test_gaussian_kernel_normalized():
 # ---------------------------------------------------------------------------
 # augmentation
 
-def make_sample():
+def make_image():
     rng = np.random.default_rng(0)
-    return ConditionedSample(
-        image=rng.uniform(0.2, 0.8, size=(10, 12)).astype(np.float32),
-        condition=Continuous(0.5),
-    )
+    return rng.uniform(0.2, 0.8, size=(10, 12)).astype(np.float32)
 
 
 def test_augment_zero_count_is_identity():
-    s = make_sample()
-    out = augment(s, 0, 0.3, seed=5)
-    assert np.array_equal(out.image, s.image)
-    assert out.condition == s.condition
+    image = make_image()
+    out = augment(image, 0, 0.3, seed=5)
+    assert np.array_equal(out, image)
 
 
 def test_augment_deterministic():
-    s = make_sample()
-    a = augment(s, 10, 0.3, seed=7)
-    b = augment(s, 10, 0.3, seed=7)
-    assert np.array_equal(a.image, b.image)
+    image = make_image()
+    a = augment(image, 10, 0.3, seed=7)
+    b = augment(image, 10, 0.3, seed=7)
+    assert np.array_equal(a, b)
 
 
 def test_augment_bounded_changes():
-    s = make_sample()
-    out = augment(s, 10, 0.3, seed=11)
-    diff = np.abs(out.image.astype(np.float64) - s.image.astype(np.float64))
+    image = make_image()
+    out = augment(image, 10, 0.3, seed=11)
+    diff = np.abs(out - image.astype(np.float64))
     assert (diff > 0).sum() <= 10
     assert diff.max() <= 0.3 + 1e-6
-    assert out.image.min() >= 0.0 and out.image.max() <= 1.0
-    assert out.condition == s.condition
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 @settings(max_examples=25, deadline=None)
 @given(count=st.integers(0, 50), amp=st.floats(0.0, 1.0), seed=st.integers(0, 2**31))
 def test_augment_invariants(count, amp, seed):
-    s = make_sample()
-    out = augment(s, count, amp, seed)
-    assert out.image.min() >= 0.0 and out.image.max() <= 1.0
-    assert (out.image != s.image).sum() <= count
-    assert out.condition == s.condition
+    image = make_image()
+    out = augment(image, count, amp, seed)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    assert (out != image).sum() <= count
 
 
 def test_augment_dataset_doubles():
     ds = synth_classes(2, 3, 8, seed=0)
     out = augment_dataset(ds, seed=1)
-    assert len(out) == 2 * len(ds)
-    assert np.array_equal(out.images[: len(ds)], ds.images)
-    assert np.array_equal(out.conditions[len(ds):], ds.conditions)
+    n = len(ds)
+    assert len(out) == 2 * n
+    assert np.array_equal(out.images[:n], ds.images)
+    assert (out.kind, out.cardinality) == (ds.kind, ds.cardinality)
+    # each noisy copy keeps its source's condition and meta
+    for name in ("conditions", "volfrac", "penal", "rmin", "compliance", "converged"):
+        assert np.array_equal(getattr(out, name)[n:], getattr(ds, name)), name
+        assert np.array_equal(getattr(out, name)[:n], getattr(ds, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +216,42 @@ def test_topd_truncated(tmp_path):
     path.write_bytes(blob[: len(blob) - 7])
     with pytest.raises(FormatError):
         read_dataset(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)),
+                      min_size=1, max_size=4),
+       cut=st.integers(0, 8))
+def test_topd_reader_is_total(tmp_path_factory, edits, cut):
+    # any byte edit or truncation either fails as FormatError or loads a
+    # dataset that writes back to exactly the same bytes
+    path = tmp_path_factory.mktemp("fuzz") / "f.topd"
+    write_dataset(small_dataset(), path)
+    blob = bytearray(path.read_bytes())
+    for pos, value in edits:
+        blob[pos % len(blob)] = value
+    mutated = bytes(blob[:len(blob) - cut])
+    path.write_bytes(mutated)
+    try:
+        back = read_dataset(path)
+    except FormatError:
+        return
+    write_dataset(back, path)
+    assert path.read_bytes() == mutated
+
+
+def test_topd_rejects_out_of_range_records(tmp_path):
+    path = tmp_path / "r.topd"
+    write_dataset(small_dataset(), path)
+    header = struct.calcsize("<4sIIIIBI")
+    for offset, value in ((header, 1.5), (header + 8, float("nan")),
+                          (header + 16, float("inf"))):   # condition, penal, compliance
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, offset, value)
+        bad = tmp_path / "bad.topd"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            read_dataset(bad)
 
 
 def test_topd_bad_version(tmp_path):
@@ -409,8 +441,9 @@ def test_montage_shape_and_separators():
 
 
 def test_condition_types_validate():
+    image = np.zeros((1, 4, 4))
     with pytest.raises(ParameterError):
-        Continuous(1.5)
+        Dataset(image, [1.5], kind="continuous")
     with pytest.raises(ParameterError):
-        ClassLabel(3, 3)
-    assert ClassLabel(2, 3).index == 2
+        Dataset(image, [3], kind="class", cardinality=3)
+    assert Dataset(image, [2], kind="class", cardinality=3).conditions[0] == 2

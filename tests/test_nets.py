@@ -10,8 +10,6 @@ from topogan.nets import (
     DiscriminatorSpec,
     Generator,
     GeneratorSpec,
-    build_discriminator,
-    build_generator,
     condition_channels,
     encode_condition_vector,
     minibatch_features,
@@ -150,7 +148,7 @@ def test_condition_channels_broadcast():
 # generator
 
 def test_generator_output_shape_and_range():
-    gen = build_generator(tiny_gen_spec(out_h=16, out_w=16), seed=0)
+    gen = Generator(tiny_gen_spec(out_h=16, out_w=16), seed=0)
     z = np.random.default_rng(0).normal(size=(4, 5))
     out = gen.forward(z, [0, 1, 0, 1])
     assert out.shape == (4, 1, 16, 16)
@@ -158,11 +156,11 @@ def test_generator_output_shape_and_range():
 
 
 def test_generator_seed_reproducible():
-    a = build_generator(tiny_gen_spec(), seed=7)
-    b = build_generator(tiny_gen_spec(), seed=7)
+    a = Generator(tiny_gen_spec(), seed=7)
+    b = Generator(tiny_gen_spec(), seed=7)
     for name in a.params():
         assert np.array_equal(a.params()[name].data, b.params()[name].data)
-    c = build_generator(tiny_gen_spec(), seed=8)
+    c = Generator(tiny_gen_spec(), seed=8)
     assert any(not np.array_equal(a.params()[n].data, c.params()[n].data)
                for n in a.params())
 
@@ -182,7 +180,7 @@ def test_generator_spec_validation():
 def test_generator_condition_sensitivity_after_training_step():
     # one gradient step on class-separated targets makes outputs condition-dependent
     rng = np.random.default_rng(9)
-    gen = build_generator(tiny_gen_spec(), seed=3)
+    gen = Generator(tiny_gen_spec(), seed=3)
     z = rng.normal(size=(6, 5))
     conds = np.array([0, 0, 0, 1, 1, 1], dtype=float)
     targets = np.where(conds[:, None, None, None] > 0, 0.9, 0.1) * np.ones((6, 1, 8, 8))
@@ -207,7 +205,7 @@ def test_generator_condition_sensitivity_after_training_step():
 # discriminator
 
 def test_discriminator_scores_shape_and_range():
-    disc = build_discriminator(tiny_disc_spec(), seed=1)
+    disc = Discriminator(tiny_disc_spec(), seed=1)
     x = np.random.default_rng(2).uniform(0, 1, size=(4, 1, 8, 8))
     scores = disc.forward(x, [0, 1, 1, 0])
     assert scores.shape == (4,)
@@ -215,15 +213,15 @@ def test_discriminator_scores_shape_and_range():
 
 
 def test_discriminator_minibatch_widens_head():
-    with_mb = build_discriminator(tiny_disc_spec(minibatch=True), seed=0)
-    without = build_discriminator(tiny_disc_spec(minibatch=False), seed=0)
+    with_mb = Discriminator(tiny_disc_spec(minibatch=True), seed=0)
+    without = Discriminator(tiny_disc_spec(minibatch=False), seed=0)
     a = with_mb.params()["head.w"].data.shape[0]
     b = without.params()["head.w"].data.shape[0]
     assert a == b + tiny_disc_spec().minibatch_kernels
 
 
 def test_discriminator_per_sample_independence_without_minibatch():
-    disc = build_discriminator(tiny_disc_spec(minibatch=False), seed=4)
+    disc = Discriminator(tiny_disc_spec(minibatch=False), seed=4)
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, size=(5, 1, 8, 8))
     conds = np.array([0, 1, 0, 1, 0], dtype=float)
@@ -234,16 +232,16 @@ def test_discriminator_per_sample_independence_without_minibatch():
 
 
 def test_discriminator_seed_reproducible():
-    a = build_discriminator(tiny_disc_spec(), seed=11)
-    b = build_discriminator(tiny_disc_spec(), seed=11)
+    a = Discriminator(tiny_disc_spec(), seed=11)
+    b = Discriminator(tiny_disc_spec(), seed=11)
     for name in a.params():
         assert np.array_equal(a.params()[name].data, b.params()[name].data)
 
 
 def test_network_end_to_end_gradcheck():
     rng = np.random.default_rng(12)
-    gen = build_generator(tiny_gen_spec(), seed=21)
-    disc = build_discriminator(tiny_disc_spec(), seed=22)
+    gen = Generator(tiny_gen_spec(), seed=21)
+    disc = Discriminator(tiny_disc_spec(), seed=22)
     z = rng.normal(size=(3, 5))
     conds = np.array([0, 1, 1], dtype=float)
 

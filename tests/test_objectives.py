@@ -1,4 +1,4 @@
-"""Closed-form and property tests for the four adversarial objectives."""
+"""Closed-form and property tests for the adversarial loss and its objective registry."""
 import math
 
 import numpy as np
@@ -11,11 +11,8 @@ from topogan.exceptions import ContractError, DomainError
 from topogan.objectives import (
     ConditionSampler,
     ScoreBatch,
-    cgan_losses,
-    crcgan_a_losses,
-    crcgan_b_losses,
-    gan_losses,
-    get_objective,
+    losses,
+    needs_mismatch,
     objective_names,
     sample_mismatched_condition,
 )
@@ -36,18 +33,18 @@ def batch(real, fake, mismatched=None):
 # closed forms
 
 def test_gan_symmetry_point():
-    d_loss, _ = gan_losses(batch([0.5] * 4, [0.5] * 4))
+    d_loss, _ = losses("gan", batch([0.5] * 4, [0.5] * 4))
     assert d_loss.item() == pytest.approx(2 * LOG2, abs=1e-12)
 
 
 def test_gan_perfect_discriminator():
     eps = 1e-9
-    d_loss, _ = gan_losses(batch([1 - eps], [eps]))
+    d_loss, _ = losses("gan", batch([1 - eps], [eps]))
     assert abs(d_loss.item()) < 1e-8
 
 
 def test_gan_hand_arithmetic():
-    d_loss, _ = gan_losses(batch([0.9], [0.2]))
+    d_loss, _ = losses("gan", batch([0.9], [0.2]))
     assert d_loss.item() == pytest.approx(-(math.log(0.9) + math.log(0.8)), abs=1e-12)
     assert d_loss.item() == pytest.approx(0.3285040669720361, abs=1e-12)
 
@@ -55,36 +52,36 @@ def test_gan_hand_arithmetic():
 def test_cgan_matches_gan_on_same_scores():
     rng = np.random.default_rng(0)
     real, fake = rng.uniform(0.1, 0.9, 5), rng.uniform(0.1, 0.9, 5)
-    a = gan_losses(batch(real, fake))
-    b = cgan_losses(batch(real, fake))
+    a = losses("gan", batch(real, fake))
+    b = losses("cgan", batch(real, fake))
     assert a[0].item() == b[0].item()
     assert a[1].item() == b[1].item()
 
 
 def test_cgan_symmetry_point_and_hand_arithmetic():
-    d_loss, _ = cgan_losses(batch([0.5], [0.5]))
+    d_loss, _ = losses("cgan", batch([0.5], [0.5]))
     assert d_loss.item() == pytest.approx(2 * LOG2, abs=1e-12)
-    d_loss, _ = cgan_losses(batch([0.8], [0.3]))
+    d_loss, _ = losses("cgan", batch([0.8], [0.3]))
     assert d_loss.item() == pytest.approx(-(math.log(0.8) + math.log(0.7)), abs=1e-12)
     assert d_loss.item() == pytest.approx(0.5798184952529422, abs=1e-12)
 
 
 def test_crcgan_a_symmetry_point():
-    d_loss, _ = crcgan_a_losses(batch([0.5] * 3, [0.5] * 3, [0.5] * 3))
+    d_loss, _ = losses("crcgan-a", batch([0.5] * 3, [0.5] * 3, [0.5] * 3))
     assert d_loss.item() == pytest.approx(3 * LOG2, abs=1e-12)
 
 
 def test_crcgan_a_hand_arithmetic():
-    d_loss, _ = crcgan_a_losses(batch([0.9], [0.2], [0.1]))
+    d_loss, _ = losses("crcgan-a", batch([0.9], [0.2], [0.1]))
     expected = -(math.log(0.9) + math.log(0.9) + math.log(0.8))
     assert d_loss.item() == pytest.approx(expected, abs=1e-12)
     assert d_loss.item() == pytest.approx(0.43386458262986236, abs=1e-12)
 
 
 def test_crcgan_b_symmetry_point_and_hand_arithmetic():
-    d_loss, _ = crcgan_b_losses(batch([0.5], [0.5], [0.5]))
+    d_loss, _ = losses("crcgan-b", batch([0.5], [0.5], [0.5]))
     assert d_loss.item() == pytest.approx(3 * LOG2, abs=1e-12)
-    d_loss, _ = crcgan_b_losses(batch([0.95], [0.1], [0.05]))
+    d_loss, _ = losses("crcgan-b", batch([0.95], [0.1], [0.05]))
     expected = -(math.log(0.95) + math.log(0.95) + math.log(0.9))
     assert d_loss.item() == pytest.approx(expected, abs=1e-12)
     assert d_loss.item() == pytest.approx(0.20794710443292744, abs=1e-12)
@@ -93,8 +90,8 @@ def test_crcgan_b_symmetry_point_and_hand_arithmetic():
 def test_crcgan_variants_coincide_at_score_level():
     rng = np.random.default_rng(1)
     r, f, m = (rng.uniform(0.05, 0.95, 6) for _ in range(3))
-    a = crcgan_a_losses(batch(r, f, m))
-    b = crcgan_b_losses(batch(r, f, m))
+    a = losses("crcgan-a", batch(r, f, m))
+    b = losses("crcgan-b", batch(r, f, m))
     assert a[0].item() == b[0].item()
     assert a[1].item() == b[1].item()
 
@@ -102,16 +99,16 @@ def test_crcgan_variants_coincide_at_score_level():
 def test_crcgan_a_weight_zero_reduces_to_cgan():
     rng = np.random.default_rng(2)
     r, f, m = (rng.uniform(0.05, 0.95, 6) for _ in range(3))
-    reduced = crcgan_a_losses(batch(r, f, m), mismatch_weight=0.0)
-    plain = cgan_losses(batch(r, f))
+    reduced = losses("crcgan-a", batch(r, f, m), mismatch_weight=0.0)
+    plain = losses("cgan", batch(r, f))
     assert reduced[0].item() == plain[0].item()
     assert reduced[1].item() == plain[1].item()
 
 
 def test_mismatch_scores_toward_zero_decrease_d_loss():
-    base = crcgan_a_losses(batch([0.8] * 3, [0.2] * 3, [0.5] * 3))[0].item()
-    better = crcgan_a_losses(batch([0.8] * 3, [0.2] * 3, [0.1] * 3))[0].item()
-    best = crcgan_a_losses(batch([0.8] * 3, [0.2] * 3, [1e-9] * 3))[0].item()
+    base = losses("crcgan-a", batch([0.8] * 3, [0.2] * 3, [0.5] * 3))[0].item()
+    better = losses("crcgan-a", batch([0.8] * 3, [0.2] * 3, [0.1] * 3))[0].item()
+    best = losses("crcgan-a", batch([0.8] * 3, [0.2] * 3, [1e-9] * 3))[0].item()
     assert best < better < base
 
 
@@ -120,14 +117,14 @@ def test_mismatch_scores_toward_zero_decrease_d_loss():
 
 def test_gan_rejects_mismatched_scores():
     with pytest.raises(ContractError):
-        gan_losses(batch([0.5], [0.5], [0.5]))
+        losses("gan", batch([0.5], [0.5], [0.5]))
 
 
 def test_crcgan_requires_mismatched_scores():
     with pytest.raises(ContractError):
-        crcgan_a_losses(batch([0.5], [0.5]))
+        losses("crcgan-a", batch([0.5], [0.5]))
     with pytest.raises(ContractError):
-        crcgan_b_losses(batch([0.5], [0.5]))
+        losses("crcgan-b", batch([0.5], [0.5]))
 
 
 def test_empty_batch_rejected():
@@ -142,10 +139,12 @@ def test_inconsistent_batch_sizes_rejected():
 
 def test_objective_registry():
     assert objective_names() == ["gan", "cgan", "crcgan-a", "crcgan-b"]
-    assert get_objective("crcgan-a").needs_mismatch
-    assert not get_objective("cgan").needs_mismatch
+    assert needs_mismatch("crcgan-a")
+    assert not needs_mismatch("cgan")
     with pytest.raises(DomainError):
-        get_objective("wgan")
+        needs_mismatch("wgan")
+    with pytest.raises(DomainError):
+        losses("wgan", batch([0.5], [0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +152,14 @@ def test_objective_registry():
 
 @pytest.mark.parametrize("name", ["gan", "cgan", "crcgan-a", "crcgan-b"])
 def test_d_loss_monotonicity(name):
-    obj = get_objective(name)
-    mk = (lambda r, f: batch(r, f, [0.5] * 4)) if obj.needs_mismatch else batch
-    base = obj.loss_fn(mk([0.6] * 4, [0.4] * 4))[0].item()
-    up_real = obj.loss_fn(mk([0.7] * 4, [0.4] * 4))[0].item()
-    up_fake = obj.loss_fn(mk([0.6] * 4, [0.5] * 4))[0].item()
+    mk = (lambda r, f: batch(r, f, [0.5] * 4)) if needs_mismatch(name) else batch
+    base = losses(name, mk([0.6] * 4, [0.4] * 4))[0].item()
+    up_real = losses(name, mk([0.7] * 4, [0.4] * 4))[0].item()
+    up_fake = losses(name, mk([0.6] * 4, [0.5] * 4))[0].item()
     assert up_real < base      # better real scores -> lower d_loss
     assert up_fake > base      # higher fake scores -> higher d_loss
-    if obj.needs_mismatch:
-        up_mis = obj.loss_fn(batch([0.6] * 4, [0.4] * 4, [0.6] * 4))[0].item()
+    if needs_mismatch(name):
+        up_mis = losses(name, batch([0.6] * 4, [0.4] * 4, [0.6] * 4))[0].item()
         assert up_mis > base   # higher mismatched scores -> higher d_loss
 
 
@@ -169,14 +167,13 @@ def test_d_loss_monotonicity(name):
 def test_g_loss_gradient_pushes_fake_scores_up(name):
     # in both modes the generator loss decreases as its scores rise;
     # the modes differ in gradient magnitude where the discriminator wins
-    obj = get_objective(name)
     for s in (0.1, 0.5, 0.9):
         for non_saturating in (False, True):
             d_fake = Tensor(np.full(4, s), requires_grad=True)
-            mismatched = np.full(4, 0.5) if obj.needs_mismatch else None
+            mismatched = np.full(4, 0.5) if needs_mismatch(name) else None
             scores = ScoreBatch(d_real_matched=np.full(4, 0.7), d_fake=d_fake,
                                 d_real_mismatched=mismatched)
-            g_loss = obj.loss_fn(scores, non_saturating=non_saturating)[1]
+            g_loss = losses(name, scores, non_saturating=non_saturating)[1]
             d_fake.zero_grad()
             g_loss.backward()
             assert np.all(d_fake.grad < 0.0)
@@ -186,7 +183,7 @@ def test_non_saturating_has_strong_gradient_at_low_scores():
     def grad_at(s, non_saturating):
         d_fake = Tensor(np.full(1, s), requires_grad=True)
         scores = ScoreBatch(d_real_matched=np.full(1, 0.7), d_fake=d_fake)
-        gan_losses(scores, non_saturating=non_saturating)[1].backward()
+        losses("gan", scores, non_saturating=non_saturating)[1].backward()
         return d_fake.grad[0]
 
     s = 0.01  # early training: discriminator winning
@@ -211,11 +208,11 @@ def test_losses_finite_on_closed_unit_interval(seed):
 
     sb = batch(scores(), scores(), scores())
     for name in ["crcgan-a", "crcgan-b"]:
-        d_loss, g_loss = get_objective(name).loss_fn(sb)
+        d_loss, g_loss = losses(name, sb)
         assert np.isfinite(d_loss.item()) and np.isfinite(g_loss.item())
     sb2 = batch(scores(), scores())
     for name in ["gan", "cgan"]:
-        d_loss, g_loss = get_objective(name).loss_fn(sb2)
+        d_loss, g_loss = losses(name, sb2)
         assert np.isfinite(d_loss.item()) and np.isfinite(g_loss.item())
 
 
@@ -261,12 +258,3 @@ def test_mismatch_deterministic_given_seed():
     assert a == b
     assert draws1[0] == a[0]
 
-
-def test_mismatch_accepts_condition_objects():
-    from topogan.data import ClassLabel, Continuous
-    s = ConditionSampler("class", 4, seed=1)
-    y2 = sample_mismatched_condition(ClassLabel(1, 4), s)
-    assert y2 != 1
-    sc = ConditionSampler("continuous", low=0.0, high=1.0, seed=2)
-    y2c = sample_mismatched_condition(Continuous(0.5), sc)
-    assert abs(y2c - 0.5) >= 0.05

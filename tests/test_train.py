@@ -1,16 +1,21 @@
 """Training loop determinism, checkpoint persistence, and metric contracts."""
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from topogan import train as train_module
 from topogan.data import synth_classes
-from topogan.exceptions import ContractError, FormatError, ParameterError
+from topogan.exceptions import ConsistencyError, ContractError, FormatError, ParameterError
 from topogan.train import (
     TrainConfig,
     batch_indices,
     diversity_metric,
     epoch_order,
+    generator_from_checkpoint,
     init_state,
     load_checkpoint,
     load_state,
@@ -171,19 +176,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         "b.scalar": np.float64(7.25),
         "c": rng.normal(size=(2, 1, 5)),
     }
-    blob = b'{"state": 1}'
+    header = {"step": 42, "rng": {"state": 2**100 + 1}, "window": [0.1, 1e-300]}
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, 42, tensors, blob)
-    step, back, rng_blob = load_checkpoint(path)
-    assert step == 42
-    assert rng_blob == blob
+    save_checkpoint(path, header, tensors)
+    back_header, back = load_checkpoint(path)
+    assert back_header == header
     assert set(back) == set(tensors)
     for k in tensors:
         assert np.array_equal(back[k], np.asarray(tensors[k]))
+        assert back[k].shape == np.shape(tensors[k])
     # writing the loaded dict again is byte-identical
     path2 = tmp_path / "t2.ckpt"
-    save_checkpoint(path2, 42, back, rng_blob)
+    save_checkpoint(path2, back_header, back)
     assert path.read_bytes() == path2.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt", "t2.ckpt"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -195,11 +201,95 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_truncated(tmp_path):
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, 1, {"x": np.ones((4, 4))}, b"rng")
+    save_checkpoint(path, {"step": 1}, {"x": np.ones((4, 4))})
     blob = path.read_bytes()
     path.write_bytes(blob[:-20])
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def seal(blob: bytes) -> bytes:
+    """`blob` with its CRC32 trailer recomputed, as a crafted file would have it."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+@pytest.fixture(scope="module")
+def state_checkpoint(tiny_dataset, tmp_path_factory):
+    state = init_state(desk_config(objective="crcgan-a", steps=2), tiny_dataset)
+    training_step(state, tiny_dataset.images[:10], tiny_dataset.conditions[:10])
+    path = tmp_path_factory.mktemp("ckpt") / "s.ckpt"
+    write_state(state, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 2047), st.integers(0, 255)),
+                      min_size=1, max_size=4),
+       cut=st.integers(0, 8), resealed=st.booleans())
+def test_checkpoint_reader_is_total(state_checkpoint, tmp_path_factory, edits, cut,
+                                    resealed):
+    # byte edits and truncation fail as FormatError or load exactly what was
+    # written; re-sealed with a valid CRC they still raise nothing but FormatError
+    blob = bytearray(state_checkpoint)
+    for pos, value in edits:
+        blob[pos] = value
+    mutated = bytes(blob[:len(blob) - cut])
+    if resealed and len(mutated) >= 16:
+        mutated = seal(mutated)
+    path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+    path.write_bytes(mutated)
+    try:
+        header, tensors = load_checkpoint(path)
+    except FormatError:
+        return
+    assert mutated == seal(mutated), "a checkpoint with a wrong CRC32 loaded"
+    if not resealed or mutated == state_checkpoint:
+        path.write_bytes(state_checkpoint)
+        header0, tensors0 = load_checkpoint(path)
+        assert header == header0
+        assert tensors.keys() == tensors0.keys()
+        assert all(tensors[k].tobytes() == tensors0[k].tobytes() for k in tensors)
+
+
+@pytest.mark.parametrize("header", [
+    b"\xff\xfe{", b"{not json", b"[1, 2]", b'{"step": 1}', b'{"tensors": [["x", [-1]]]}',
+    b'{"tensors": [["x", [2, 2]]]}', b'{"tensors": [[3, []]]}', b"[" * 100_000,
+])
+def test_checkpoint_malformed_header_is_format_error(tmp_path, header):
+    prefix = struct.pack("<4sII", b"CRCG", 2, len(header))
+    path = tmp_path / "h.ckpt"
+    path.write_bytes(seal(prefix + header + b"\0\0\0\0"))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_without_a_run_is_format_error(tmp_path):
+    path = tmp_path / "h.ckpt"
+    save_checkpoint(path, {"step": 1, "config": {"objective": "wgan"}}, {})
+    with pytest.raises(FormatError):
+        generator_from_checkpoint(path)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, {"step": 1}, {"x": np.ones(3)})
+    before = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(train_module.os, "fsync", fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, {"step": 2}, {"x": np.zeros(3)})
+    assert path.read_bytes() == before
+
+
+def test_load_state_rejects_other_dataset(tiny_dataset, tmp_path):
+    cfg = desk_config(steps=1)
+    path = tmp_path / "s.ckpt"
+    write_state(init_state(cfg, tiny_dataset), path)
+    with pytest.raises(ConsistencyError):
+        load_state(path, synth_classes(3, 10, 8, seed=3), cfg)
 
 
 def test_state_roundtrip_resumes_identically(tiny_dataset, tmp_path):
@@ -234,8 +324,8 @@ def test_train_zero_budget_writes_initial_checkpoint(tiny_dataset, tmp_path):
     outcome = train(cfg, tiny_dataset, tmp_path / "run")
     assert outcome.checkpoint_path.exists()
     assert read_metrics(outcome.metrics_path) == []
-    step, _, _ = load_checkpoint(outcome.checkpoint_path)
-    assert step == 0
+    header, _ = load_checkpoint(outcome.checkpoint_path)
+    assert header["step"] == 0
 
 
 def test_train_writes_metrics_and_checkpoint(tiny_dataset, tmp_path):
@@ -273,6 +363,32 @@ def test_interrupt_resume_reproduces_trace(tiny_dataset, tmp_path):
         assert np.array_equal(fa[name], fb[name]), name
 
 
+def test_resume_after_crash_matches_uninterrupted_run(tiny_dataset, tmp_path, monkeypatch):
+    cfg = desk_config(steps=4, checkpoint_every=2)
+    full = train(cfg, tiny_dataset, tmp_path / "full")
+
+    real_step = train_module.training_step
+
+    def crash_after_step_3(state, images, conditions):
+        if state.step == 3:
+            raise KeyboardInterrupt
+        return real_step(state, images, conditions)
+
+    with monkeypatch.context() as m:
+        m.setattr(train_module, "training_step", crash_after_step_3)
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg, tiny_dataset, tmp_path / "part")
+    resumed = train(cfg, tiny_dataset, tmp_path / "part",
+                    resume_from=tmp_path / "part" / "step00000002.ckpt")
+    records = read_metrics(resumed.metrics_path)
+    assert [r["step"] for r in records] == [1, 2, 3, 4]
+    assert strip_wall(records) == strip_wall(read_metrics(full.metrics_path))
+    fa = load_checkpoint(full.checkpoint_path)[1]
+    fb = load_checkpoint(resumed.checkpoint_path)[1]
+    for name in fa:
+        assert np.array_equal(fa[name], fb[name]), name
+
+
 def test_train_crcgan_b_runs(tiny_dataset, tmp_path):
     cfg = desk_config(objective="crcgan-b", steps=2)
     outcome = train(cfg, tiny_dataset, tmp_path / "b")
@@ -294,9 +410,11 @@ def test_checkpoint_cadence(tiny_dataset, tmp_path):
 
 def test_sample_deterministic_and_bounded(tiny_dataset, tmp_path):
     outcome = train(desk_config(steps=2), tiny_dataset, tmp_path / "run")
-    a = sample(outcome.checkpoint_path, 0, count=5, seed=11)
-    b = sample(outcome.checkpoint_path, 0, count=5, seed=11)
-    c = sample(outcome.checkpoint_path, 0, count=5, seed=12)
+    gen, config = generator_from_checkpoint(outcome.checkpoint_path)
+    assert config == desk_config(steps=2)
+    a = sample(gen, 0, count=5, seed=11)
+    b = sample(gen, 0, count=5, seed=11)
+    c = sample(gen, 0, count=5, seed=12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (5, 8, 8)
@@ -305,12 +423,14 @@ def test_sample_deterministic_and_bounded(tiny_dataset, tmp_path):
 
 def test_sample_count_zero(tiny_dataset, tmp_path):
     outcome = train(desk_config(steps=1), tiny_dataset, tmp_path / "run")
-    out = sample(outcome.checkpoint_path, 1, count=0, seed=0)
+    gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
+    out = sample(gen, 1, count=0, seed=0)
     assert out.shape == (0, 8, 8)
 
 
 def test_sample_condition_domain_error(tiny_dataset, tmp_path):
     from topogan.exceptions import DomainError
     outcome = train(desk_config(steps=1), tiny_dataset, tmp_path / "run")
+    gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
     with pytest.raises(DomainError):
-        sample(outcome.checkpoint_path, 5, count=2, seed=0)
+        sample(gen, 5, count=2, seed=0)
