@@ -243,21 +243,27 @@ def threshold(image: np.ndarray) -> np.ndarray:
 # TOPD binary format
 
 _HEADER = struct.Struct("<4sIIIIBI")
-_RECORD_META = struct.Struct("<fffffB")
+_META_FIELDS = ("conditions", "volfrac", "penal", "rmin", "compliance")
+
+
+def _record_dtype(height: int, width: int) -> np.dtype:
+    """One packed TOPD record: five <f4 meta fields, the u1 converged flag, <f4 pixels."""
+    return np.dtype([*((name, "<f4") for name in _META_FIELDS), ("converged", "u1"),
+                     ("pixels", "<f4", (height, width))])
 
 
 def write_dataset(ds: Dataset, path) -> None:
+    records = np.empty(len(ds), dtype=_record_dtype(ds.height, ds.width))
+    for name in _META_FIELDS:
+        records[name] = getattr(ds, name)
+    records["converged"] = ds.converged
+    records["pixels"] = ds.images
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(
             TOPD_MAGIC, TOPD_VERSION, ds.width, ds.height, len(ds),
             0 if ds.kind == KIND_CONTINUOUS else 1, ds.cardinality,
         ))
-        for i in range(len(ds)):
-            fh.write(_RECORD_META.pack(
-                ds.conditions[i], ds.volfrac[i], ds.penal[i], ds.rmin[i],
-                ds.compliance[i], int(ds.converged[i]),
-            ))
-            fh.write(ds.images[i].astype("<f4").tobytes())
+        fh.write(records.data)
 
 
 def read_dataset(path) -> Dataset:
@@ -272,38 +278,24 @@ def read_dataset(path) -> Dataset:
         raise FormatError(f"unsupported version {version}", offset=4)
     if kind_byte not in (0, 1):
         raise FormatError(f"unknown condition kind byte {kind_byte}", offset=20)
-    record_size = _RECORD_META.size + 4 * width * height
-    expected = _HEADER.size + count * record_size
+    try:
+        record = _record_dtype(height, width)
+    except ValueError:  # numpy caps a record at 2**31 - 1 bytes
+        raise FormatError(f"{width}x{height} images exceed the largest record", offset=8) from None
+    expected = _HEADER.size + count * record.itemsize
     if len(blob) != expected:
         raise FormatError(
             f"file length {len(blob)} does not match declared {count} records",
             offset=min(len(blob), expected),
         )
-    conditions = np.empty(count, dtype=np.float32)
-    volfrac = np.empty(count, dtype=np.float32)
-    penal = np.empty(count, dtype=np.float32)
-    rmin = np.empty(count, dtype=np.float32)
-    compliance = np.empty(count, dtype=np.float32)
-    converged = np.empty(count, dtype=np.uint8)
-    images = np.empty((count, height, width), dtype=np.float32)
-    offset = _HEADER.size
-    for i in range(count):
-        vals = _RECORD_META.unpack_from(blob, offset)
-        conditions[i], volfrac[i], penal[i], rmin[i], compliance[i] = vals[:5]
-        converged[i] = vals[5]
-        offset += _RECORD_META.size
-        pixels = np.frombuffer(blob, dtype="<f4", count=width * height, offset=offset)
-        images[i] = pixels.reshape(height, width)
-        offset += 4 * width * height
-    if not all(np.isfinite(a).all()
-               for a in (images, conditions, volfrac, penal, rmin, compliance)):
+    records = np.frombuffer(blob, dtype=record, count=count, offset=_HEADER.size)
+    meta = {name: records[name] for name in _META_FIELDS}
+    if not all(np.isfinite(a).all() for a in (records["pixels"], *meta.values())):
         raise FormatError("NaN or infinity in record data", offset=_HEADER.size)
     try:
         return Dataset(
-            images=images, conditions=conditions,
-            kind=KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
-            cardinality=cardinality, volfrac=volfrac, penal=penal, rmin=rmin,
-            compliance=compliance, converged=converged,
+            images=records["pixels"], kind=KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
+            cardinality=cardinality, converged=records["converged"], **meta,
         )
     except ParameterError as exc:
         raise FormatError(f"record data out of range: {exc}", offset=_HEADER.size) from None

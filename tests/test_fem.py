@@ -192,7 +192,7 @@ def test_solve_matches_dense_oracle_random_density():
     mesh = MeshSpec(4, 3)
     density = DensityField(rng.uniform(0.2, 1.0, size=(3, 4)))
     bc = BoundaryConditions.cantilever(mesh)
-    for solver in ("pcg", "dense"):
+    for solver in ("auto", "pcg", "dense"):
         u = assemble_and_solve(density, 3.0, mesh, bc, solver=solver)
         u_oracle = solve_oracle(density.values, 3.0, mesh, bc)
         assert np.abs(u - u_oracle).max() < 1e-8 * max(1.0, np.abs(u_oracle).max())
@@ -225,7 +225,7 @@ def test_solve_residual_contract():
     free = np.setdiff1d(np.arange(mesh.n_dofs), bc.fixed_dofs)
     K = dense_assembly_oracle(density.values, 3.0, mesh)[np.ix_(free, free)]
     f = bc.force_vector(mesh)[free]
-    for solver in ("pcg", "dense"):
+    for solver in ("auto", "pcg", "dense"):
         u = assemble_and_solve(density, 3.0, mesh, bc, solver=solver)
         rel = np.linalg.norm(K @ u[free] - f) / np.linalg.norm(f)
         assert rel <= 1e-8
@@ -235,8 +235,42 @@ def test_solve_detects_singular_system():
     mesh = MeshSpec(2, 2)
     # a single fixed DOF leaves rigid-body modes
     bc = BoundaryConditions(fixed_dofs=[0], loads=[(mesh.n_dofs - 1, -1.0)])
-    with pytest.raises((SingularSystemError, Exception)):
-        assemble_and_solve(DensityField.uniform(mesh, 1.0), 3.0, mesh, bc, solver="dense")
+    for solver in ("auto", "dense", "pcg"):
+        with pytest.raises(SingularSystemError):
+            assemble_and_solve(DensityField.uniform(mesh, 1.0), 3.0, mesh, bc, solver=solver)
+
+
+def mbb_conditions(mesh):
+    """Left-edge x-DOFs and the bottom-right y-DOF fixed, downward load at the top-left."""
+    left_x = 2 * np.arange(mesh.nely + 1)
+    bottom_right_y = 2 * (mesh.nelx * (mesh.nely + 1) + mesh.nely) + 1
+    return BoundaryConditions(fixed_dofs=np.append(left_x, bottom_right_y), loads=[(1, -1.0)])
+
+
+def test_banded_solve_noncontiguous_fixed_dofs_matches_oracle():
+    rng = np.random.default_rng(17)
+    mesh = MeshSpec(6, 4)
+    x = rng.uniform(1e-3, 1.0, size=(4, 6))
+    x[rng.random(size=x.shape) < 0.3] = 1e-3
+    density = DensityField(x)
+    bc = mbb_conditions(mesh)
+    u = assemble_and_solve(density, 3.0, mesh, bc)
+    u_oracle = solve_oracle(x, 3.0, mesh, bc)
+    assert np.abs(u - u_oracle).max() < 1e-8 * max(1.0, np.abs(u_oracle).max())
+
+
+def test_banded_plan_is_keyed_on_mesh_and_fixed_dofs():
+    # alternating boundary conditions on one mesh must never reuse the other's plan
+    rng = np.random.default_rng(19)
+    mesh = MeshSpec(5, 3)
+    density = DensityField(rng.uniform(0.1, 1.0, size=(3, 5)))
+    cantilever = BoundaryConditions.cantilever(mesh)
+    cantilever_up = BoundaryConditions.cantilever(mesh, load=2.0)
+    mbb = mbb_conditions(mesh)
+    for bc in (cantilever, mbb, cantilever_up, mbb, cantilever):
+        u = assemble_and_solve(density, 3.0, mesh, bc)
+        u_dense = assemble_and_solve(density, 3.0, mesh, bc, solver="dense")
+        assert np.abs(u - u_dense).max() < 1e-10 * np.abs(u_dense).max()
 
 
 def test_bc_validation():
@@ -483,8 +517,21 @@ def test_run_simp_cantilever_small():
     assert np.all(result.density.values >= params.x_min - 1e-12)
     assert np.all(result.density.values <= 1.0 + 1e-12)
     assert len(result.compliance_history) == result.iterations
+    assert len(result.change_history) == result.iterations
+    assert (result.change_history[-1] < params.change_tol) == result.converged
+    assert all(c >= params.change_tol for c in result.change_history[:-1])
     # stiffer than the uniform start
     assert result.compliance_history[-1] < result.compliance_history[0]
+
+
+def test_run_simp_banded_matches_pcg():
+    mesh = MeshSpec(30, 10)
+    params = SimpParams(volfrac=0.5, penal=3.0, rmin=1.5)
+    banded = run_simp(mesh, params)
+    pcg = run_simp(mesh, params, solver="pcg")
+    assert banded.iterations == pcg.iterations
+    assert banded.converged == pcg.converged
+    assert np.allclose(banded.compliance_history, pcg.compliance_history, rtol=1e-6, atol=0.0)
 
 
 def test_run_simp_p1_descent():
