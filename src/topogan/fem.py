@@ -250,6 +250,9 @@ class _BandPlan:
     Entry k of the kept upper triangle adds `ke_value[k] * x[element[k]]^p` to
     flat position `band_index[k]` of the (bandwidth + 1, free.size) array that
     `solveh_banded` reads: row bandwidth + i - j, column j holds K_red[i, j].
+    The array is laid out column-major, as LAPACK reads it, so the solve
+    factors it in place instead of first making a transposed copy: that copy
+    cost as much as half the factorization and page-faulted on every call.
     """
 
     free: np.ndarray
@@ -272,7 +275,7 @@ def _band_plan(mesh: MeshSpec, fixed_dofs: bytes) -> _BandPlan:
     i, j = red[element, a], red[element, b]
     bandwidth = int((j - i).max(initial=0))
     return _BandPlan(free=free, bandwidth=bandwidth,
-                     band_index=(bandwidth + i - j) * free.size + j,
+                     band_index=j * (bandwidth + 1) + (bandwidth + i - j),
                      element=element, ke_value=ke[a, b])
 
 
@@ -304,7 +307,7 @@ def assemble_and_solve(
         band = np.bincount(plan.band_index, weights=weights,
                            minlength=(plan.bandwidth + 1) * free.size)
         try:
-            u_red = solveh_banded(band.reshape(plan.bandwidth + 1, free.size), f_red,
+            u_red = solveh_banded(band.reshape(plan.bandwidth + 1, free.size, order="F"), f_red,
                                   overwrite_ab=True)
         except LinAlgError as exc:
             raise SingularSystemError(f"banded Cholesky failed: {exc}") from exc
