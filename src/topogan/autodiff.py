@@ -4,10 +4,19 @@ The graph is rebuilt on every forward pass (define-by-run): each op stores
 backpointers to its inputs plus a closure that routes the upstream gradient.
 Calling backward() on a scalar traverses the recorded graph in reverse
 topological order. Repeated backward calls without zeroing accumulate into
-existing gradients.
+existing gradients. Inside `frozen(params)` a graph gets no links to those
+parameters, so a forward pass whose parameter gradients are never read (a
+network used as a fixed function, or inference) computes none of them.
+
+Each convolution kernel (`_conv_fwd`, `_conv_dx`, `_conv_dw`) is one GEMM
+over an im2col patch matrix; `_conv_dx` scatters its product back with one
+strided add per kernel tap (col2im) and also serves as the transposed-conv
+forward. `conv2d_planes` convolves an input concatenated with constant
+per-sample planes without building the planes.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +152,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+@contextmanager
+def frozen(params):
+    """Leave `params` out of every graph built inside the block.
+
+    Backward then computes no gradient for them and leaves their .grad as it
+    was; requires_grad is restored on exit, also when the block raises.
+    """
+    params = list(params)
+    saved = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, saved):
+            p.requires_grad = flag
+
+
 # ---------------------------------------------------------------------------
 # elementwise and shape ops
 
@@ -258,15 +285,10 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # 2D convolution kernels (cross-correlation semantics, no kernel flip)
-
-def _strided_patches(xp: np.ndarray, kh: int, kw: int, stride: int,
-                     oh: int, ow: int) -> np.ndarray:
-    sn, sc, sh, sw = xp.strides
-    return as_strided(
-        xp, (xp.shape[0], xp.shape[1], oh, ow, kh, kw),
-        (sn, sc, sh * stride, sw * stride, sh, sw),
-    )
-
+#
+# Each kernel is one GEMM over an im2col patch matrix (Chellapilla, Puri &
+# Simard 2006). Patch rows are ordered (c, i, j) and columns (n, oy, ox), so
+# a (K, C, kh, kw) kernel reshapes to the left operand without a copy.
 
 def _conv_out_size(h: int, kh: int, stride: int, padding: int) -> int:
     span = h + 2 * padding - kh
@@ -280,6 +302,22 @@ def _conv_out_size(h: int, kh: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+            oh: int, ow: int) -> np.ndarray:
+    """(C*kh*kw, N*OH*OW) patch matrix of the zero-padded (N,C,H,W) input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    view = as_strided(xp, (c, kh, kw, n, oh, ow),
+                      (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
+    return view.reshape(c * kh * kw, n * oh * ow)
+
+
+def _channels_first(a: np.ndarray) -> np.ndarray:
+    """(N,K,OH,OW) -> (K, N*OH*OW)."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
 def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     n, c, h, width = x.shape
     k, cw, kh, kw = w.shape
@@ -287,10 +325,8 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nda
         raise DimensionError(f"input channels {c} != kernel channels {cw}")
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(width, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    patches = _strided_patches(xp, kh, kw, stride, oh, ow)
-    out = np.tensordot(patches, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    out = w.reshape(k, -1) @ _im2col(x, kh, kw, stride, padding, oh, ow)
+    return np.ascontiguousarray(out.reshape(k, n, oh, ow).transpose(1, 0, 2, 3))
 
 
 def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
@@ -298,25 +334,24 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
     n, c, h, width = x_shape
     k, _, kh, kw = w.shape
     _, _, oh, ow = dout.shape
-    dxp = np.zeros((n, c, h + 2 * padding, width + 2 * padding))
+    # (kh*kw*C, K) @ (K, N*OH*OW): every tap's contribution in one product
+    cols = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, k) @ _channels_first(dout)
+    cols = cols.reshape(kh, kw, c, n, oh, ow)
+    # col2im: add each tap's (C, N, OH, OW) block into the padded input grid
+    dxp = np.zeros((c, n, h + 2 * padding, width + 2 * padding))
     for i in range(kh):
         for j in range(kw):
-            # (N,K,OH,OW) x (K,C) -> (N,OH,OW,C)
-            t = np.tensordot(dout, w[:, :, i, j], axes=([1], [0]))
-            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                t.transpose(0, 3, 1, 2)
-    if padding:
-        return dxp[:, :, padding:-padding, padding:-padding].copy()
-    return dxp
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[i, j]
+    dx = dxp[:, :, padding:padding + h, padding:padding + width]
+    return np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
 
 
 def _conv_dw(x: np.ndarray, dout: np.ndarray, stride: int, padding: int,
              kh: int, kw: int) -> np.ndarray:
-    _, _, oh, ow = dout.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    patches = _strided_patches(xp, kh, kw, stride, oh, ow)
-    # (N,K,OH,OW) x (N,C,OH,OW,kh,kw) -> (K,C,kh,kw)
-    return np.tensordot(dout, patches, axes=([0, 2, 3], [0, 2, 3]))
+    _, c, _, _ = x.shape
+    _, k, oh, ow = dout.shape
+    cols = _im2col(x, kh, kw, stride, padding, oh, ow)
+    return (_channels_first(dout) @ cols.T).reshape(k, c, kh, kw)
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
@@ -329,6 +364,43 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     return Tensor._result(out, [
         (x, lambda g: _conv_dx(g, w.data, stride, padding, x.data.shape)),
         (w, lambda g: _conv_dw(x.data, g, stride, padding, kh, kw)),
+    ])
+
+
+def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0) -> Tensor:
+    """conv2d(concat([x, P], axis=1), w) without building P.
+
+    x is (N,C,H,W), planes is a constant (N,D) array and w is (K,C+D,kh,kw);
+    P[n, d] is the (H,W) plane filled with planes[n, d]. A constant plane's
+    response is its value times the response of an all-ones image to the
+    plane's taps, zero-padded border included.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    planes = np.asarray(planes, dtype=np.float64)
+    if x.data.ndim != 4 or w.data.ndim != 4 or planes.ndim != 2:
+        raise DimensionError("conv2d_planes expects 4D input and kernel and 2D planes")
+    n, c, h, width = x.data.shape
+    k, cw, kh, kw = w.data.shape
+    d = planes.shape[1]
+    if planes.shape[0] != n:
+        raise DimensionError(f"planes batch {planes.shape[0]} != input batch {n}")
+    if c + d != cw:
+        raise DimensionError(f"input channels {c} + planes {d} != kernel channels {cw}")
+    out = _conv_fwd(x.data, w.data[:, :c], stride, padding)
+    oh, ow = out.shape[2:]
+    ones = _im2col(np.ones((1, 1, h, width)), kh, kw, stride, padding, oh, ow)
+    # rows (d, k): the response of plane d's taps for output channel k
+    taps = w.data[:, c:].transpose(1, 0, 2, 3).reshape(d * k, kh * kw)
+    out += (planes @ (taps @ ones).reshape(d, -1)).reshape(out.shape)
+
+    def grad_w(g: np.ndarray) -> np.ndarray:
+        g_taps = (planes.T @ g.reshape(n, -1)).reshape(d * k, -1) @ ones.T
+        return np.concatenate([_conv_dw(x.data, g, stride, padding, kh, kw),
+                               g_taps.reshape(d, k, kh, kw).transpose(1, 0, 2, 3)], axis=1)
+
+    return Tensor._result(out, [
+        (x, lambda g: _conv_dx(g, w.data[:, :c], stride, padding, x.data.shape)),
+        (w, grad_w),
     ])
 
 

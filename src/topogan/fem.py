@@ -195,6 +195,8 @@ def _check_density(density: DensityField, mesh: MeshSpec) -> np.ndarray:
         raise DimensionError(
             f"density shape {x.shape} does not match mesh ({mesh.nely}, {mesh.nelx})"
         )
+    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+        raise ParameterError("densities must be finite and non-negative")
     return x
 
 

@@ -5,6 +5,11 @@ Both are small conv stacks: the generator projects noise+condition to a
 the discriminator downsamples twice, extracts a dense feature vector, and
 optionally appends batch-similarity features that let it see the whole
 minibatch at once (the standard countermeasure against generator collapse).
+
+The condition reaches G as its encoded vector, concatenated to the noise.
+D sees it as cond_dim constant planes stacked under the image, so conv1.w
+has 1 + cond_dim input channels; `autodiff.conv2d_planes` applies those
+taps to the encoded vector directly and never builds the planes.
 """
 from __future__ import annotations
 
@@ -34,12 +39,6 @@ def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarr
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise DomainError("continuous conditions must lie in [0, 1]")
     return values[:, None].copy()
-
-
-def condition_channels(values, kind: str, cardinality: int, h: int, w: int) -> np.ndarray:
-    """Broadcast the encoded condition to constant (N, cond_dim, h, w) channels."""
-    vec = encode_condition_vector(values, kind, cardinality)
-    return np.broadcast_to(vec[:, :, None, None], (vec.shape[0], vec.shape[1], h, w)).copy()
 
 
 @dataclass(frozen=True)
@@ -223,14 +222,12 @@ class Discriminator:
             raise SpecError(
                 f"input must be (N, 1, {spec.in_h}, {spec.in_w}), got {x.shape}")
         n = x.data.shape[0]
-        cond = Tensor(condition_channels(
-            condition_values, spec.condition_kind, spec.condition_cardinality,
-            spec.in_h, spec.in_w))
-        if cond.data.shape[0] != n:
+        cond = encode_condition_vector(
+            condition_values, spec.condition_kind, spec.condition_cardinality)
+        if cond.shape[0] != n:
             raise SpecError("image and condition batch sizes differ")
         p = self._params
-        h = ad.concat([x, cond], axis=1)
-        h = ad.conv2d(h, p["conv1.w"], stride=2, padding=1) + p["conv1.b"]
+        h = ad.conv2d_planes(x, cond, p["conv1.w"], stride=2, padding=1) + p["conv1.b"]
         h = ad.leaky_relu(h, spec.leaky_slope)
         h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1) + p["conv2.b"]
         h = ad.leaky_relu(h, spec.leaky_slope)

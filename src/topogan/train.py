@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, Tensor, adam_step
+from .autodiff import AdamState, adam_step, frozen
 from .data import KIND_CLASS, KIND_CONTINUOUS, Dataset
 from .exceptions import (
     ConsistencyError,
@@ -233,7 +233,8 @@ def training_step(state: TrainState, images: np.ndarray,
 
     # discriminator update
     z = state.rng.standard_normal((b, cfg.z_dim))
-    fake = state.gen.forward(z, conds).detach()
+    with frozen(gen_params.values()):
+        fake = state.gen.forward(z, conds)
     d_real = state.disc.forward(x_real, conds)
     d_mismatch = None
     if needs_mismatch(cfg.objective):
@@ -258,7 +259,8 @@ def training_step(state: TrainState, images: np.ndarray,
     # generator update on fresh noise, against the just-updated discriminator
     z2 = state.rng.standard_normal((b, cfg.z_dim))
     fake2 = state.gen.forward(z2, conds)
-    d_fake2 = state.disc.forward(fake2, conds)
+    with frozen(disc_params.values()):
+        d_fake2 = state.disc.forward(fake2, conds)
     g_scores = ScoreBatch(
         d_real_matched=d_real.detach(), d_fake=d_fake2,
         d_real_mismatched=None if d_mismatch is None else d_mismatch.detach())
@@ -266,8 +268,6 @@ def training_step(state: TrainState, images: np.ndarray,
     if not np.isfinite(g_loss.item()):
         raise TrainingAbort(f"non-finite generator loss at step {state.step + 1}")
     for p in gen_params.values():
-        p.zero_grad()
-    for p in disc_params.values():
         p.zero_grad()
     g_loss.backward()
     adam_step(list(gen_params.values()),
@@ -549,5 +549,5 @@ def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, spec.z_dim))
     conds = np.full(count, condition, dtype=np.float64)
-    images = gen.forward(z, conds).data[:, 0, :, :]
-    return images
+    with frozen(gen.params().values()):
+        return gen.forward(z, conds).data[:, 0, :, :]

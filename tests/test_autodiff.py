@@ -10,7 +10,9 @@ from topogan.autodiff import (
     clamp,
     concat,
     conv2d,
+    conv2d_planes,
     conv_transpose2d,
+    frozen,
     grad_check,
     leaky_relu,
     log_clamped,
@@ -22,6 +24,7 @@ from topogan.autodiff import (
     tensor_sum,
 )
 from topogan.exceptions import ContractError, DimensionError
+from topogan.nets import encode_condition_vector
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +138,140 @@ def test_conv_transpose_adjoint_identity():
     cty = conv_transpose2d(Tensor(y), Tensor(w.transpose(0, 1, 2, 3)), stride=2, padding=1)
     # kernel for the adjoint keeps (K, C) layout as (in, out)
     assert np.isclose((cx * y).sum(), (x * cty.data).sum(), rtol=1e-12)
+
+
+def rel_close(a, b, rtol=1e-12):
+    return abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+# every kernel size, stride and padding the lowering must handle: the col2im
+# crop padding:padding+h differs at each padding, 0 included
+KERNEL_CASES = [(k, s, p) for k in (3, 4) for s in (1, 2) for p in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("k,stride,padding", KERNEL_CASES)
+def test_conv2d_adjoint_identities(k, stride, padding):
+    # <conv(x), g> = <x, dx(g)> = <w, dw(x, g)>, on non-square maps with C != K
+    rng = np.random.default_rng(20 + k * 10 + stride * 3 + padding)
+    oh, ow = 3, 4
+    h = (oh - 1) * stride + k - 2 * padding
+    width = (ow - 1) * stride + k - 2 * padding
+    x = Tensor(rng.normal(size=(2, 2, h, width)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
+    g = rng.normal(size=(2, 3, oh, ow))
+    out = conv2d(x, w, stride=stride, padding=padding)
+    assert out.shape == g.shape
+    assert np.abs(out.data - conv_oracle(x.data, w.data, stride, padding)).max() < 1e-12
+    tensor_sum(out * Tensor(g)).backward()
+    inner = (out.data * g).sum()
+    assert rel_close(inner, (x.data * x.grad).sum())
+    assert rel_close(inner, (w.data * w.grad).sum())
+
+
+@pytest.mark.parametrize("k,stride,padding", KERNEL_CASES)
+def test_conv_transpose2d_oracle_and_adjoint_identities(k, stride, padding):
+    rng = np.random.default_rng(50 + k * 10 + stride * 3 + padding)
+    x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
+    out = conv_transpose2d(x, w, stride=stride, padding=padding)
+    oracle = conv_transpose_oracle(x.data, w.data, stride, padding)
+    assert out.shape == oracle.shape
+    assert np.abs(out.data - oracle).max() < 1e-12
+    g = rng.normal(size=out.shape)
+    tensor_sum(out * Tensor(g)).backward()
+    inner = (out.data * g).sum()
+    assert rel_close(inner, (x.data * x.grad).sum())
+    assert rel_close(inner, (w.data * w.grad).sum())
+
+
+# ---------------------------------------------------------------------------
+# conv2d_planes: conv2d of an input stacked over constant condition planes
+
+def condition_channels(values, kind, cardinality, h, w):
+    """The oracle's planes: the encoded condition broadcast to (N, D, h, w)."""
+    vec = encode_condition_vector(values, kind, cardinality)
+    return np.broadcast_to(vec[:, :, None, None], (vec.shape[0], vec.shape[1], h, w)).copy()
+
+
+def test_conv2d_planes_matches_concat_oracle():
+    ch = condition_channels([1, 0], "class", 2, 4, 4)
+    assert ch.shape == (2, 2, 4, 4)
+    assert np.all(ch[0, 1] == 1.0) and np.all(ch[0, 0] == 0.0)
+    assert np.all(ch[1, 0] == 1.0) and np.all(ch[1, 1] == 0.0)
+
+    rng = np.random.default_rng(30)
+    h, width = 6, 8
+    for values, kind, cardinality in [([2, 0, 1], "class", 3), ([0.3, 0.9, 0.0], "continuous", 0),
+                                      ([1], "class", 3), ([0.6], "continuous", 0)]:
+        n = len(values)
+        planes = encode_condition_vector(values, kind, cardinality)
+        x = rng.normal(size=(n, 1, h, width))
+        w = rng.normal(size=(5, 1 + planes.shape[1], 4, 4))
+        stacked = np.concatenate([x, condition_channels(values, kind, cardinality, h, width)],
+                                 axis=1)
+        for stride in (1, 2):
+            for padding in (0, 1, 2):
+                out = conv2d_planes(Tensor(x), planes, Tensor(w), stride, padding).data
+                ref = conv2d(Tensor(stacked), Tensor(w), stride, padding).data
+                assert out.shape == ref.shape
+                assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_conv2d_planes_rejects_mismatched_planes():
+    x = Tensor(np.zeros((2, 1, 4, 4)))
+    w = Tensor(np.zeros((3, 3, 2, 2)))
+    with pytest.raises(DimensionError):
+        conv2d_planes(x, np.zeros((2, 1)), w)       # 1 + 1 channels for a 3-channel kernel
+    with pytest.raises(DimensionError):
+        conv2d_planes(x, np.zeros((3, 2)), w)       # batch 3 against 2
+
+
+def test_gradcheck_conv2d_planes():
+    rng = np.random.default_rng(31)
+    for values, kind, cardinality, stride, padding in [([2, 0], "class", 3, 2, 1),
+                                                       ([0.2, 0.7], "continuous", 0, 1, 2)]:
+        planes = encode_condition_vector(values, kind, cardinality)
+        x = Tensor(rng.normal(size=(2, 1, 6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(0, 0.5, size=(3, 1 + planes.shape[1], 4, 4)), requires_grad=True)
+        r = Tensor(rng.normal(size=conv2d_planes(x, planes, w, stride, padding).shape))
+        check(lambda: mean(conv2d_planes(x, planes, w, stride, padding) * r),
+              {"x": x, "w": w}, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# frozen parameters
+
+def test_frozen_params_get_no_gradient_and_others_are_unchanged():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(2, 2, 6, 6))
+    w1 = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    r = Tensor(rng.normal(size=(2, 4, 3, 3)))
+
+    def loss():
+        h = leaky_relu(conv2d(Tensor(x), w1, stride=2, padding=1))
+        return mean(conv2d(h, w2, stride=1, padding=1) * r)
+
+    loss().backward()
+    expected = w1.grad.copy()
+    w1.zero_grad()
+    w2.zero_grad()
+    with frozen([w2]):
+        graph = loss()
+    assert w2.requires_grad
+    graph.backward()
+    assert w2.grad is None
+    assert np.array_equal(w1.grad, expected)
+
+
+def test_frozen_restores_requires_grad_when_body_raises():
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=False)
+    with pytest.raises(RuntimeError):
+        with frozen([a, b]):
+            assert not a.requires_grad and not b.requires_grad
+            raise RuntimeError("body failed")
+    assert a.requires_grad and not b.requires_grad
 
 
 # ---------------------------------------------------------------------------

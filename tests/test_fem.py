@@ -240,6 +240,24 @@ def test_solve_detects_singular_system():
             assemble_and_solve(DensityField.uniform(mesh, 1.0), 3.0, mesh, bc, solver=solver)
 
 
+def test_non_finite_or_negative_density_is_parameter_error():
+    # every solver path and both energy functions reject the same bad fields
+    mesh = MeshSpec(12, 6)
+    bc = BoundaryConditions.cantilever(mesh)
+    u = np.zeros(mesh.n_dofs)
+    for bad in (np.nan, np.inf, -np.inf, -0.1):
+        x = np.full((6, 12), 0.5)
+        x[3, 7] = bad
+        density = DensityField(x)
+        for solver in ("auto", "pcg", "dense"):
+            with pytest.raises(ParameterError):
+                assemble_and_solve(density, 3.0, mesh, bc, solver=solver)
+        with pytest.raises(ParameterError):
+            compliance(density, u, 3.0, mesh)
+        with pytest.raises(ParameterError):
+            sensitivities(density, u, 3.0, mesh)
+
+
 def mbb_conditions(mesh):
     """Left-edge x-DOFs and the bottom-right y-DOF fixed, downward load at the top-left."""
     left_x = 2 * np.arange(mesh.nely + 1)

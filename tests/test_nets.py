@@ -10,7 +10,6 @@ from topogan.nets import (
     DiscriminatorSpec,
     Generator,
     GeneratorSpec,
-    condition_channels,
     encode_condition_vector,
     minibatch_features,
 )
@@ -135,13 +134,6 @@ def test_continuous_encoding():
     assert np.array_equal(enc, np.array([[0.3], [0.8]]))
     with pytest.raises(DomainError):
         encode_condition_vector([1.2], "continuous")
-
-
-def test_condition_channels_broadcast():
-    ch = condition_channels([1, 0], "class", 2, 4, 4)
-    assert ch.shape == (2, 2, 4, 4)
-    assert np.all(ch[0, 1] == 1.0) and np.all(ch[0, 0] == 0.0)
-    assert np.all(ch[1, 0] == 1.0) and np.all(ch[1, 1] == 0.0)
 
 
 # ---------------------------------------------------------------------------

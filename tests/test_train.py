@@ -1,4 +1,5 @@
 """Training loop determinism, checkpoint persistence, and metric contracts."""
+import contextlib
 import json
 import struct
 import zlib
@@ -126,6 +127,35 @@ def test_training_step_deterministic(tiny_dataset):
     g0 = records[0][1].gen.params()["dense.w"].data
     g1 = records[1][1].gen.params()["dense.w"].data
     assert np.array_equal(g0, g1)
+
+
+def test_freezing_changes_no_number(tiny_dataset, monkeypatch):
+    # the frozen forwards skip parameter gradients that are never read, so a
+    # step that builds every gradient must give the same records and weights
+    def run():
+        state = init_state(desk_config(objective="crcgan-a"), tiny_dataset)
+        records = []
+        for step in range(3):
+            idx = batch_indices(state.config, 3, step, len(tiny_dataset))
+            rec = training_step(state, tiny_dataset.images[idx], tiny_dataset.conditions[idx])
+            rec.pop("wall_ms")
+            records.append(rec)
+        params = {f"{net}.{name}": p.data.copy()
+                  for net in ("gen", "disc")
+                  for name, p in getattr(state, net).params().items()}
+        return records, params
+
+    frozen_records, frozen_params = run()
+
+    @contextlib.contextmanager
+    def no_op(params):
+        yield
+
+    monkeypatch.setattr(train_module, "frozen", no_op)
+    records, params = run()
+    assert records == frozen_records
+    assert params.keys() == frozen_params.keys()
+    assert all(np.array_equal(params[k], frozen_params[k]) for k in params)
 
 
 def test_training_step_requires_full_batch(tiny_dataset):
