@@ -5,14 +5,18 @@ u32 version=1, u32 width, u32 height, u32 count, u8 condition kind
 (0=continuous, 1=class), u32 class cardinality (0 if continuous); then per
 record f32 condition, f32 volfrac, f32 penal, f32 rmin, f32 compliance,
 u8 converged flag, and width*height f32 pixels row-major. Unknown meta
-fields are written as 0; no field may be NaN.
+fields are written as 0; no field may be NaN. A `Dataset` is these records
+in one array: `read_dataset` returns read-only views of the file's bytes.
 """
 from __future__ import annotations
 
 import logging
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import convolve as nd_convolve
@@ -80,25 +84,59 @@ class SweepGrid:
         return len(self.volfracs) * len(self.penals) * len(self.rmins)
 
 
+def _field(name: str) -> property:
+    return property(lambda self: self.records[name], doc=f"The {name} field of every record.")
+
+
 class Dataset:
     """Uniform-size image collection with one condition kind across samples.
 
-    Images and meta are stored as float32 arrays so that file round-trips
-    are bit-exact.
+    A dataset is its TOPD record array (`records`, of `_record_dtype(h, w)`);
+    `images`, `conditions` and the meta fields are views of its fields, so a
+    file round trip is bit-exact and needs no copy.
     """
+
+    images = _field("images")
+    conditions = _field("conditions")
+    volfrac = _field("volfrac")
+    penal = _field("penal")
+    rmin = _field("rmin")
+    compliance = _field("compliance")
+    converged = _field("converged")
 
     def __init__(self, images, conditions, kind, cardinality=0,
                  volfrac=None, penal=None, rmin=None, compliance=None, converged=None):
-        self.images = np.ascontiguousarray(images, dtype=np.float32)
-        if self.images.ndim != 3:
-            raise DimensionError(f"images must be (n, H, W), got shape {self.images.shape}")
-        n = self.images.shape[0]
-        self.conditions = np.ascontiguousarray(conditions, dtype=np.float32)
-        if self.conditions.shape != (n,):
-            raise DimensionError("conditions must have one entry per image")
+        images = np.asarray(images, dtype=np.float32)
+        if images.ndim != 3:
+            raise DimensionError(f"images must be (n, H, W), got shape {images.shape}")
+        records = np.zeros(images.shape[0], dtype=_record_dtype(*images.shape[1:]))
+        records["images"] = images
+        records["converged"] = 1
+        for name, values in (("conditions", conditions), ("volfrac", volfrac),
+                             ("penal", penal), ("rmin", rmin), ("compliance", compliance),
+                             ("converged", converged)):
+            if values is None and name != "conditions":
+                continue
+            values = np.asarray(values, dtype=records.dtype[name])
+            if values.shape != records.shape:
+                raise DimensionError(f"{name} must have one entry per image")
+            records[name] = values
+        self._adopt(records, kind, cardinality)
+
+    @classmethod
+    def from_records(cls, records: np.ndarray, kind: str, cardinality: int = 0) -> "Dataset":
+        """The dataset over an existing TOPD record array, without copying it."""
+        ds = cls.__new__(cls)
+        ds._adopt(records, kind, cardinality)
+        return ds
+
+    def _adopt(self, records: np.ndarray, kind: str, cardinality: int) -> None:
+        """Take `records` as this dataset's storage and range-check its contents."""
+        self.records = records
         self.kind = kind
         self.cardinality = int(cardinality)
         condition_dim(kind, self.cardinality)
+        n = len(records)
         if kind == KIND_CLASS:
             if n and (self.conditions.min() < 0 or self.conditions.max() >= self.cardinality):
                 raise ParameterError("class index outside cardinality")
@@ -107,26 +145,8 @@ class Dataset:
         if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ParameterError("pixels must lie in [0, 1]")
 
-        def meta_arr(a):
-            if a is None:
-                return np.zeros(n, dtype=np.float32)
-            a = np.ascontiguousarray(a, dtype=np.float32)
-            if a.shape != (n,):
-                raise DimensionError("meta arrays must have one entry per image")
-            return a
-
-        self.volfrac = meta_arr(volfrac)
-        self.penal = meta_arr(penal)
-        self.rmin = meta_arr(rmin)
-        self.compliance = meta_arr(compliance)
-        if converged is None:
-            converged = np.ones(n, dtype=np.uint8)
-        self.converged = np.ascontiguousarray(converged, dtype=np.uint8)
-        if self.converged.shape != (n,):
-            raise DimensionError("converged flags must have one entry per image")
-
     def __len__(self) -> int:
-        return self.images.shape[0]
+        return self.records.shape[0]
 
     @property
     def height(self) -> int:
@@ -140,18 +160,12 @@ class Dataset:
         return (
             self.kind == other.kind
             and self.cardinality == other.cardinality
-            and np.array_equal(self.images, other.images)
-            and np.array_equal(self.conditions, other.conditions)
-            and np.array_equal(self.volfrac, other.volfrac)
-            and np.array_equal(self.penal, other.penal)
-            and np.array_equal(self.rmin, other.rmin)
-            and np.array_equal(self.compliance, other.compliance)
-            and np.array_equal(self.converged, other.converged)
+            and self.records.dtype == other.records.dtype
+            and np.array_equal(self.records, other.records)
         )
 
 
-def sweep_generate(grid: SweepGrid, bc: BoundaryConditions | None = None,
-                   solver: str = "auto") -> Dataset:
+def sweep_generate(grid: SweepGrid, bc: BoundaryConditions | None = None) -> Dataset:
     """Run one SIMP optimization per grid point (volfrac-major, then penal, then rmin).
 
     Non-converged runs are kept (flagged in meta and logged), so the sample
@@ -160,8 +174,7 @@ def sweep_generate(grid: SweepGrid, bc: BoundaryConditions | None = None,
     points = list(product(grid.volfracs, grid.penals, grid.rmins))
     images, compliance, converged = [], [], []
     for v, p, r in points:
-        result = run_simp(grid.mesh, SimpParams(volfrac=v, penal=p, rmin=r), bc=bc,
-                          solver=solver)
+        result = run_simp(grid.mesh, SimpParams(volfrac=v, penal=p, rmin=r), bc=bc)
         if not result.converged:
             log.warning(
                 "SIMP run volfrac=%s penal=%s rmin=%s did not converge in %d iterations",
@@ -198,18 +211,10 @@ def augment_dataset(ds: Dataset, noise_fraction: float = 0.01,
                     noise_amplitude: float = 0.5, seed: int = 0) -> Dataset:
     """Double the dataset: each sample followed (at the end) by one noisy copy."""
     noise_count = max(1, int(round(noise_fraction * ds.height * ds.width)))
-    noisy = np.empty_like(ds.images)
+    noisy = ds.records.copy()
     for i, image in enumerate(ds.images):
-        noisy[i] = augment(image, noise_count, noise_amplitude, seed=seed + i)
-
-    def twice(a):
-        return np.concatenate([a, a])
-
-    return Dataset(
-        images=np.concatenate([ds.images, noisy]), conditions=twice(ds.conditions), kind=ds.kind, cardinality=ds.cardinality,
-        volfrac=twice(ds.volfrac), penal=twice(ds.penal), rmin=twice(ds.rmin),
-        compliance=twice(ds.compliance), converged=twice(ds.converged),
-    )
+        noisy["images"][i] = augment(image, noise_count, noise_amplitude, seed=seed + i)
+    return Dataset.from_records(np.concatenate([ds.records, noisy]), ds.kind, ds.cardinality)
 
 
 def gaussian_kernel(size: int = GAUSS_KERNEL_SIZE, sigma: float = GAUSS_SIGMA) -> np.ndarray:
@@ -229,8 +234,7 @@ def postprocess(image: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"image {image.shape} smaller than the {GAUSS_KERNEL_SIZE}x{GAUSS_KERNEL_SIZE} kernel"
         )
-    binary = np.where(image >= 0.5, 1.0, 0.0)
-    blurred = nd_convolve(binary, gaussian_kernel(), mode="reflect")
+    blurred = nd_convolve(threshold(image), gaussian_kernel(), mode="reflect")
     return np.clip(blurred, 0.0, 1.0)
 
 
@@ -243,27 +247,35 @@ def threshold(image: np.ndarray) -> np.ndarray:
 # TOPD binary format
 
 _HEADER = struct.Struct("<4sIIIIBI")
-_META_FIELDS = ("conditions", "volfrac", "penal", "rmin", "compliance")
 
 
 def _record_dtype(height: int, width: int) -> np.dtype:
     """One packed TOPD record: five <f4 meta fields, the u1 converged flag, <f4 pixels."""
-    return np.dtype([*((name, "<f4") for name in _META_FIELDS), ("converged", "u1"),
-                     ("pixels", "<f4", (height, width))])
+    return np.dtype([("conditions", "<f4"), ("volfrac", "<f4"), ("penal", "<f4"),
+                     ("rmin", "<f4"), ("compliance", "<f4"), ("converged", "u1"),
+                     ("images", "<f4", (height, width))])
+
+
+@contextmanager
+def atomic_open(path):
+    """A binary file written to `<name>.tmp` beside `path`, synced, then renamed
+    over `path`, so a crash never leaves a partial file under that name."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        yield fh
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def write_dataset(ds: Dataset, path) -> None:
-    records = np.empty(len(ds), dtype=_record_dtype(ds.height, ds.width))
-    for name in _META_FIELDS:
-        records[name] = getattr(ds, name)
-    records["converged"] = ds.converged
-    records["pixels"] = ds.images
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_HEADER.pack(
             TOPD_MAGIC, TOPD_VERSION, ds.width, ds.height, len(ds),
             0 if ds.kind == KIND_CONTINUOUS else 1, ds.cardinality,
         ))
-        fh.write(records.data)
+        fh.write(ds.records.data)
 
 
 def read_dataset(path) -> Dataset:
@@ -289,14 +301,11 @@ def read_dataset(path) -> Dataset:
             offset=min(len(blob), expected),
         )
     records = np.frombuffer(blob, dtype=record, count=count, offset=_HEADER.size)
-    meta = {name: records[name] for name in _META_FIELDS}
-    if not all(np.isfinite(a).all() for a in (records["pixels"], *meta.values())):
+    if not all(np.isfinite(records[name]).all() for name in record.names):
         raise FormatError("NaN or infinity in record data", offset=_HEADER.size)
     try:
-        return Dataset(
-            images=records["pixels"], kind=KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
-            cardinality=cardinality, converged=records["converged"], **meta,
-        )
+        return Dataset.from_records(records, KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
+                                    cardinality)
     except ParameterError as exc:
         raise FormatError(f"record data out of range: {exc}", offset=_HEADER.size) from None
 
@@ -407,11 +416,7 @@ def synth_classes(class_count: int, per_class: int, size: int, seed: int) -> Dat
 def shuffle_dataset(ds: Dataset, seed: int) -> Dataset:
     """Seeded permutation of the sample order."""
     perm = np.random.default_rng(seed).permutation(len(ds))
-    return Dataset(
-        images=ds.images[perm], conditions=ds.conditions[perm], kind=ds.kind,
-        cardinality=ds.cardinality, volfrac=ds.volfrac[perm], penal=ds.penal[perm],
-        rmin=ds.rmin[perm], compliance=ds.compliance[perm], converged=ds.converged[perm],
-    )
+    return Dataset.from_records(ds.records[perm], ds.kind, ds.cardinality)
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,12 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
         target = class_target_fraction(int(condition), gen.spec.condition_cardinality)
     else:
         target = float(condition)
-    images = sample(gen, condition, count, seed)
-    measured = [measure_volfrac(postprocess(img)) for img in images]
+    processed = [postprocess(img) for img in sample(gen, condition, count, seed)]
+    measured = [measure_volfrac(img) for img in processed]
     errs = np.abs(np.asarray(measured) - target) if measured else np.array([])
     compliances = None
     if reanalyze_compliance:
-        compliances = [reanalyze(postprocess(img), penal=penal) for img in images]
+        compliances = [reanalyze(img, penal=penal) for img in processed]
     return EvalReport(
         target=target,
         count=count,
@@ -101,8 +101,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
 
 
 def reanalyze(image: np.ndarray, bc: BoundaryConditions | None = None,
-              penal: float = 3.0, x_min: float = 1e-3,
-              solver: str = "auto") -> float:
+              penal: float = 3.0, x_min: float = 1e-3) -> float:
     """Compliance of an image treated as a density field on a matching mesh."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -112,5 +111,5 @@ def reanalyze(image: np.ndarray, bc: BoundaryConditions | None = None,
     if bc is None:
         bc = BoundaryConditions.cantilever(mesh)
     density = DensityField(np.clip(image, x_min, 1.0))
-    u = assemble_and_solve(density, penal, mesh, bc, solver=solver)
+    u = assemble_and_solve(density, penal, mesh, bc)
     return compliance(density, u, penal, mesh)

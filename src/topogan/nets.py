@@ -24,6 +24,7 @@ from .exceptions import DomainError, SpecError
 
 WEIGHT_STD = 0.02
 SCORE_EPS = 1e-12
+LEAKY_SLOPE = 0.2
 
 def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarray:
     """(N,) raw condition values -> (N, cond_dim) dense encoding (one-hot or scalar)."""
@@ -49,15 +50,14 @@ class GeneratorSpec:
     condition_kind: str = KIND_CLASS
     condition_cardinality: int = 0
     channels: tuple[int, int] = (128, 64)
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
         if self.z_dim < 1:
             raise SpecError(f"z_dim must be >= 1, got {self.z_dim}")
-        if self.out_h % 4 or self.out_w % 4:
+        if min(self.out_h, self.out_w) < 4 or self.out_h % 4 or self.out_w % 4:
             raise SpecError(
-                f"output {self.out_h}x{self.out_w} must be divisible by 4 "
+                f"output {self.out_h}x{self.out_w} must be positive multiples of 4 "
                 "(two 2x upsampling stages)"
             )
         if len(self.channels) != 2 or min(self.channels) < 1:
@@ -79,13 +79,12 @@ class DiscriminatorSpec:
     minibatch: bool = True
     minibatch_kernels: int = 32   # B
     minibatch_dim: int = 8        # C
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
-        if self.in_h % 4 or self.in_w % 4:
+        if min(self.in_h, self.in_w) < 4 or self.in_h % 4 or self.in_w % 4:
             raise SpecError(
-                f"input {self.in_h}x{self.in_w} must be divisible by 4 "
+                f"input {self.in_h}x{self.in_w} must be positive multiples of 4 "
                 "(two 2x downsampling stages)"
             )
         if len(self.channels) != 2 or min(self.channels) < 1:
@@ -172,10 +171,10 @@ class Generator:
             raise SpecError("noise and condition batch sizes differ")
         p = self._params
         h = ad.concat([z, cond], axis=1) @ p["dense.w"] + p["dense.b"]
-        h = ad.leaky_relu(h, spec.leaky_slope)
+        h = ad.leaky_relu(h, LEAKY_SLOPE)
         h = h.reshape(z.data.shape[0], spec.channels[0], self.h0, self.w0)
         h = ad.conv_transpose2d(h, p["up1.w"], stride=2, padding=1) + p["up1.b"]
-        h = ad.leaky_relu(h, spec.leaky_slope)
+        h = ad.leaky_relu(h, LEAKY_SLOPE)
         h = ad.conv_transpose2d(h, p["up2.w"], stride=2, padding=1) + p["up2.b"]
         return ad.sigmoid(h)
 
@@ -228,12 +227,12 @@ class Discriminator:
             raise SpecError("image and condition batch sizes differ")
         p = self._params
         h = ad.conv2d_planes(x, cond, p["conv1.w"], stride=2, padding=1) + p["conv1.b"]
-        h = ad.leaky_relu(h, spec.leaky_slope)
+        h = ad.leaky_relu(h, LEAKY_SLOPE)
         h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1) + p["conv2.b"]
-        h = ad.leaky_relu(h, spec.leaky_slope)
+        h = ad.leaky_relu(h, LEAKY_SLOPE)
         h = h.reshape(n, p["feat.w"].data.shape[0])
         h = h @ p["feat.w"] + p["feat.b"]
-        return ad.leaky_relu(h, spec.leaky_slope)
+        return ad.leaky_relu(h, LEAKY_SLOPE)
 
     def forward(self, x, condition_values) -> Tensor:
         spec = self.spec

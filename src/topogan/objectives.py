@@ -17,7 +17,7 @@ scores. All logs carry the global 1e-12 floor clamp.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,24 +103,20 @@ class ConditionSampler:
     low: float = 0.0
     high: float = 1.0
     margin: float = MISMATCH_MARGIN
-    seed: int = 0
-    rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         condition_dim(self.kind, self.cardinality, DomainError)
         if self.kind != KIND_CLASS and not (self.low < self.high):
             raise DomainError("continuous sampler needs low < high")
-        self.rng = np.random.default_rng(self.seed)
 
 
 def sample_mismatched_condition(y1: float, sampler: ConditionSampler,
-                                rng: np.random.Generator | None = None):
-    """Draw y2 from the sampler's distribution, resampling until it mismatches y1.
+                                rng: np.random.Generator):
+    """Draw y2 from the sampler's distribution with `rng`, resampling until it mismatches y1.
 
     Class labels: y2 != y1; continuous values: |y2 - y1| >= margin.
-    Deterministic given the sampler's seed (or the explicitly supplied generator).
+    Deterministic given the state of `rng`.
     """
-    rng = sampler.rng if rng is None else rng
     if sampler.kind == KIND_CLASS:
         if sampler.cardinality < 2:
             raise DomainError("no mismatched label exists with cardinality 1")

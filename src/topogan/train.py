@@ -6,11 +6,13 @@ so that a resumed run replays the identical order. All other randomness
 (noise, mismatch draws) comes from one generator whose state rides along in
 the checkpoint, making interrupt/resume bit-identical.
 
-Checkpoint binary (little-endian): magic "CRCG", u32 version=2, u32 header
+Checkpoint binary (little-endian): magic "CRCG", u32 version=3, u32 header
 length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
-back, and a u32 CRC32 of every byte before it. The header holds the step,
-the TrainConfig fields (the objective by name), both network specs (the
-condition kind by name), the Adam step counts, the rng state, the trailing
+back, and a u32 CRC32 of every byte before it. The header holds one
+description of the run: "config", the TrainConfig fields (the objective by
+name), and "data", the shape of the training data {height, width, kind,
+cardinality}; both network specs are built from these two by `_net_specs`.
+It also holds the step, the Adam step counts, the rng state, the trailing
 diversity window, and the tensor table [[name, shape], ...] that orders the
 tensor data. A checkpoint is written to a temporary file in its directory and
 renamed into place, so a crash never leaves a partial file under its name.
@@ -23,17 +25,16 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import AdamState, adam_step, frozen
-from .data import KIND_CLASS, KIND_CONTINUOUS, Dataset
+from .data import KIND_CLASS, KIND_CONTINUOUS, Dataset, atomic_open
 from .exceptions import (
     ConsistencyError,
     ContractError,
@@ -44,6 +45,7 @@ from .exceptions import (
 )
 from .nets import Discriminator, DiscriminatorSpec, Generator, GeneratorSpec
 from .objectives import (
+    MISMATCH_MARGIN,
     ConditionSampler,
     ScoreBatch,
     losses,
@@ -54,12 +56,11 @@ from .objectives import (
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"CRCG"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 _CKPT_PREFIX = struct.Struct("<4sII")   # magic, version, header length
 _CKPT_CRC = struct.Struct("<I")
 # TrainConfig fields a resumed run may change: they set the budget, not the model
-_BUDGET_FIELDS = ("steps", "iterations", "steps_per_iteration", "checkpoint_every",
-                  "metrics_every")
+_BUDGET_FIELDS = ("steps", "iterations", "checkpoint_every")
 
 COLLAPSE_WINDOW = 100    # trailing steps for the diversity median
 COLLAPSE_FACTOR = 0.1    # warn when diversity < factor * trailing median
@@ -71,7 +72,6 @@ class TrainConfig:
     batch_size: int = 100
     steps: int | None = None              # total steps (including resumed ones)
     iterations: int | None = None         # alternative budget: dataset passes
-    steps_per_iteration: int | None = None  # default ceil(dataset / batch)
     seed: int = 0
     z_dim: int = 64
     gen_channels: tuple[int, int] = (128, 64)
@@ -85,9 +85,8 @@ class TrainConfig:
     beta1: float = 0.5
     beta2: float = 0.999
     eps: float = 1e-8
-    mismatch_margin: float = 0.05
+    mismatch_margin: float = MISMATCH_MARGIN
     checkpoint_every: int = 0             # 0: final checkpoint only
-    metrics_every: int = 1
 
     def __post_init__(self):
         needs_mismatch(self.objective)
@@ -104,10 +103,8 @@ class TrainConfig:
             raise ParameterError("lr must be positive")
 
     def resolve_steps(self, dataset_size: int) -> tuple[int, int]:
-        """(total steps, steps per iteration) for a concrete dataset."""
-        spi = self.steps_per_iteration
-        if spi is None:
-            spi = max(1, -(-dataset_size // self.batch_size))
+        """(total steps, steps per iteration = ceil(n / batch)) for a dataset of n samples."""
+        spi = max(1, -(-dataset_size // self.batch_size))
         total = self.steps if self.steps is not None else self.iterations * spi
         return total, spi
 
@@ -115,6 +112,7 @@ class TrainConfig:
 @dataclass
 class TrainState:
     config: TrainConfig
+    data: dict              # shape of the training data: height, width, kind, cardinality
     gen: Generator
     disc: Discriminator
     adam_g: AdamState
@@ -122,41 +120,45 @@ class TrainState:
     rng: np.random.Generator
     sampler: ConditionSampler
     step: int = 0
-    diversity_history: list = None
-
-    def __post_init__(self):
-        if self.diversity_history is None:
-            self.diversity_history = []
+    diversity_history: list = field(default_factory=list)
 
 
 def _sampler_for(dataset: Dataset, config: TrainConfig) -> ConditionSampler:
     if dataset.kind == KIND_CLASS:
-        return ConditionSampler(kind=KIND_CLASS, cardinality=dataset.cardinality,
-                                seed=config.seed)
+        return ConditionSampler(kind=KIND_CLASS, cardinality=dataset.cardinality)
     lo = float(dataset.conditions.min())
     hi = float(dataset.conditions.max())
     if hi - lo < config.mismatch_margin:
         hi = lo + max(2 * config.mismatch_margin, 1e-3)
     return ConditionSampler(kind=KIND_CONTINUOUS, low=lo, high=min(hi, 1.0),
-                            margin=config.mismatch_margin, seed=config.seed)
+                            margin=config.mismatch_margin)
+
+
+def _net_specs(config: TrainConfig, data: dict) -> tuple[GeneratorSpec, DiscriminatorSpec]:
+    """The network specs of a run: its config applied to the shape of its data."""
+    h, w, kind, cardinality = data["height"], data["width"], data["kind"], data["cardinality"]
+    return (
+        GeneratorSpec(out_h=h, out_w=w, z_dim=config.z_dim, condition_kind=kind,
+                      condition_cardinality=cardinality, channels=config.gen_channels),
+        DiscriminatorSpec(in_h=h, in_w=w, condition_kind=kind,
+                          condition_cardinality=cardinality, channels=config.disc_channels,
+                          feature_dim=config.feature_dim,
+                          minibatch=config.minibatch_discrimination,
+                          minibatch_kernels=config.minibatch_kernels,
+                          minibatch_dim=config.minibatch_dim),
+    )
 
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
-    h, w = dataset.height, dataset.width
-    gen_spec = GeneratorSpec(
-        out_h=h, out_w=w, z_dim=config.z_dim, condition_kind=dataset.kind,
-        condition_cardinality=dataset.cardinality, channels=config.gen_channels)
-    disc_spec = DiscriminatorSpec(
-        in_h=h, in_w=w, condition_kind=dataset.kind,
-        condition_cardinality=dataset.cardinality, channels=config.disc_channels,
-        feature_dim=config.feature_dim, minibatch=config.minibatch_discrimination,
-        minibatch_kernels=config.minibatch_kernels, minibatch_dim=config.minibatch_dim)
+    data = {"height": dataset.height, "width": dataset.width, "kind": dataset.kind,
+            "cardinality": dataset.cardinality}
+    gen_spec, disc_spec = _net_specs(config, data)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = Generator(gen_spec, seed=seeds[0])
     disc = Discriminator(disc_spec, seed=seeds[1])
     gp, dp = list(gen.params().values()), list(disc.params().values())
     return TrainState(
-        config=config, gen=gen, disc=disc,
+        config=config, data=data, gen=gen, disc=disc,
         adam_g=AdamState.for_params(gp, config.lr, config.beta1, config.beta2, config.eps),
         adam_d=AdamState.for_params(dp, config.lr, config.beta1, config.beta2, config.eps),
         rng=np.random.default_rng(seeds[2]),
@@ -309,21 +311,16 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     The bytes go to a temporary file in the same directory, which is synced
     and then renamed over `path`.
     """
-    path = Path(path)
     arrays = {name: np.asarray(a, dtype="<f8") for name, a in tensors.items()}
     table = [[name, list(a.shape)] for name, a in arrays.items()]
     head = json.dumps({**header, "tensors": table}).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_open(path) as fh:
         crc = 0
         for chunk in (_CKPT_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(head)), head,
                       *(a.tobytes() for a in arrays.values())):
             crc = zlib.crc32(chunk, crc)
             fh.write(chunk)
         fh.write(_CKPT_CRC.pack(crc))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -392,8 +389,7 @@ def write_state(state: TrainState, path) -> None:
     save_checkpoint(path, {
         "step": state.step,
         "config": asdict(state.config),
-        "generator": asdict(state.gen.spec),
-        "discriminator": asdict(state.disc.spec),
+        "data": state.data,
         "adam_steps": {"g": state.adam_g.step, "d": state.adam_d.step},
         "rng": state.rng.bit_generator.state,
         # trailing window only: it is all the collapse monitor ever looks at
@@ -401,17 +397,16 @@ def write_state(state: TrainState, path) -> None:
     }, _state_tensors(state))
 
 
-def _specs(header: dict) -> tuple[TrainConfig, GeneratorSpec, DiscriminatorSpec]:
-    """The training config and network specs a checkpoint header stores."""
-    def build(cls, key):
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in header[key].items()})
-
+def _stored_run(header: dict) -> tuple[TrainConfig, dict, GeneratorSpec]:
+    """The config and data shape a checkpoint header stores, and its generator spec."""
     try:
-        return (build(TrainConfig, "config"), build(GeneratorSpec, "generator"),
-                build(DiscriminatorSpec, "discriminator"))
+        config = TrainConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                for k, v in header["config"].items()})
+        data = header["data"]
+        gen_spec, _ = _net_specs(config, data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a run: {exc}") from None
+    return config, data, gen_spec
 
 
 def _fill(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> None:
@@ -426,15 +421,16 @@ def _fill(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> Non
 def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
     """Restore a TrainState; `config` may differ from the stored one in its budget only."""
     header, tensors = load_checkpoint(path)
-    stored, gen_spec, disc_spec = _specs(header)
+    stored, data, _ = _stored_run(header)
     stored = replace(stored, **{f: getattr(config, f) for f in _BUDGET_FIELDS})
     if stored != config:
         raise ConsistencyError(
             "config does not match checkpoint structure "
             f"(stored {stored}, requested {config})")
     state = init_state(config, dataset)
-    if (state.gen.spec, state.disc.spec) != (gen_spec, disc_spec):
-        raise ConsistencyError("dataset does not fit the checkpoint's networks")
+    if state.data != data:
+        raise ConsistencyError(
+            f"dataset shape {state.data} does not match the checkpoint's {data}")
     _fill(_state_tensors(state), tensors)
     try:
         state.adam_g.step = int(header["adam_steps"]["g"])
@@ -505,8 +501,7 @@ def train(config: TrainConfig, dataset: Dataset, out_dir,
                 write_state(state, snapshot)
                 raise TrainingAbort(str(exc), snapshot_path=snapshot) from exc
             record["iter"] = (record["step"] - 1) // spi
-            if state.step % config.metrics_every == 0 or state.step == total_steps:
-                metrics_fh.write(json.dumps(record) + "\n")
+            metrics_fh.write(json.dumps(record) + "\n")
             if config.checkpoint_every and state.step % config.checkpoint_every == 0:
                 metrics_fh.flush()  # the records up to a checkpoint outlive a crash
                 write_state(state, out_dir / f"step{state.step:08d}.ckpt")
@@ -526,7 +521,7 @@ def read_metrics(path) -> list[dict]:
 def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
     """The trained generator stored in a checkpoint, and the config it was trained with."""
     header, tensors = load_checkpoint(path)
-    config, gen_spec, _ = _specs(header)
+    config, _, gen_spec = _stored_run(header)
     gen = Generator(gen_spec, seed=0)
     _fill({f"g.{name}": p.data for name, p in gen.params().items()}, tensors)
     return gen, config

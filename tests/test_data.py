@@ -183,6 +183,7 @@ def test_topd_roundtrip_bit_exact(tmp_path):
     write_dataset(ds, path)
     back = read_dataset(path)
     assert back.equals(ds)
+    assert not back.images.flags.writeable   # views of the file's bytes, not copies
     # a second write of the read dataset is byte-identical
     path2 = tmp_path / "d2.topd"
     write_dataset(back, path2)

@@ -161,6 +161,9 @@ def test_generator_spec_validation():
     with pytest.raises(SpecError):
         GeneratorSpec(out_h=10, out_w=8, z_dim=4, condition_kind="class",
                       condition_cardinality=2)
+    with pytest.raises(SpecError):   # divisible by 4, but no image
+        GeneratorSpec(out_h=-4, out_w=8, z_dim=4, condition_kind="class",
+                      condition_cardinality=2)
     with pytest.raises(SpecError):
         GeneratorSpec(out_h=8, out_w=8, z_dim=0, condition_kind="class",
                       condition_cardinality=2)

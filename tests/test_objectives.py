@@ -220,11 +220,12 @@ def test_losses_finite_on_closed_unit_interval(seed):
 # mismatched-condition sampling
 
 def test_mismatch_class_uniform_chi_squared():
-    sampler = ConditionSampler(kind="class", cardinality=10, seed=123)
+    sampler = ConditionSampler(kind="class", cardinality=10)
+    rng = np.random.default_rng(123)
     counts = np.zeros(10)
     n = 10_000
     for _ in range(n):
-        y2 = sample_mismatched_condition(3, sampler)
+        y2 = sample_mismatched_condition(3, sampler, rng)
         counts[y2] += 1
     assert counts[3] == 0
     observed = counts[np.arange(10) != 3]
@@ -235,26 +236,28 @@ def test_mismatch_class_uniform_chi_squared():
 
 
 def test_mismatch_cardinality_one_raises():
-    sampler = ConditionSampler(kind="class", cardinality=1, seed=0)
+    sampler = ConditionSampler(kind="class", cardinality=1)
     with pytest.raises(DomainError):
-        sample_mismatched_condition(0, sampler)
+        sample_mismatched_condition(0, sampler, np.random.default_rng(0))
 
 
 def test_mismatch_continuous_margin():
-    sampler = ConditionSampler(kind="continuous", low=0.3, high=0.8, seed=7)
+    sampler = ConditionSampler(kind="continuous", low=0.3, high=0.8)
+    rng = np.random.default_rng(7)
     for _ in range(500):
-        y2 = sample_mismatched_condition(0.5, sampler)
+        y2 = sample_mismatched_condition(0.5, sampler, rng)
         assert 0.3 <= y2 <= 0.8
         assert abs(y2 - 0.5) >= 0.05
 
 
 def test_mismatch_deterministic_given_seed():
-    draws1 = [sample_mismatched_condition(2, ConditionSampler("class", 5, seed=9))
+    draws1 = [sample_mismatched_condition(2, ConditionSampler("class", 5),
+                                          np.random.default_rng(9))
               for _ in range(1)]
-    s1 = ConditionSampler("class", 5, seed=9)
-    s2 = ConditionSampler("class", 5, seed=9)
-    a = [sample_mismatched_condition(2, s1) for _ in range(20)]
-    b = [sample_mismatched_condition(2, s2) for _ in range(20)]
+    sampler = ConditionSampler("class", 5)
+    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+    a = [sample_mismatched_condition(2, sampler, rng1) for _ in range(20)]
+    b = [sample_mismatched_condition(2, sampler, rng2) for _ in range(20)]
     assert a == b
     assert draws1[0] == a[0]
 

@@ -1,6 +1,7 @@
 """Training loop determinism, checkpoint persistence, and metric contracts."""
 import contextlib
 import json
+import os
 import struct
 import zlib
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topogan import train as train_module
-from topogan.data import synth_classes
+from topogan.data import synth_classes, write_dataset
 from topogan.exceptions import ConsistencyError, ContractError, FormatError, ParameterError
 from topogan.train import (
+    CKPT_VERSION,
     TrainConfig,
     batch_indices,
     diversity_metric,
@@ -243,6 +245,13 @@ def seal(blob: bytes) -> bytes:
     return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
 
 
+def load_checkpoint_bytes(blob: bytes, tmp_path):
+    """(header, tensors) of a checkpoint held in memory."""
+    path = tmp_path / "bytes.ckpt"
+    path.write_bytes(blob)
+    return load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def state_checkpoint(tiny_dataset, tmp_path_factory):
     state = init_state(desk_config(objective="crcgan-a", steps=2), tiny_dataset)
@@ -286,18 +295,41 @@ def test_checkpoint_reader_is_total(state_checkpoint, tmp_path_factory, edits, c
     b'{"tensors": [["x", [2, 2]]]}', b'{"tensors": [[3, []]]}', b"[" * 100_000,
 ])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, header):
-    prefix = struct.pack("<4sII", b"CRCG", 2, len(header))
+    prefix = struct.pack("<4sII", b"CRCG", CKPT_VERSION, len(header))
     path = tmp_path / "h.ckpt"
     path.write_bytes(seal(prefix + header + b"\0\0\0\0"))
     with pytest.raises(FormatError):
         load_checkpoint(path)
 
 
-def test_checkpoint_header_without_a_run_is_format_error(tmp_path):
+def test_checkpoint_header_without_a_run_is_format_error(tmp_path, tiny_dataset,
+                                                         state_checkpoint):
     path = tmp_path / "h.ckpt"
     save_checkpoint(path, {"step": 1, "config": {"objective": "wgan"}}, {})
     with pytest.raises(FormatError):
         generator_from_checkpoint(path)
+    # a version 2 file, which stored the network specs beside the config
+    old = bytearray(state_checkpoint)
+    struct.pack_into("<I", old, 4, 2)
+    path.write_bytes(seal(bytes(old)))
+    with pytest.raises(FormatError, match="version"):
+        load_checkpoint(path)
+    # a missing or malformed data block
+    cfg = desk_config(objective="crcgan-a", steps=2)
+    header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
+    good = header["data"]
+    for data in (None, [8, 8, "class", 2], {k: v for k, v in good.items() if k != "width"},
+                 {**good, "height": "8"}, {**good, "height": 6}, {**good, "height": -4},
+                 {**good, "width": 0}, {**good, "kind": "colour"},
+                 {**good, "cardinality": -1}):
+        broken = {k: v for k, v in header.items() if k != "data"}
+        if data is not None:
+            broken["data"] = data
+        save_checkpoint(path, broken, tensors)
+        with pytest.raises(FormatError):
+            generator_from_checkpoint(path)
+        with pytest.raises(FormatError):
+            load_state(path, tiny_dataset, cfg)
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -308,9 +340,23 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     def fail(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(train_module.os, "fsync", fail)
+    monkeypatch.setattr(os, "fsync", fail)
     with pytest.raises(OSError):
         save_checkpoint(path, {"step": 2}, {"x": np.zeros(3)})
+    assert path.read_bytes() == before
+
+
+def test_dataset_write_is_atomic(tmp_path, monkeypatch, tiny_dataset):
+    path = tmp_path / "a.topd"
+    write_dataset(tiny_dataset, path)
+    before = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError):
+        write_dataset(synth_classes(2, 3, 8, seed=4), path)
     assert path.read_bytes() == before
 
 
