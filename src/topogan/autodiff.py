@@ -8,11 +8,17 @@ existing gradients. Inside `frozen(params)` a graph gets no links to those
 parameters, so a forward pass whose parameter gradients are never read (a
 network used as a fixed function, or inference) computes none of them.
 
-Each convolution kernel (`_conv_fwd`, `_conv_dx`, `_conv_dw`) is one GEMM
-over an im2col patch matrix; `_conv_dx` scatters its product back with one
-strided add per kernel tap (col2im) and also serves as the transposed-conv
-forward. `conv2d_planes` convolves an input concatenated with constant
-per-sample planes without building the planes.
+The conv ops take and return activations in one layout, (C, H, W, N), with
+the batch axis innermost; kernels are (K, C, kh, kw). Each convolution kernel
+(`_conv_fwd`, `_conv_dx`, `_conv_dw`) is one GEMM over an im2col patch
+matrix: im2col copies a (c, kh, kw, oh, ow, n) strided view of the padded
+input, so every copied run is N values long, and the (K, OH*OW*N) product is
+already the next layer's (K, OH, OW, N) input. `_conv_dx` scatters its
+product back with one strided add per kernel tap (col2im), again over
+contiguous rows of N, and also serves as the transposed-conv forward.
+`conv2d_planes` convolves an input concatenated with constant per-sample
+planes without building the planes. `transpose` moves a tensor into or out
+of the layout at a network's boundary.
 """
 from __future__ import annotations
 
@@ -209,6 +215,15 @@ def reshape(a, *shape) -> Tensor:
     ])
 
 
+def transpose(a, axes) -> Tensor:
+    """Permute the axes of `a` (a view); the gradient is permuted back."""
+    a = _as_tensor(a)
+    inverse = tuple(np.argsort(axes))
+    return Tensor._result(a.data.transpose(axes), [
+        (a, lambda g: g.transpose(inverse)),
+    ])
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
@@ -243,11 +258,20 @@ def tensor_sum(a) -> Tensor:
 
 
 def leaky_relu(a, alpha: float = 0.2) -> Tensor:
+    """max(a, alpha*a); backward rebuilds the slope from a bool mask."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {alpha}")
     a = _as_tensor(a)
-    slope = np.where(a.data > 0, 1.0, alpha)
-    return Tensor._result(a.data * slope, [
-        (a, lambda g: g * slope),
-    ])
+    positive = a.data > 0
+
+    def grad(g: np.ndarray) -> np.ndarray:
+        slope = positive * (1.0 - alpha)
+        slope += alpha
+        slope *= g
+        return slope
+
+    scaled = a.data * alpha
+    return Tensor._result(np.maximum(a.data, scaled, out=scaled), [(a, grad)])
 
 
 def sigmoid(a) -> Tensor:
@@ -286,9 +310,11 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # 2D convolution kernels (cross-correlation semantics, no kernel flip)
 #
+# Activations are (C, H, W, N), batch innermost, and kernels (K, C, kh, kw).
 # Each kernel is one GEMM over an im2col patch matrix (Chellapilla, Puri &
-# Simard 2006). Patch rows are ordered (c, i, j) and columns (n, oy, ox), so
-# a (K, C, kh, kw) kernel reshapes to the left operand without a copy.
+# Simard 2006). Patch rows are ordered (c, i, j) and columns (oy, ox, n), so
+# a kernel reshapes to the left operand and the (K, OH*OW*N) product is the
+# output in layout, both without a copy.
 
 def _conv_out_size(h: int, kh: int, stride: int, padding: int) -> int:
     span = h + 2 * padding - kh
@@ -304,58 +330,57 @@ def _conv_out_size(h: int, kh: int, stride: int, padding: int) -> int:
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
             oh: int, ow: int) -> np.ndarray:
-    """(C*kh*kw, N*OH*OW) patch matrix of the zero-padded (N,C,H,W) input."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    view = as_strided(xp, (c, kh, kw, n, oh, ow),
-                      (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
-    return view.reshape(c * kh * kw, n * oh * ow)
+    """(C*kh*kw, OH*OW*N) patch matrix of the zero-padded (C,H,W,N) input.
 
-
-def _channels_first(a: np.ndarray) -> np.ndarray:
-    """(N,K,OH,OW) -> (K, N*OH*OW)."""
-    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+    The copy out of the strided (c, kh, kw, oh, ow, n) view moves contiguous
+    runs of N values.
+    """
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    c, _, _, n = xp.shape
+    sc, sh, sw, sn = xp.strides
+    view = as_strided(xp, (c, kh, kw, oh, ow, n),
+                      (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+    return view.reshape(c * kh * kw, oh * ow * n)
 
 
 def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    n, c, h, width = x.shape
+    c, h, width, n = x.shape
     k, cw, kh, kw = w.shape
     if c != cw:
         raise DimensionError(f"input channels {c} != kernel channels {cw}")
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(width, kw, stride, padding)
     out = w.reshape(k, -1) @ _im2col(x, kh, kw, stride, padding, oh, ow)
-    return np.ascontiguousarray(out.reshape(k, n, oh, ow).transpose(1, 0, 2, 3))
+    return out.reshape(k, oh, ow, n)
 
 
 def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
              x_shape: tuple) -> np.ndarray:
-    n, c, h, width = x_shape
+    c, h, width, n = x_shape
     k, _, kh, kw = w.shape
-    _, _, oh, ow = dout.shape
-    # (kh*kw*C, K) @ (K, N*OH*OW): every tap's contribution in one product
-    cols = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, k) @ _channels_first(dout)
-    cols = cols.reshape(kh, kw, c, n, oh, ow)
-    # col2im: add each tap's (C, N, OH, OW) block into the padded input grid
-    dxp = np.zeros((c, n, h + 2 * padding, width + 2 * padding))
+    _, oh, ow, _ = dout.shape
+    # (kh*kw*C, K) @ (K, OH*OW*N): every tap's contribution in one product
+    cols = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, k) @ dout.reshape(k, -1)
+    cols = cols.reshape(kh, kw, c, oh, ow, n)
+    # col2im: add each tap's (C, OH, OW, N) block into the padded input grid,
+    # in contiguous rows of N
+    dxp = np.zeros((c, h + 2 * padding, width + 2 * padding, n))
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[i, j]
-    dx = dxp[:, :, padding:padding + h, padding:padding + width]
-    return np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[i, j]
+    return dxp[:, padding:padding + h, padding:padding + width]
 
 
 def _conv_dw(x: np.ndarray, dout: np.ndarray, stride: int, padding: int,
              kh: int, kw: int) -> np.ndarray:
-    _, c, _, _ = x.shape
-    _, k, oh, ow = dout.shape
+    c = x.shape[0]
+    k, oh, ow, _ = dout.shape
     cols = _im2col(x, kh, kw, stride, padding, oh, ow)
-    return (_channels_first(dout) @ cols.T).reshape(k, c, kh, kw)
+    return (dout.reshape(k, -1) @ cols.T).reshape(k, c, kh, kw)
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (N,C,H,W) with kernels (K,C,kh,kw)."""
+    """Cross-correlation of (C,H,W,N) with kernels (K,C,kh,kw) -> (K,OH,OW,N)."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4D input and kernel")
@@ -368,18 +393,18 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """conv2d(concat([x, P], axis=1), w) without building P.
+    """conv2d(concat([x, P], axis=0), w) without building P.
 
-    x is (N,C,H,W), planes is a constant (N,D) array and w is (K,C+D,kh,kw);
-    P[n, d] is the (H,W) plane filled with planes[n, d]. A constant plane's
-    response is its value times the response of an all-ones image to the
-    plane's taps, zero-padded border included.
+    x is (C,H,W,N), planes is a constant (N,D) array and w is (K,C+D,kh,kw);
+    P[d, :, :, n] is the (H,W) plane filled with planes[n, d]. A constant
+    plane's response is its value times the response of an all-ones image to
+    the plane's taps, zero-padded border included.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     planes = np.asarray(planes, dtype=np.float64)
     if x.data.ndim != 4 or w.data.ndim != 4 or planes.ndim != 2:
         raise DimensionError("conv2d_planes expects 4D input and kernel and 2D planes")
-    n, c, h, width = x.data.shape
+    c, h, width, n = x.data.shape
     k, cw, kh, kw = w.data.shape
     d = planes.shape[1]
     if planes.shape[0] != n:
@@ -387,16 +412,16 @@ def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0) -> Tensor:
     if c + d != cw:
         raise DimensionError(f"input channels {c} + planes {d} != kernel channels {cw}")
     out = _conv_fwd(x.data, w.data[:, :c], stride, padding)
-    oh, ow = out.shape[2:]
-    ones = _im2col(np.ones((1, 1, h, width)), kh, kw, stride, padding, oh, ow)
-    # rows (d, k): the response of plane d's taps for output channel k
-    taps = w.data[:, c:].transpose(1, 0, 2, 3).reshape(d * k, kh * kw)
-    out += (planes @ (taps @ ones).reshape(d, -1)).reshape(out.shape)
+    oh, ow = out.shape[1:3]
+    ones = _im2col(np.ones((1, h, width, 1)), kh, kw, stride, padding, oh, ow)
+    # (K, D, OH*OW): the response of plane d's taps for output channel k
+    resp = w.data[:, c:].reshape(k, d, kh * kw) @ ones
+    out += (resp.transpose(0, 2, 1).reshape(-1, d) @ planes.T).reshape(out.shape)
 
     def grad_w(g: np.ndarray) -> np.ndarray:
-        g_taps = (planes.T @ g.reshape(n, -1)).reshape(d * k, -1) @ ones.T
+        g_planes = (g.reshape(k, oh * ow, n) @ planes).transpose(0, 2, 1)  # (K, D, OH*OW)
         return np.concatenate([_conv_dw(x.data, g, stride, padding, kh, kw),
-                               g_taps.reshape(d, k, kh, kw).transpose(1, 0, 2, 3)], axis=1)
+                               (g_planes @ ones.T).reshape(k, d, kh, kw)], axis=1)
 
     return Tensor._result(out, [
         (x, lambda g: _conv_dx(g, w.data[:, :c], stride, padding, x.data.shape)),
@@ -405,14 +430,14 @@ def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def conv_transpose2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """Adjoint of conv2d: (N,Cin,H,W) with kernels (Cin,Cout,kh,kw).
+    """Adjoint of conv2d: (Cin,H,W,N) with kernels (Cin,Cout,kh,kw) -> (Cout,OH,OW,N).
 
     Output spatial size is (H-1)*stride - 2*padding + kh.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv_transpose2d expects 4D input and kernel")
-    n, cin, h, width = x.data.shape
+    cin, h, width, n = x.data.shape
     cin_w, cout, kh, kw = w.data.shape
     if cin != cin_w:
         raise DimensionError(f"input channels {cin} != kernel channels {cin_w}")
@@ -420,7 +445,7 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     ow = (width - 1) * stride - 2 * padding + kw
     if oh < 1 or ow < 1:
         raise DimensionError(f"transposed conv output {oh}x{ow} is empty")
-    out = _conv_dx(x.data, w.data, stride, padding, (n, cout, oh, ow))
+    out = _conv_dx(x.data, w.data, stride, padding, (cout, oh, ow, n))
     return Tensor._result(out, [
         (x, lambda g: _conv_fwd(g, w.data, stride, padding)),
         (w, lambda g: _conv_dw(g, x.data, stride, padding, kh, kw)),

@@ -7,7 +7,7 @@ and aggregate the absolute errors against the target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,20 +46,10 @@ class EvalReport:
     per_sample_compliance: list[float] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "target": self.target,
-            "count": self.count,
-            "mean_vf": self.mean_vf,
-            "mean_abs_err": self.mean_abs_err,
-            "std_abs_err": self.std_abs_err,
-            "frac_within_tol": self.frac_within_tol,
-            "per_sample": self.per_sample,
-            "checkpoint": self.checkpoint,
-            "seed": self.seed,
-            "objective": self.objective,
-        }
-        if self.per_sample_compliance is not None:
-            out["per_sample_compliance"] = self.per_sample_compliance
+        """The fields in declaration order; per_sample_compliance only when set."""
+        out = asdict(self)
+        if self.per_sample_compliance is None:
+            del out["per_sample_compliance"]
         return out
 
     def to_json(self) -> str:

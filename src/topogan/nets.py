@@ -10,12 +10,21 @@ The condition reaches G as its encoded vector, concatenated to the noise.
 D sees it as cond_dim constant planes stacked under the image, so conv1.w
 has 1 + cond_dim input channels; `autodiff.conv2d_planes` applies those
 taps to the encoded vector directly and never builds the planes.
+
+Both networks take and return (N, ...) arrays, but their conv stacks run in
+the (C, H, W, N) layout of `autodiff`. G transposes its dense output,
+reshaped to (N, c0, h0, w0), into (c0, h0, w0, N), and its (1, H, W, N)
+image back to (N, 1, H, W). D transposes its (N, 1, H, W) input, and its
+last conv map, flattened to (c2*h*w, N), back to (N, c2*h*w), so feat.w keeps
+its (c, h, w) row order. Parameters keep their stored shapes, conv biases
+(1, C, 1, 1) included, and are reshaped in forward.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -67,6 +76,19 @@ class GeneratorSpec:
     def cond_dim(self) -> int:
         return condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
 
+    @property
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        c0, c1 = self.channels
+        proj = c0 * (self.out_h // 4) * (self.out_w // 4)
+        return {
+            "dense.w": (self.z_dim + self.cond_dim, proj),
+            "dense.b": (proj,),
+            "up1.w": (c0, c1, 4, 4),
+            "up1.b": (1, c1, 1, 1),
+            "up2.w": (c1, 1, 4, 4),
+            "up2.b": (1, 1, 1, 1),
+        }
+
 
 @dataclass(frozen=True)
 class DiscriminatorSpec:
@@ -98,13 +120,48 @@ class DiscriminatorSpec:
     def cond_dim(self) -> int:
         return condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
 
+    @property
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        c1, c2 = self.channels
+        head_in = self.feature_dim + (self.minibatch_kernels if self.minibatch else 0)
+        shapes = {
+            "conv1.w": (c1, 1 + self.cond_dim, 4, 4),
+            "conv1.b": (1, c1, 1, 1),
+            "conv2.w": (c2, c1, 4, 4),
+            "conv2.b": (1, c2, 1, 1),
+            "feat.w": (c2 * (self.in_h // 4) * (self.in_w // 4), self.feature_dim),
+            "feat.b": (self.feature_dim,),
+            "head.w": (head_in, 1),
+            "head.b": (1,),
+        }
+        if self.minibatch:
+            shapes["minibatch.T"] = (self.feature_dim, self.minibatch_kernels,
+                                     self.minibatch_dim)
+        return shapes
+
+
+def _init_params(shapes: dict[str, tuple[int, ...]], seed) -> dict[str, Tensor]:
+    """Trainable parameters: biases (".b") at zero, the rest from N(0, WEIGHT_STD^2).
+
+    Weights are drawn in the order of `shapes`, so a seed gives the same values
+    as long as that order holds.
+    """
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(np.zeros(shape) if name.endswith(".b")
+                         else rng.normal(0.0, WEIGHT_STD, size=shape), requires_grad=True)
+            for name, shape in shapes.items()}
+
 
 def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
     """Batch-similarity features o(i)_b = sum_{j != i} exp(-||M_i,b - M_j,b||_1).
 
     M_i = f_i . T maps each sample's feature row through the learned (A,B,C)
     tensor; the output row counts (softly) how close the sample sits to the
-    rest of its batch in each of the B projected spaces.
+    rest of its batch in each of the B projected spaces. M is one matmul node,
+    so the pairwise backward below runs once per call whichever of f and T
+    need a gradient. The largest arrays are (B, N, N): the forward takes the
+    L1 distances per kernel b, and the backward recomputes the signs of the
+    differences one C slice at a time instead of keeping them.
     """
     f = f if isinstance(f, Tensor) else Tensor(f)
     T = T if isinstance(T, Tensor) else Tensor(T)
@@ -114,22 +171,30 @@ def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
         )
     n, a = f.data.shape
     _, b, c = T.data.shape
-    t_flat = T.data.reshape(a, b * c)
-    m = (f.data @ t_flat).reshape(n, b, c)
-    diffs = m[:, None, :, :] - m[None, :, :, :]
-    sign = np.sign(diffs)
-    e = np.exp(-np.abs(diffs).sum(axis=3))   # (N, N, B), e_ii = 1
-    out = e.sum(axis=1) - 1.0                # exclude self
+    m = ad.matmul(f, T.reshape(a, b * c))
+    m3 = m.data.reshape(n, b, c)
+    dist = np.stack([cdist(m3[:, k], m3[:, k], "cityblock") for k in range(b)])
+    e = np.exp(np.negative(dist, out=dist), out=dist)   # (B, N, N), e_bii = 1
+    out = e.sum(axis=2).T - 1.0                         # exclude self
+    mt = np.ascontiguousarray(m3.transpose(1, 2, 0))    # (B, C, N)
 
     def backward_m(g: np.ndarray) -> np.ndarray:
-        # dL/dM_ibc = -sum_j e_ijb s_ijbc (g_ib + g_jb); s_iib = 0 kills j = i
-        w = e * (g[:, None, :] + g[None, :, :])
-        return -(w[:, :, :, None] * sign).sum(axis=1)
+        # dL/dM_ibk = -sum_j w_bij s_bijk with w_bij = e_bij (g_ib + g_jb) and
+        # s_bijk = sign(M_ibk - M_jbk) = gt_bijk - gt_bjik, gt = [M_ibk > M_jbk].
+        # w is symmetric in (i, j), so with P = w * gt the sum is
+        # colsum(P) - rowsum(P); ties, i = j included, give gt = 0 both ways.
+        gb = np.ascontiguousarray(g.T)
+        w = e * (gb[:, :, None] + gb[:, None, :])
+        p = np.empty((b, n, n))
+        ones = np.ones(n)
+        dm = np.empty((n, b, c))
+        for k in range(c):
+            np.greater(mt[:, k, :, None], mt[:, k, None, :], out=p)
+            p *= w
+            dm[:, :, k] = (ones @ p - p @ ones).T
+        return dm.reshape(n, b * c)
 
-    return Tensor._result(out, [
-        (f, lambda g: backward_m(g).reshape(n, b * c) @ t_flat.T),
-        (T, lambda g: (f.data.T @ backward_m(g).reshape(n, b * c)).reshape(a, b, c)),
-    ])
+    return Tensor._result(out, [(m, backward_m)])
 
 
 class Generator:
@@ -137,25 +202,7 @@ class Generator:
 
     def __init__(self, spec: GeneratorSpec, seed: int):
         self.spec = spec
-        rng = np.random.default_rng(seed)
-        c0, c1 = spec.channels
-        self.h0, self.w0 = spec.out_h // 4, spec.out_w // 4
-        proj = c0 * self.h0 * self.w0
-
-        def weight(*shape):
-            return Tensor(rng.normal(0.0, WEIGHT_STD, size=shape), requires_grad=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        self._params = {
-            "dense.w": weight(spec.z_dim + spec.cond_dim, proj),
-            "dense.b": zeros(proj),
-            "up1.w": weight(c0, c1, 4, 4),
-            "up1.b": zeros(1, c1, 1, 1),
-            "up2.w": weight(c1, 1, 4, 4),
-            "up2.b": zeros(1, 1, 1, 1),
-        }
+        self._params = _init_params(spec.param_shapes, seed)
 
     def params(self) -> dict[str, Tensor]:
         return self._params
@@ -172,11 +219,14 @@ class Generator:
         p = self._params
         h = ad.concat([z, cond], axis=1) @ p["dense.w"] + p["dense.b"]
         h = ad.leaky_relu(h, LEAKY_SLOPE)
-        h = h.reshape(z.data.shape[0], spec.channels[0], self.h0, self.w0)
-        h = ad.conv_transpose2d(h, p["up1.w"], stride=2, padding=1) + p["up1.b"]
+        h = h.reshape(z.data.shape[0], -1, spec.out_h // 4, spec.out_w // 4)
+        h = ad.transpose(h, (1, 2, 3, 0))
+        h = ad.conv_transpose2d(h, p["up1.w"], stride=2, padding=1) \
+            + p["up1.b"].reshape(-1, 1, 1, 1)
         h = ad.leaky_relu(h, LEAKY_SLOPE)
-        h = ad.conv_transpose2d(h, p["up2.w"], stride=2, padding=1) + p["up2.b"]
-        return ad.sigmoid(h)
+        h = ad.conv_transpose2d(h, p["up2.w"], stride=2, padding=1) \
+            + p["up2.b"].reshape(-1, 1, 1, 1)
+        return ad.transpose(ad.sigmoid(h), (3, 0, 1, 2))
 
 
 class Discriminator:
@@ -184,30 +234,7 @@ class Discriminator:
 
     def __init__(self, spec: DiscriminatorSpec, seed: int):
         self.spec = spec
-        rng = np.random.default_rng(seed)
-        c1, c2 = spec.channels
-        flat = c2 * (spec.in_h // 4) * (spec.in_w // 4)
-        head_in = spec.feature_dim + (spec.minibatch_kernels if spec.minibatch else 0)
-
-        def weight(*shape):
-            return Tensor(rng.normal(0.0, WEIGHT_STD, size=shape), requires_grad=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        self._params = {
-            "conv1.w": weight(c1, 1 + spec.cond_dim, 4, 4),
-            "conv1.b": zeros(1, c1, 1, 1),
-            "conv2.w": weight(c2, c1, 4, 4),
-            "conv2.b": zeros(1, c2, 1, 1),
-            "feat.w": weight(flat, spec.feature_dim),
-            "feat.b": zeros(spec.feature_dim),
-            "head.w": weight(head_in, 1),
-            "head.b": zeros(1),
-        }
-        if spec.minibatch:
-            self._params["minibatch.T"] = weight(
-                spec.feature_dim, spec.minibatch_kernels, spec.minibatch_dim)
+        self._params = _init_params(spec.param_shapes, seed)
 
     def params(self) -> dict[str, Tensor]:
         return self._params
@@ -226,11 +253,14 @@ class Discriminator:
         if cond.shape[0] != n:
             raise SpecError("image and condition batch sizes differ")
         p = self._params
-        h = ad.conv2d_planes(x, cond, p["conv1.w"], stride=2, padding=1) + p["conv1.b"]
+        h = ad.transpose(x, (1, 2, 3, 0))
+        h = ad.conv2d_planes(h, cond, p["conv1.w"], stride=2, padding=1) \
+            + p["conv1.b"].reshape(-1, 1, 1, 1)
         h = ad.leaky_relu(h, LEAKY_SLOPE)
-        h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1) + p["conv2.b"]
+        h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1) + p["conv2.b"].reshape(-1, 1, 1, 1)
         h = ad.leaky_relu(h, LEAKY_SLOPE)
-        h = h.reshape(n, p["feat.w"].data.shape[0])
+        # (c2*h*w, N) rows in (c, h, w) order, the row order of feat.w
+        h = ad.transpose(h.reshape(-1, n), (1, 0))
         h = h @ p["feat.w"] + p["feat.b"]
         return ad.leaky_relu(h, LEAKY_SLOPE)
 
@@ -245,4 +275,3 @@ class Discriminator:
         score = ad.sigmoid(logit)
         score = ad.clamp(score, SCORE_EPS, 1.0 - SCORE_EPS)
         return score.reshape(f.data.shape[0])
-

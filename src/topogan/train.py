@@ -409,13 +409,19 @@ def _stored_run(header: dict) -> tuple[TrainConfig, dict, GeneratorSpec]:
     return config, data, gen_spec
 
 
+def _check_shapes(shapes: dict[str, tuple], tensors: dict[str, np.ndarray]) -> None:
+    """Raise FormatError unless the checkpoint has a tensor of each name and shape."""
+    for name, shape in shapes.items():
+        source = tensors.get(name)
+        if source is None or source.shape != shape:
+            raise FormatError(f"checkpoint tensor {name} is missing or misshapen")
+
+
 def _fill(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> None:
     """Copy each checkpoint tensor into the target array of the same name."""
+    _check_shapes({name: target.shape for name, target in targets.items()}, tensors)
     for name, target in targets.items():
-        source = tensors.get(name)
-        if source is None or source.shape != target.shape:
-            raise FormatError(f"checkpoint tensor {name} is missing or misshapen")
-        target[...] = source
+        target[...] = tensors[name]
 
 
 def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
@@ -522,6 +528,9 @@ def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
     """The trained generator stored in a checkpoint, and the config it was trained with."""
     header, tensors = load_checkpoint(path)
     config, _, gen_spec = _stored_run(header)
+    # before any weight is drawn: the header alone sets the generator's size
+    _check_shapes({f"g.{name}": shape for name, shape in gen_spec.param_shapes.items()},
+                  tensors)
     gen = Generator(gen_spec, seed=0)
     _fill({f"g.{name}": p.data for name, p in gen.params().items()}, tensors)
     return gen, config

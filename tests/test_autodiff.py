@@ -22,13 +22,23 @@ from topogan.autodiff import (
     sigmoid,
     tanh,
     tensor_sum,
+    transpose,
 )
 from topogan.exceptions import ContractError, DimensionError
 from topogan.nets import encode_condition_vector
 
 
 # ---------------------------------------------------------------------------
-# forward oracles
+# forward oracles, in the (N, C, H, W) layout
+
+def nchw(op, x, *args, **kwargs):
+    """A conv op on an (N, C, H, W) input, giving an (N, C, H, W) output.
+
+    The ops take and return (C, H, W, N); the transposes at the boundary are
+    graph ops, so gradients reach x in its own layout.
+    """
+    return transpose(op(transpose(x, (1, 2, 3, 0)), *args, **kwargs), (3, 0, 1, 2))
+
 
 def conv_oracle(x, w, stride, padding):
     """Quadruple-loop direct cross-correlation."""
@@ -80,7 +90,7 @@ def conv_transpose_oracle(x, w, stride, padding):
 def test_conv_ones_sums_window():
     x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = conv2d(x, w)
+    out = nchw(conv2d, x, w)
     assert out.shape == (1, 1, 1, 1)
     assert out.item() == pytest.approx(9.0)
 
@@ -90,7 +100,7 @@ def test_conv_identity_kernel():
     x = rng.normal(size=(2, 1, 5, 5))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    out = conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
+    out = nchw(conv2d, Tensor(x), Tensor(w), stride=1, padding=1)
     assert np.allclose(out.data, x)
 
 
@@ -99,7 +109,7 @@ def test_conv_matches_loop_oracle():
     x = rng.normal(size=(1, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     for stride, padding in [(1, 0), (1, 1), (2, 1)]:
-        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = nchw(conv2d, Tensor(x), Tensor(w), stride=stride, padding=padding)
         assert np.abs(out.data - conv_oracle(x, w, stride, padding)).max() < 1e-12
 
 
@@ -107,7 +117,7 @@ def test_conv_rejects_non_integral_output():
     x = Tensor(np.zeros((1, 1, 5, 5)))
     w = Tensor(np.zeros((1, 1, 2, 2)))
     with pytest.raises(DimensionError):
-        conv2d(x, w, stride=2, padding=0)
+        nchw(conv2d, x, w, stride=2, padding=0)
 
 
 def test_conv_transpose_matches_scatter_oracle():
@@ -115,7 +125,7 @@ def test_conv_transpose_matches_scatter_oracle():
     x = rng.normal(size=(2, 3, 4, 4))
     w = rng.normal(size=(3, 2, 4, 4))
     for stride, padding in [(1, 0), (2, 1)]:
-        out = conv_transpose2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = nchw(conv_transpose2d, Tensor(x), Tensor(w), stride=stride, padding=padding)
         oracle = conv_transpose_oracle(x, w, stride, padding)
         assert out.data.shape == oracle.shape
         assert np.abs(out.data - oracle).max() < 1e-12
@@ -124,7 +134,7 @@ def test_conv_transpose_matches_scatter_oracle():
 def test_conv_transpose_doubles_spatial_size():
     x = Tensor(np.zeros((1, 4, 8, 8)))
     w = Tensor(np.zeros((4, 2, 4, 4)))
-    out = conv_transpose2d(x, w, stride=2, padding=1)
+    out = nchw(conv_transpose2d, x, w, stride=2, padding=1)
     assert out.shape == (1, 2, 16, 16)
 
 
@@ -134,8 +144,8 @@ def test_conv_transpose_adjoint_identity():
     x = rng.normal(size=(2, 3, 6, 6))
     w = rng.normal(size=(4, 3, 4, 4))
     y = rng.normal(size=(2, 4, 3, 3))
-    cx = conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
-    cty = conv_transpose2d(Tensor(y), Tensor(w.transpose(0, 1, 2, 3)), stride=2, padding=1)
+    cx = nchw(conv2d, Tensor(x), Tensor(w), stride=2, padding=1).data
+    cty = nchw(conv_transpose2d, Tensor(y), Tensor(w.transpose(0, 1, 2, 3)), stride=2, padding=1)
     # kernel for the adjoint keeps (K, C) layout as (in, out)
     assert np.isclose((cx * y).sum(), (x * cty.data).sum(), rtol=1e-12)
 
@@ -159,7 +169,7 @@ def test_conv2d_adjoint_identities(k, stride, padding):
     x = Tensor(rng.normal(size=(2, 2, h, width)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
     g = rng.normal(size=(2, 3, oh, ow))
-    out = conv2d(x, w, stride=stride, padding=padding)
+    out = nchw(conv2d, x, w, stride=stride, padding=padding)
     assert out.shape == g.shape
     assert np.abs(out.data - conv_oracle(x.data, w.data, stride, padding)).max() < 1e-12
     tensor_sum(out * Tensor(g)).backward()
@@ -173,7 +183,7 @@ def test_conv_transpose2d_oracle_and_adjoint_identities(k, stride, padding):
     rng = np.random.default_rng(50 + k * 10 + stride * 3 + padding)
     x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
-    out = conv_transpose2d(x, w, stride=stride, padding=padding)
+    out = nchw(conv_transpose2d, x, w, stride=stride, padding=padding)
     oracle = conv_transpose_oracle(x.data, w.data, stride, padding)
     assert out.shape == oracle.shape
     assert np.abs(out.data - oracle).max() < 1e-12
@@ -211,8 +221,8 @@ def test_conv2d_planes_matches_concat_oracle():
                                  axis=1)
         for stride in (1, 2):
             for padding in (0, 1, 2):
-                out = conv2d_planes(Tensor(x), planes, Tensor(w), stride, padding).data
-                ref = conv2d(Tensor(stacked), Tensor(w), stride, padding).data
+                out = nchw(conv2d_planes, Tensor(x), planes, Tensor(w), stride, padding).data
+                ref = nchw(conv2d, Tensor(stacked), Tensor(w), stride, padding).data
                 assert out.shape == ref.shape
                 assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -221,9 +231,9 @@ def test_conv2d_planes_rejects_mismatched_planes():
     x = Tensor(np.zeros((2, 1, 4, 4)))
     w = Tensor(np.zeros((3, 3, 2, 2)))
     with pytest.raises(DimensionError):
-        conv2d_planes(x, np.zeros((2, 1)), w)       # 1 + 1 channels for a 3-channel kernel
+        nchw(conv2d_planes, x, np.zeros((2, 1)), w)  # 1 + 1 channels for a 3-channel kernel
     with pytest.raises(DimensionError):
-        conv2d_planes(x, np.zeros((3, 2)), w)       # batch 3 against 2
+        nchw(conv2d_planes, x, np.zeros((3, 2)), w)  # batch 3 against 2
 
 
 def test_gradcheck_conv2d_planes():
@@ -233,8 +243,8 @@ def test_gradcheck_conv2d_planes():
         planes = encode_condition_vector(values, kind, cardinality)
         x = Tensor(rng.normal(size=(2, 1, 6, 4)), requires_grad=True)
         w = Tensor(rng.normal(0, 0.5, size=(3, 1 + planes.shape[1], 4, 4)), requires_grad=True)
-        r = Tensor(rng.normal(size=conv2d_planes(x, planes, w, stride, padding).shape))
-        check(lambda: mean(conv2d_planes(x, planes, w, stride, padding) * r),
+        r = Tensor(rng.normal(size=nchw(conv2d_planes, x, planes, w, stride, padding).shape))
+        check(lambda: mean(nchw(conv2d_planes, x, planes, w, stride, padding) * r),
               {"x": x, "w": w}, 1e-6)
 
 
@@ -249,8 +259,8 @@ def test_frozen_params_get_no_gradient_and_others_are_unchanged():
     r = Tensor(rng.normal(size=(2, 4, 3, 3)))
 
     def loss():
-        h = leaky_relu(conv2d(Tensor(x), w1, stride=2, padding=1))
-        return mean(conv2d(h, w2, stride=1, padding=1) * r)
+        h = leaky_relu(nchw(conv2d, Tensor(x), w1, stride=2, padding=1))
+        return mean(nchw(conv2d, h, w2, stride=1, padding=1) * r)
 
     loss().backward()
     expected = w1.grad.copy()
@@ -349,7 +359,7 @@ def test_gradcheck_conv2d():
     b = Tensor(rng.normal(0, 0.5, size=(1, 3, 1, 1)), requires_grad=True)
     x = rng.normal(size=(2, 2, 5, 5))
     r = rng.normal(size=(2, 3, 3, 3))
-    check(lambda: mean((conv2d(Tensor(x), w, stride=2, padding=1) + b) * Tensor(r)),
+    check(lambda: mean((nchw(conv2d, Tensor(x), w, stride=2, padding=1) + b) * Tensor(r)),
           {"w": w, "b": b}, 1e-6)
 
 
@@ -358,7 +368,7 @@ def test_gradcheck_conv_transpose2d():
     w = Tensor(rng.normal(0, 0.5, size=(2, 3, 4, 4)), requires_grad=True)
     x = rng.normal(size=(2, 2, 3, 3))
     r = rng.normal(size=(2, 3, 6, 6))
-    check(lambda: mean(conv_transpose2d(Tensor(x), w, stride=2, padding=1) * Tensor(r)),
+    check(lambda: mean(nchw(conv_transpose2d, Tensor(x), w, stride=2, padding=1) * Tensor(r)),
           {"w": w}, 1e-6)
 
 
@@ -372,6 +382,13 @@ def test_gradcheck_activations():
     check(lambda: mean(leaky_relu(x, 0.2) * Tensor(r)), {"x": x}, 1e-6)
     check(lambda: mean(sigmoid(x) * Tensor(r)), {"x": x}, 1e-6)
     check(lambda: mean(tanh(x) * Tensor(r)), {"x": x}, 1e-6)
+
+
+def test_leaky_relu_rejects_slope_outside_unit_interval():
+    # max(a, alpha*a) is the leaky ReLU only for 0 <= alpha <= 1
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ContractError):
+            leaky_relu(Tensor(np.ones(2)), alpha)
 
 
 def test_gradcheck_log_clamped():
@@ -467,8 +484,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 3, 8, 8))
     w = rng.normal(size=(4, 3, 3, 3))
-    a = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
-    b = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+    a = nchw(conv2d, Tensor(x), Tensor(w), stride=1, padding=1).data
+    b = nchw(conv2d, Tensor(x), Tensor(w), stride=1, padding=1).data
     assert np.array_equal(a, b)
 
 

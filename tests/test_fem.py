@@ -2,14 +2,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from topogan.exceptions import (
     ConstraintError,
     DimensionError,
     ParameterError,
     SingularSystemError,
+    SolverError,
 )
 from topogan.fem import (
+    PCG_TOL,
     BoundaryConditions,
     DensityField,
     MeshSpec,
@@ -20,6 +23,7 @@ from topogan.fem import (
     filter_sensitivities,
     oc_update,
     run_simp,
+    _pcg,
     sensitivities,
 )
 
@@ -229,6 +233,27 @@ def test_solve_residual_contract():
         u = assemble_and_solve(density, 3.0, mesh, bc, solver=solver)
         rel = np.linalg.norm(K @ u[free] - f) / np.linalg.norm(f)
         assert rel <= 1e-8
+
+
+@pytest.mark.parametrize("seed,contrast", [(0, True), (1, True), (0, False)])
+def test_pcg_stops_on_the_true_residual(seed, contrast):
+    # on random 0/1 designs at x_min 1e-3 the CG recurrence residual can sit
+    # orders of magnitude below ||f - K u|| / ||f||; pcg either meets its
+    # tolerance on the true residual or raises SolverError
+    mesh = MeshSpec(60, 20)
+    rng = np.random.default_rng(seed)
+    x = (np.where(rng.random((20, 60)) < 0.5, 1.0, 1e-3) if contrast
+         else rng.uniform(0.2, 1.0, size=(20, 60)))
+    bc = BoundaryConditions.cantilever(mesh)
+    free = np.setdiff1d(np.arange(mesh.n_dofs), bc.fixed_dofs)
+    K = csr_matrix(dense_assembly_oracle(x, 3.0, mesh)[np.ix_(free, free)])
+    f = bc.force_vector(mesh)[free]
+    try:
+        u = _pcg(K, f, PCG_TOL)
+    except SolverError:
+        assert contrast
+        return
+    assert np.linalg.norm(f - K @ u) <= PCG_TOL * np.linalg.norm(f)
 
 
 def test_solve_detects_singular_system():

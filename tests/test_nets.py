@@ -1,7 +1,10 @@
 """Network construction, condition injection, and minibatch-feature tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_autodiff import conv_oracle, conv_transpose_oracle
 
 from topogan.autodiff import AdamState, Tensor, adam_step, grad_check, mean, tensor_sum
 from topogan.exceptions import DomainError, SpecError
@@ -107,6 +110,23 @@ def test_minibatch_duplicate_row_adds_one():
     f_dup = np.vstack([f, f[i]])
     out = minibatch_features(Tensor(f_dup), Tensor(t)).data
     assert np.allclose(out[i], base[i] + 1.0, atol=1e-10)
+
+
+def test_minibatch_backward_keeps_no_pairwise_channel_array():
+    # forward and backward at N=64, A=64, B=32, C=8 stay below the 8 MiB of a
+    # single (N, N, B, C) float64 array
+    rng = np.random.default_rng(7)
+    f = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+    t = Tensor(rng.normal(0, 0.1, size=(64, 32, 8)), requires_grad=True)
+    r = Tensor(rng.normal(size=(64, 32)))
+    tracemalloc.start()
+    try:
+        mean(minibatch_features(f, t) * r).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.grad.shape == (64, 64) and t.grad.shape == (64, 32, 8)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @settings(max_examples=20, deadline=None)
@@ -250,3 +270,47 @@ def test_network_end_to_end_gradcheck():
 
     report = grad_check(forward, params)
     assert report.max_rel_err < 1e-6, str(report)
+
+
+# ---------------------------------------------------------------------------
+# both networks against the same computation built from the NCHW loop oracles
+
+def leaky(v):
+    return np.where(v > 0, v, 0.2 * v)
+
+
+def randomized(net, seed):
+    """`net` with every parameter, biases included, drawn at random."""
+    rng = np.random.default_rng(seed)
+    for p in net.params().values():
+        p.data[...] = rng.normal(0.0, 0.3, size=p.data.shape)
+    return net
+
+
+def test_networks_match_nchw_loop_oracles():
+    # non-square maps pin the H and W axes; random biases pin their reshapes
+    rng = np.random.default_rng(13)
+    gen = randomized(Generator(tiny_gen_spec(out_w=12), seed=0), 1)
+    p = {k: v.data for k, v in gen.params().items()}
+    z = rng.normal(size=(3, 5))
+    conds = np.array([1, 0, 1], dtype=float)
+    h = leaky(np.concatenate([z, encode_condition_vector(conds, "class", 2)], axis=1)
+              @ p["dense.w"] + p["dense.b"]).reshape(3, 4, 2, 3)
+    h = leaky(conv_transpose_oracle(h, p["up1.w"], 2, 1) + p["up1.b"])
+    expected = 1.0 / (1.0 + np.exp(-(conv_transpose_oracle(h, p["up2.w"], 2, 1) + p["up2.b"])))
+    out = gen.forward(z, conds).data
+    assert out.shape == (3, 1, 8, 12)
+    assert np.abs(out - expected).max() < 1e-12
+
+    disc = randomized(Discriminator(tiny_disc_spec(in_w=12), seed=0), 2)
+    p = {k: v.data for k, v in disc.params().items()}
+    x = rng.uniform(0, 1, size=(3, 1, 8, 12))
+    planes = np.broadcast_to(encode_condition_vector(conds, "class", 2)[:, :, None, None],
+                             (3, 2, 8, 12))
+    h = leaky(conv_oracle(np.concatenate([x, planes], axis=1), p["conv1.w"], 2, 1)
+              + p["conv1.b"])
+    h = leaky(conv_oracle(h, p["conv2.w"], 2, 1) + p["conv2.b"])
+    expected = leaky(h.reshape(3, -1) @ p["feat.w"] + p["feat.b"])
+    feats = disc.features(x, conds).data
+    assert feats.shape == (3, 6)
+    assert np.abs(feats - expected).max() < 1e-12

@@ -3,6 +3,7 @@ import contextlib
 import json
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -330,6 +331,25 @@ def test_checkpoint_header_without_a_run_is_format_error(tmp_path, tiny_dataset,
             generator_from_checkpoint(path)
         with pytest.raises(FormatError):
             load_state(path, tiny_dataset, cfg)
+
+
+def test_checkpoint_declaring_a_huge_image_fails_before_allocating(tmp_path,
+                                                                  state_checkpoint):
+    # the header says 1024x1024 but the tensors are those of an 8x8 run: the
+    # table is checked against the specs before a generator of that size is built
+    header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(path, {**header, "data": {**header["data"], "height": 1024,
+                                              "width": 1024}}, tensors)
+    assert path.stat().st_size < 64_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            generator_from_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
