@@ -343,15 +343,18 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     return view.reshape(c * kh * kw, oh * ow * n)
 
 
-def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int, *,
+              cols: np.ndarray | None = None) -> np.ndarray:
+    """`cols`, when given, is x's patch matrix, already built by `_im2col`."""
     c, h, width, n = x.shape
     k, cw, kh, kw = w.shape
     if c != cw:
         raise DimensionError(f"input channels {c} != kernel channels {cw}")
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(width, kw, stride, padding)
-    out = w.reshape(k, -1) @ _im2col(x, kh, kw, stride, padding, oh, ow)
-    return out.reshape(k, oh, ow, n)
+    if cols is None:
+        cols = _im2col(x, kh, kw, stride, padding, oh, ow)
+    return (w.reshape(k, -1) @ cols).reshape(k, oh, ow, n)
 
 
 def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
@@ -372,10 +375,12 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
 
 
 def _conv_dw(x: np.ndarray, dout: np.ndarray, stride: int, padding: int,
-             kh: int, kw: int) -> np.ndarray:
+             kh: int, kw: int, *, cols: np.ndarray | None = None) -> np.ndarray:
+    """`cols`, when given, is x's patch matrix, already built by `_im2col`."""
     c = x.shape[0]
     k, oh, ow, _ = dout.shape
-    cols = _im2col(x, kh, kw, stride, padding, oh, ow)
+    if cols is None:
+        cols = _im2col(x, kh, kw, stride, padding, oh, ow)
     return (dout.reshape(k, -1) @ cols.T).reshape(k, c, kh, kw)
 
 
@@ -432,7 +437,9 @@ def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0) -> Tensor:
 def conv_transpose2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     """Adjoint of conv2d: (Cin,H,W,N) with kernels (Cin,Cout,kh,kw) -> (Cout,OH,OW,N).
 
-    Output spatial size is (H-1)*stride - 2*padding + kh.
+    Output spatial size is (H-1)*stride - 2*padding + kh. Both gradients read
+    the patch matrix of the upstream gradient g: when x and w both need one,
+    the x link builds it and hands it to the w link, which drops it after use.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -446,10 +453,20 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     if oh < 1 or ow < 1:
         raise DimensionError(f"transposed conv output {oh}x{ow} is empty")
     out = _conv_dx(x.data, w.data, stride, padding, (cout, oh, ow, n))
-    return Tensor._result(out, [
-        (x, lambda g: _conv_fwd(g, w.data, stride, padding)),
-        (w, lambda g: _conv_dw(g, x.data, stride, padding, kh, kw)),
-    ])
+    share = x.requires_grad and w.requires_grad
+    shared: list[np.ndarray] = []
+
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        cols = _im2col(g, kh, kw, stride, padding, h, width)
+        if share:
+            shared.append(cols)
+        return _conv_fwd(g, w.data, stride, padding, cols=cols)
+
+    def grad_w(g: np.ndarray) -> np.ndarray:
+        cols = shared.pop() if shared else None
+        return _conv_dw(g, x.data, stride, padding, kh, kw, cols=cols)
+
+    return Tensor._result(out, [(x, grad_x), (w, grad_w)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import convolve as nd_convolve
 
 from .exceptions import (
     ConsistencyError,
@@ -226,7 +225,9 @@ def gaussian_kernel(size: int = GAUSS_KERNEL_SIZE, sigma: float = GAUSS_SIGMA) -
 
 
 def postprocess(image: np.ndarray) -> np.ndarray:
-    """Threshold at 0.5 (>= 0.5 becomes 1), then 5x5 Gaussian blur, reflect padding."""
+    """Threshold at 0.5 (>= 0.5 becomes 1), then 5x5 Gaussian blur, with the
+    border padded by numpy's 'symmetric' mode (scipy's 'reflect': the edge
+    pixel is repeated)."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise DimensionError(f"expected a 2D image, got shape {image.shape}")
@@ -234,8 +235,13 @@ def postprocess(image: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"image {image.shape} smaller than the {GAUSS_KERNEL_SIZE}x{GAUSS_KERNEL_SIZE} kernel"
         )
-    blurred = nd_convolve(threshold(image), gaussian_kernel(), mode="reflect")
-    return np.clip(blurred, 0.0, 1.0)
+    h, w = image.shape
+    padded = np.pad(threshold(image), GAUSS_KERNEL_SIZE // 2, mode="symmetric")
+    blurred = np.zeros((h, w))
+    # the kernel is symmetric, so correlation and convolution agree
+    for (i, j), weight in np.ndenumerate(gaussian_kernel()):
+        blurred += weight * padded[i:i + h, j:j + w]
+    return np.clip(blurred, 0.0, 1.0, out=blurred)
 
 
 def threshold(image: np.ndarray) -> np.ndarray:

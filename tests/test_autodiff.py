@@ -372,6 +372,29 @@ def test_gradcheck_conv_transpose2d():
           {"w": w}, 1e-6)
 
 
+def test_conv_transpose2d_gradients_do_not_depend_on_which_inputs_need_them():
+    # the x link builds g's patch matrix and the w link reuses it; each
+    # gradient must be the same when the other input needs none
+    rng = np.random.default_rng(12)
+    xd = rng.normal(size=(2, 3, 3, 4))
+    wd = rng.normal(size=(2, 3, 4, 4))
+    r = Tensor(rng.normal(size=(3, 6, 6, 4)))
+
+    def grads(x_grad, w_grad, passes=1):
+        x = Tensor(xd, requires_grad=x_grad)
+        w = Tensor(wd, requires_grad=w_grad)
+        loss = mean(conv_transpose2d(x, w, stride=2, padding=1) * r)
+        for _ in range(passes):
+            loss.backward()
+        return x.grad, w.grad
+
+    gx, gw = grads(True, True)
+    assert np.array_equal(grads(True, False)[0], gx)
+    assert np.array_equal(grads(False, True)[1], gw)
+    gx2, gw2 = grads(True, True, passes=2)
+    assert np.array_equal(gx2, 2 * gx) and np.array_equal(gw2, 2 * gw)
+
+
 def test_gradcheck_activations():
     rng = np.random.default_rng(8)
     # keep leaky-relu inputs away from the kink

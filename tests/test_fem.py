@@ -23,6 +23,7 @@ from topogan.fem import (
     filter_sensitivities,
     oc_update,
     run_simp,
+    _filter_matrix,
     _pcg,
     sensitivities,
 )
@@ -480,6 +481,22 @@ def test_filter_matches_bruteforce_larger_radius():
     for rmin in (1.5, 2.4, 3.0):
         out = filter_sensitivities(DensityField(x), dc, rmin, mesh)
         assert np.abs(out - filter_oracle(x, dc, rmin)).max() < 1e-12
+
+
+def test_filter_matrix_is_cached_per_shape_and_radius_and_read_only():
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        for shape in ((7, 12), (9, 9)):
+            for rmin in (1.5, 2.5, 3.5):
+                x = rng.uniform(0.1, 1.0, size=shape)
+                dc = -rng.uniform(0.1, 3.0, size=shape)
+                out = filter_sensitivities(DensityField(x), dc, rmin, MeshSpec(shape[1], shape[0]))
+                assert np.abs(out - filter_oracle(x, dc, rmin)).max() < 1e-12
+                H, hsum = _filter_matrix(shape, rmin)
+                assert H.shape == (x.size, x.size) and hsum.shape == shape
+                for a in (H.data, hsum):
+                    with pytest.raises(ValueError):
+                        a[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
