@@ -91,9 +91,6 @@ class Tensor:
                 else:
                     scratch[id(parent)] = pg
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -279,14 +276,6 @@ def sigmoid(a) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.data))
     return Tensor._result(s, [
         (a, lambda g: g * s * (1.0 - s)),
-    ])
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    t = np.tanh(a.data)
-    return Tensor._result(t, [
-        (a, lambda g: g * (1.0 - t * t)),
     ])
 
 

@@ -46,13 +46,16 @@ def condition_dim(kind: str, cardinality: int, error=ParameterError) -> int:
     """Width of an encoded condition: one-hot `cardinality` for class, 1 for continuous.
 
     The one check of a condition kind; `error` is the exception type the
-    caller reports a bad kind or cardinality with.
+    caller reports a bad kind or cardinality with. Continuous conditions
+    have cardinality 0.
     """
     if kind == KIND_CLASS:
         if cardinality < 1:
             raise error("class conditions need cardinality >= 1")
         return cardinality
     if kind == KIND_CONTINUOUS:
+        if cardinality != 0:
+            raise error(f"continuous conditions have cardinality 0, got {cardinality}")
         return 1
     raise error(f"unknown condition kind '{kind}'")
 
@@ -417,12 +420,6 @@ def synth_classes(class_count: int, per_class: int, size: int, seed: int) -> Dat
             i += 1
     return Dataset(images=images, conditions=labels, kind=KIND_CLASS,
                    cardinality=class_count, volfrac=targets)
-
-
-def shuffle_dataset(ds: Dataset, seed: int) -> Dataset:
-    """Seeded permutation of the sample order."""
-    perm = np.random.default_rng(seed).permutation(len(ds))
-    return Dataset.from_records(ds.records[perm], ds.kind, ds.cardinality)
 
 
 # ---------------------------------------------------------------------------

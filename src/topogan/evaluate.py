@@ -6,7 +6,6 @@ and aggregate the absolute errors against the target.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,9 +50,6 @@ class EvalReport:
         if self.per_sample_compliance is None:
             del out["per_sample_compliance"]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,

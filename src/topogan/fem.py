@@ -86,6 +86,8 @@ class SimpParams:
             raise ParameterError(f"rmin must be positive, got {self.rmin}")
         if self.move <= 0.0:
             raise ParameterError(f"move limit must be positive, got {self.move}")
+        if self.max_iters < 1:
+            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -98,10 +100,6 @@ class DensityField:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DimensionError(f"density field must be 2D, got shape {self.values.shape}")
-
-    @property
-    def volume_fraction(self) -> float:
-        return float(self.values.mean())
 
     @staticmethod
     def uniform(mesh: MeshSpec, value: float) -> "DensityField":

@@ -6,7 +6,7 @@ so that a resumed run replays the identical order. All other randomness
 (noise, mismatch draws) comes from one generator whose state rides along in
 the checkpoint, making interrupt/resume bit-identical.
 
-Checkpoint binary (little-endian): magic "CRCG", u32 version=3, u32 header
+Checkpoint binary (little-endian): magic "CRCG", u32 version=4, u32 header
 length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
 back, and a u32 CRC32 of every byte before it. The header holds one
 description of the run: "config", the TrainConfig fields (the objective by
@@ -47,8 +47,8 @@ from .nets import Discriminator, DiscriminatorSpec, Generator, GeneratorSpec
 from .objectives import (
     MISMATCH_MARGIN,
     ConditionSampler,
-    ScoreBatch,
-    losses,
+    discriminator_loss,
+    generator_loss,
     needs_mismatch,
     sample_mismatched_condition,
 )
@@ -56,11 +56,11 @@ from .objectives import (
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"CRCG"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 _CKPT_PREFIX = struct.Struct("<4sII")   # magic, version, header length
 _CKPT_CRC = struct.Struct("<I")
 # TrainConfig fields a resumed run may change: they set the budget, not the model
-_BUDGET_FIELDS = ("steps", "iterations", "checkpoint_every")
+_BUDGET_FIELDS = ("steps", "checkpoint_every")
 
 COLLAPSE_WINDOW = 100    # trailing steps for the diversity median
 COLLAPSE_FACTOR = 0.1    # warn when diversity < factor * trailing median
@@ -69,9 +69,8 @@ COLLAPSE_FACTOR = 0.1    # warn when diversity < factor * trailing median
 @dataclass(frozen=True)
 class TrainConfig:
     objective: str
+    steps: int                            # total steps (including resumed ones)
     batch_size: int = 100
-    steps: int | None = None              # total steps (including resumed ones)
-    iterations: int | None = None         # alternative budget: dataset passes
     seed: int = 0
     z_dim: int = 64
     gen_channels: tuple[int, int] = (128, 64)
@@ -80,12 +79,10 @@ class TrainConfig:
     minibatch_discrimination: bool = True
     minibatch_kernels: int = 32
     minibatch_dim: int = 8
-    non_saturating: bool = True
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
     eps: float = 1e-8
-    mismatch_margin: float = MISMATCH_MARGIN
     checkpoint_every: int = 0             # 0: final checkpoint only
 
     def __post_init__(self):
@@ -94,19 +91,16 @@ class TrainConfig:
             raise ParameterError("batch_size must be >= 1")
         if self.minibatch_discrimination and self.batch_size < 2:
             raise ParameterError("minibatch discrimination needs batch_size >= 2")
-        if (self.steps is None) == (self.iterations is None):
-            raise ParameterError("set exactly one of steps or iterations")
-        budget = self.steps if self.steps is not None else self.iterations
-        if budget < 0:
-            raise ParameterError("budget must be >= 0")
+        if self.steps < 0:
+            raise ParameterError("steps must be >= 0")
+        if self.checkpoint_every < 0:
+            raise ParameterError("checkpoint_every must be >= 0")
         if self.lr <= 0:
             raise ParameterError("lr must be positive")
 
-    def resolve_steps(self, dataset_size: int) -> tuple[int, int]:
-        """(total steps, steps per iteration = ceil(n / batch)) for a dataset of n samples."""
-        spi = max(1, -(-dataset_size // self.batch_size))
-        total = self.steps if self.steps is not None else self.iterations * spi
-        return total, spi
+    def steps_per_iteration(self, dataset_size: int) -> int:
+        """ceil(n / batch): the steps of one pass over a dataset of n samples."""
+        return max(1, -(-dataset_size // self.batch_size))
 
 
 @dataclass
@@ -123,15 +117,14 @@ class TrainState:
     diversity_history: list = field(default_factory=list)
 
 
-def _sampler_for(dataset: Dataset, config: TrainConfig) -> ConditionSampler:
+def _sampler_for(dataset: Dataset) -> ConditionSampler:
     if dataset.kind == KIND_CLASS:
         return ConditionSampler(kind=KIND_CLASS, cardinality=dataset.cardinality)
     lo = float(dataset.conditions.min())
     hi = float(dataset.conditions.max())
-    if hi - lo < config.mismatch_margin:
-        hi = lo + max(2 * config.mismatch_margin, 1e-3)
-    return ConditionSampler(kind=KIND_CONTINUOUS, low=lo, high=min(hi, 1.0),
-                            margin=config.mismatch_margin)
+    if hi - lo < MISMATCH_MARGIN:
+        hi = lo + max(2 * MISMATCH_MARGIN, 1e-3)
+    return ConditionSampler(kind=KIND_CONTINUOUS, low=lo, high=min(hi, 1.0))
 
 
 def _net_specs(config: TrainConfig, data: dict) -> tuple[GeneratorSpec, DiscriminatorSpec]:
@@ -162,7 +155,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         adam_g=AdamState.for_params(gp, config.lr, config.beta1, config.beta2, config.eps),
         adam_d=AdamState.for_params(dp, config.lr, config.beta1, config.beta2, config.eps),
         rng=np.random.default_rng(seeds[2]),
-        sampler=_sampler_for(dataset, config),
+        sampler=_sampler_for(dataset),
     )
 
 
@@ -210,7 +203,7 @@ def _mismatch_partners(conds: np.ndarray, sampler: ConditionSampler,
         if sampler.kind == KIND_CLASS:
             candidates = np.flatnonzero(conds.astype(int) != int(c))
         else:
-            candidates = np.flatnonzero(np.abs(conds - c) >= sampler.margin)
+            candidates = np.flatnonzero(np.abs(conds - c) >= MISMATCH_MARGIN)
         if candidates.size == 0:
             raise ContractError(
                 "crcgan-b needs each batch to contain differing conditions")
@@ -247,9 +240,7 @@ def training_step(state: TrainState, images: np.ndarray,
             partners = _mismatch_partners(conds, state.sampler, state.rng)
             d_mismatch = state.disc.forward(x_real[partners], conds)
     d_fake = state.disc.forward(fake, conds)
-    scores = ScoreBatch(d_real_matched=d_real, d_fake=d_fake,
-                        d_real_mismatched=d_mismatch)
-    d_loss, _ = losses(cfg.objective, scores, non_saturating=cfg.non_saturating)
+    d_loss = discriminator_loss(cfg.objective, d_real, d_fake, d_mismatch)
     if not np.isfinite(d_loss.item()):
         raise TrainingAbort(f"non-finite discriminator loss at step {state.step + 1}")
     for p in disc_params.values():
@@ -263,10 +254,7 @@ def training_step(state: TrainState, images: np.ndarray,
     fake2 = state.gen.forward(z2, conds)
     with frozen(disc_params.values()):
         d_fake2 = state.disc.forward(fake2, conds)
-    g_scores = ScoreBatch(
-        d_real_matched=d_real.detach(), d_fake=d_fake2,
-        d_real_mismatched=None if d_mismatch is None else d_mismatch.detach())
-    _, g_loss = losses(cfg.objective, g_scores, non_saturating=cfg.non_saturating)
+    g_loss = generator_loss(d_fake2)
     if not np.isfinite(g_loss.item()):
         raise TrainingAbort(f"non-finite generator loss at step {state.step + 1}")
     for p in gen_params.values():
@@ -494,10 +482,10 @@ def train(config: TrainConfig, dataset: Dataset, out_dir,
     else:
         state = init_state(config, dataset)
         mode = "w"
-    total_steps, spi = config.resolve_steps(len(dataset))
+    spi = config.steps_per_iteration(len(dataset))
 
     with open(metrics_path, mode, encoding="utf-8") as metrics_fh:
-        while state.step < total_steps:
+        while state.step < config.steps:
             idx = batch_indices(config, spi, state.step, len(dataset))
             try:
                 record = training_step(

@@ -1,16 +1,28 @@
-"""The benchmark's per-layer hooks name entry points that exist in topogan.
+"""The benchmark still runs against topogan's current API.
 
 `bench/layers.py` wraps each `module:function` or `module:Class.method` in
 HOOKS by name; a target that no longer resolves only warns at run time and
 silently drops its per-layer metrics, so a rename must fail here instead.
+Each workload of BENCHMARK.json also runs once at toy size, so a removed
+name or option that a workload calls fails here and not only in the benchmark.
 """
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "bench" / "layers.py"
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+# the thread variables bench/run.py pins for its child processes
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def load_hooks() -> dict:
@@ -28,3 +40,17 @@ def test_bench_hook_target_resolves(target):
         assert hasattr(owner, part), f"{target}: {part} not found"
         owner = getattr(owner, part)
     assert callable(owner), target
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_runs_at_toy_size(workload, tmp_path):
+    out = tmp_path / f"{workload}.json"
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "workloads.py"), "--workload", workload,
+         "--size", "toy", "--seed", "0", "--seconds", "0", "--fixed", "--out", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]

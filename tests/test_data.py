@@ -16,7 +16,6 @@ from topogan.data import (
     montage,
     postprocess,
     read_dataset,
-    shuffle_dataset,
     sweep_generate,
     synth_classes,
     threshold,
@@ -255,6 +254,17 @@ def test_topd_rejects_out_of_range_records(tmp_path):
             read_dataset(bad)
 
 
+def test_topd_continuous_with_a_cardinality_is_format_error(tmp_path):
+    path = tmp_path / "k.topd"
+    write_dataset(small_dataset(), path)
+    blob = bytearray(path.read_bytes())
+    assert blob[20] == 0                       # kind byte: continuous
+    struct.pack_into("<I", blob, 21, 5)        # class cardinality
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="cardinality"):
+        read_dataset(path)
+
+
 def test_topd_bad_version(tmp_path):
     path = tmp_path / "ver.topd"
     write_dataset(small_dataset(), path)
@@ -414,16 +424,6 @@ def test_full_paper_grid_count_contract():
 # ---------------------------------------------------------------------------
 # misc utilities
 
-def test_shuffle_is_permutation():
-    ds = synth_classes(2, 6, 8, seed=0)
-    out = shuffle_dataset(ds, seed=3)
-    assert len(out) == len(ds)
-    assert sorted(map(tuple, out.images.reshape(len(out), -1).tolist())) == \
-        sorted(map(tuple, ds.images.reshape(len(ds), -1).tolist()))
-    again = shuffle_dataset(ds, seed=3)
-    assert out.equals(again)
-
-
 def test_write_pgm(tmp_path):
     image = np.array([[0.0, 0.5], [1.0, 0.25]])
     path = tmp_path / "img.pgm"
@@ -448,3 +448,10 @@ def test_condition_types_validate():
     with pytest.raises(ParameterError):
         Dataset(image, [3], kind="class", cardinality=3)
     assert Dataset(image, [2], kind="class", cardinality=3).conditions[0] == 2
+
+
+def test_continuous_conditions_have_cardinality_zero():
+    image = np.zeros((1, 4, 4))
+    with pytest.raises(ParameterError):
+        Dataset(image, [0.5], kind="continuous", cardinality=5)
+    assert Dataset(image, [0.5], kind="continuous", cardinality=0).cardinality == 0

@@ -573,7 +573,7 @@ def test_run_simp_cantilever_small():
     params = SimpParams(volfrac=0.5, penal=3.0, rmin=1.5)
     result = run_simp(mesh, params)
     assert result.converged
-    assert abs(result.density.volume_fraction - 0.5) <= 1e-3
+    assert abs(result.density.values.mean() - 0.5) <= 1e-3
     assert np.all(result.density.values >= params.x_min - 1e-12)
     assert np.all(result.density.values <= 1.0 + 1e-12)
     assert len(result.compliance_history) == result.iterations
@@ -619,3 +619,12 @@ def test_run_simp_nonconvergence_flag():
     result = run_simp(mesh, params)
     assert not result.converged
     assert result.iterations == 2
+
+
+def test_simp_params_need_at_least_one_iteration():
+    for max_iters in (0, -1):
+        with pytest.raises(ParameterError):
+            SimpParams(volfrac=0.5, max_iters=max_iters)
+    result = run_simp(MeshSpec(6, 4), SimpParams(volfrac=0.5, max_iters=1))
+    assert result.iterations == 1
+    assert len(result.compliance_history) == 1

@@ -84,19 +84,27 @@ def test_diversity_needs_two_images():
 # config validation and epoch ordering
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        TrainConfig(objective="cgan", steps=10, iterations=2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(TypeError):   # steps is a required field
         TrainConfig(objective="cgan")
+    with pytest.raises(ParameterError):
+        TrainConfig(objective="cgan", steps=-1)
     with pytest.raises(ParameterError):
         TrainConfig(objective="cgan", steps=10, batch_size=1,
                     minibatch_discrimination=True)
 
 
-def test_resolve_steps_iteration_semantics():
-    cfg = TrainConfig(objective="cgan", iterations=2, batch_size=100)
-    total, spi = cfg.resolve_steps(50_000)
-    assert spi == 500 and total == 1000
+def test_config_rejects_negative_checkpoint_cadence(tiny_dataset, tmp_path):
+    with pytest.raises(ParameterError):
+        desk_config(checkpoint_every=-1)
+    train(desk_config(steps=3, checkpoint_every=0), tiny_dataset, tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").glob("*.ckpt")) == ["final.ckpt"]
+
+
+def test_steps_per_iteration_rounds_up():
+    cfg = TrainConfig(objective="cgan", steps=1000, batch_size=100)
+    assert cfg.steps_per_iteration(50_000) == 500
+    assert cfg.steps_per_iteration(50_001) == 501
+    assert cfg.steps_per_iteration(1) == 1
 
 
 def test_epoch_order_deterministic_and_distinct():
@@ -169,7 +177,7 @@ def test_training_step_requires_full_batch(tiny_dataset):
 
 
 def test_metrics_mismatch_group_presence(tiny_dataset):
-    for objective, present in (("crcgan-a", True), ("cgan", False), ("gan", False)):
+    for objective, present in (("crcgan-a", True), ("cgan", False)):
         cfg = desk_config(objective=objective, steps=1)
         state = init_state(cfg, tiny_dataset)
         rec = training_step(state, tiny_dataset.images[:10], tiny_dataset.conditions[:10])
@@ -309,12 +317,14 @@ def test_checkpoint_header_without_a_run_is_format_error(tmp_path, tiny_dataset,
     save_checkpoint(path, {"step": 1, "config": {"objective": "wgan"}}, {})
     with pytest.raises(FormatError):
         generator_from_checkpoint(path)
-    # a version 2 file, which stored the network specs beside the config
-    old = bytearray(state_checkpoint)
-    struct.pack_into("<I", old, 4, 2)
-    path.write_bytes(seal(bytes(old)))
-    with pytest.raises(FormatError, match="version"):
-        load_checkpoint(path)
+    # version 2 files stored the network specs beside the config, and version 3
+    # configs had the fields non_saturating, iterations and mismatch_margin
+    for version in (2, 3):
+        old = bytearray(state_checkpoint)
+        struct.pack_into("<I", old, 4, version)
+        path.write_bytes(seal(bytes(old)))
+        with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
     # a missing or malformed data block
     cfg = desk_config(objective="crcgan-a", steps=2)
     header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
@@ -331,6 +341,18 @@ def test_checkpoint_header_without_a_run_is_format_error(tmp_path, tiny_dataset,
             generator_from_checkpoint(path)
         with pytest.raises(FormatError):
             load_state(path, tiny_dataset, cfg)
+
+
+def test_checkpoint_naming_a_removed_objective_is_format_error(tmp_path, tiny_dataset,
+                                                              state_checkpoint):
+    header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
+    path = tmp_path / "gan.ckpt"
+    save_checkpoint(path, {**header, "config": {**header["config"], "objective": "gan"}},
+                    tensors)
+    with pytest.raises(FormatError):
+        generator_from_checkpoint(path)
+    with pytest.raises(FormatError):
+        load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2))
 
 
 def test_checkpoint_declaring_a_huge_image_fails_before_allocating(tmp_path,
