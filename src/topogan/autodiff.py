@@ -465,17 +465,17 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
 class AdamState:
     """First/second moment accumulators plus shared hyperparameters."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     @staticmethod
-    def for_params(params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(params: list[Tensor], lr: float, beta1: float, beta2: float,
+                   eps: float) -> "AdamState":
         return AdamState(
             lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
             m=[np.zeros_like(p.data) for p in params],

@@ -61,8 +61,8 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     class's known fill fraction for the synthetic class datasets.
     """
     gen, config = generator_from_checkpoint(checkpoint_path)
-    if gen.spec.condition_kind == KIND_CLASS:
-        target = class_target_fraction(int(condition), gen.spec.condition_cardinality)
+    if gen.data["kind"] == KIND_CLASS:
+        target = class_target_fraction(int(condition), gen.data["cardinality"])
     else:
         target = float(condition)
     processed = [postprocess(img) for img in sample(gen, condition, count, seed)]

@@ -55,10 +55,6 @@ class MeshSpec:
             raise ParameterError(f"young modulus must be positive, got {self.young_modulus}")
 
     @property
-    def n_elements(self) -> int:
-        return self.nelx * self.nely
-
-    @property
     def n_dofs(self) -> int:
         return 2 * (self.nelx + 1) * (self.nely + 1)
 
@@ -180,7 +176,7 @@ def element_stiffness(nu: float = 0.3, E: float = 1.0) -> np.ndarray:
 
 
 def element_dof_map(mesh: MeshSpec) -> np.ndarray:
-    """(n_elements, 8) global DOF indices per element, element order row-major."""
+    """(nelx * nely, 8) global DOF indices per element, element order row-major."""
     ex, ey = np.meshgrid(np.arange(mesh.nelx), np.arange(mesh.nely))
     ex, ey = ex.ravel(), ey.ravel()
     n1 = (mesh.nely + 1) * ex + ey           # upper-left node

@@ -6,6 +6,11 @@ the discriminator downsamples twice, extracts a dense feature vector, and
 optionally appends batch-similarity features that let it see the whole
 minibatch at once (the standard countermeasure against generator collapse).
 
+Both are built from a run's `train.TrainConfig`, whose network fields they
+read, and the shape of its data, the {height, width, kind, cardinality} dict.
+`generator_shapes` and `discriminator_shapes` give their parameter shapes and
+raise SpecError for a run that cannot build them.
+
 The condition reaches G as its encoded vector, concatenated to the noise.
 D sees it as cond_dim constant planes stacked under the image, so conv1.w
 has 1 + cond_dim input channels; `autodiff.conv2d_planes` applies those
@@ -20,8 +25,6 @@ its (c, h, w) row order. Parameters keep their stored shapes, conv biases
 (1, C, 1, 1) included, and are reshaped in forward.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,93 +57,62 @@ def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarr
     return values[:, None].copy()
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    out_h: int
-    out_w: int
-    z_dim: int = 64
-    condition_kind: str = KIND_CLASS
-    condition_cardinality: int = 0
-    channels: tuple[int, int] = (128, 64)
-
-    def __post_init__(self):
-        condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
-        if self.z_dim < 1:
-            raise SpecError(f"z_dim must be >= 1, got {self.z_dim}")
-        if min(self.out_h, self.out_w) < 4 or self.out_h % 4 or self.out_w % 4:
-            raise SpecError(
-                f"output {self.out_h}x{self.out_w} must be positive multiples of 4 "
-                "(two 2x upsampling stages)"
-            )
-        if len(self.channels) != 2 or min(self.channels) < 1:
-            raise SpecError(f"channel plan must be two positive ints, got {self.channels}")
-
-    @property
-    def cond_dim(self) -> int:
-        return condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
-
-    @property
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        c0, c1 = self.channels
-        proj = c0 * (self.out_h // 4) * (self.out_w // 4)
-        return {
-            "dense.w": (self.z_dim + self.cond_dim, proj),
-            "dense.b": (proj,),
-            "up1.w": (c0, c1, 4, 4),
-            "up1.b": (1, c1, 1, 1),
-            "up2.w": (c1, 1, 4, 4),
-            "up2.b": (1, 1, 1, 1),
-        }
+def _image_dims(data: dict) -> tuple[int, int, int]:
+    """(height, width, cond_dim) of a data shape, or SpecError."""
+    cond_dim = condition_dim(data["kind"], data["cardinality"], SpecError)
+    h, w = data["height"], data["width"]
+    if min(h, w) < 4 or h % 4 or w % 4:
+        raise SpecError(
+            f"images {h}x{w} must be positive multiples of 4 (two 2x resampling stages)")
+    return h, w, cond_dim
 
 
-@dataclass(frozen=True)
-class DiscriminatorSpec:
-    in_h: int
-    in_w: int
-    condition_kind: str = KIND_CLASS
-    condition_cardinality: int = 0
-    channels: tuple[int, int] = (32, 64)
-    feature_dim: int = 64
-    minibatch: bool = True
-    minibatch_kernels: int = 32   # B
-    minibatch_dim: int = 8        # C
+def _channel_pair(channels) -> tuple[int, int]:
+    if len(channels) != 2 or min(channels) < 1:
+        raise SpecError(f"channel plan must be two positive ints, got {channels}")
+    return channels
 
-    def __post_init__(self):
-        condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
-        if min(self.in_h, self.in_w) < 4 or self.in_h % 4 or self.in_w % 4:
-            raise SpecError(
-                f"input {self.in_h}x{self.in_w} must be positive multiples of 4 "
-                "(two 2x downsampling stages)"
-            )
-        if len(self.channels) != 2 or min(self.channels) < 1:
-            raise SpecError(f"channel plan must be two positive ints, got {self.channels}")
-        if self.feature_dim < 1:
-            raise SpecError("feature_dim must be >= 1")
-        if self.minibatch and (self.minibatch_kernels < 1 or self.minibatch_dim < 1):
-            raise SpecError("minibatch feature dims must be >= 1")
 
-    @property
-    def cond_dim(self) -> int:
-        return condition_dim(self.condition_kind, self.condition_cardinality, SpecError)
+def generator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
+    """G's parameter shapes in init order, from a TrainConfig and a data shape."""
+    h, w, cond_dim = _image_dims(data)
+    if config.z_dim < 1:
+        raise SpecError(f"z_dim must be >= 1, got {config.z_dim}")
+    c0, c1 = _channel_pair(config.gen_channels)
+    proj = c0 * (h // 4) * (w // 4)
+    return {
+        "dense.w": (config.z_dim + cond_dim, proj),
+        "dense.b": (proj,),
+        "up1.w": (c0, c1, 4, 4),
+        "up1.b": (1, c1, 1, 1),
+        "up2.w": (c1, 1, 4, 4),
+        "up2.b": (1, 1, 1, 1),
+    }
 
-    @property
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        c1, c2 = self.channels
-        head_in = self.feature_dim + (self.minibatch_kernels if self.minibatch else 0)
-        shapes = {
-            "conv1.w": (c1, 1 + self.cond_dim, 4, 4),
-            "conv1.b": (1, c1, 1, 1),
-            "conv2.w": (c2, c1, 4, 4),
-            "conv2.b": (1, c2, 1, 1),
-            "feat.w": (c2 * (self.in_h // 4) * (self.in_w // 4), self.feature_dim),
-            "feat.b": (self.feature_dim,),
-            "head.w": (head_in, 1),
-            "head.b": (1,),
-        }
-        if self.minibatch:
-            shapes["minibatch.T"] = (self.feature_dim, self.minibatch_kernels,
-                                     self.minibatch_dim)
-        return shapes
+
+def discriminator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
+    """D's parameter shapes in init order, from a TrainConfig and a data shape."""
+    h, w, cond_dim = _image_dims(data)
+    c1, c2 = _channel_pair(config.disc_channels)
+    a = config.feature_dim
+    if a < 1:
+        raise SpecError("feature_dim must be >= 1")
+    minibatch = config.minibatch_discrimination
+    if minibatch and (config.minibatch_kernels < 1 or config.minibatch_dim < 1):
+        raise SpecError("minibatch feature dims must be >= 1")
+    shapes = {
+        "conv1.w": (c1, 1 + cond_dim, 4, 4),
+        "conv1.b": (1, c1, 1, 1),
+        "conv2.w": (c2, c1, 4, 4),
+        "conv2.b": (1, c2, 1, 1),
+        "feat.w": (c2 * (h // 4) * (w // 4), a),
+        "feat.b": (a,),
+        "head.w": (a + (config.minibatch_kernels if minibatch else 0), 1),
+        "head.b": (1,),
+    }
+    if minibatch:
+        shapes["minibatch.T"] = (a, config.minibatch_kernels, config.minibatch_dim)
+    return shapes
 
 
 def _init_params(shapes: dict[str, tuple[int, ...]], seed) -> dict[str, Tensor]:
@@ -212,26 +184,26 @@ def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
 class Generator:
     """Noise + condition -> image in [0,1], shape (N, 1, H, W)."""
 
-    def __init__(self, spec: GeneratorSpec, seed: int):
-        self.spec = spec
-        self._params = _init_params(spec.param_shapes, seed)
+    def __init__(self, config, data: dict, seed: int):
+        self.config, self.data = config, data
+        self._params = _init_params(generator_shapes(config, data), seed)
 
     def params(self) -> dict[str, Tensor]:
         return self._params
 
     def forward(self, z, condition_values) -> Tensor:
-        spec = self.spec
+        z_dim, data = self.config.z_dim, self.data
         z = z if isinstance(z, Tensor) else Tensor(z)
-        if z.data.ndim != 2 or z.data.shape[1] != spec.z_dim:
-            raise SpecError(f"noise must be (N, {spec.z_dim}), got {z.shape}")
+        if z.data.ndim != 2 or z.data.shape[1] != z_dim:
+            raise SpecError(f"noise must be (N, {z_dim}), got {z.shape}")
         cond = Tensor(encode_condition_vector(
-            condition_values, spec.condition_kind, spec.condition_cardinality))
+            condition_values, data["kind"], data["cardinality"]))
         if cond.data.shape[0] != z.data.shape[0]:
             raise SpecError("noise and condition batch sizes differ")
         p = self._params
         h = ad.concat([z, cond], axis=1) @ p["dense.w"] + p["dense.b"]
         h = ad.leaky_relu(h, LEAKY_SLOPE)
-        h = h.reshape(z.data.shape[0], -1, spec.out_h // 4, spec.out_w // 4)
+        h = h.reshape(z.data.shape[0], -1, data["height"] // 4, data["width"] // 4)
         h = ad.transpose(h, (1, 2, 3, 0))
         h = ad.conv_transpose2d(h, p["up1.w"], stride=2, padding=1) \
             + p["up1.b"].reshape(-1, 1, 1, 1)
@@ -244,24 +216,23 @@ class Generator:
 class Discriminator:
     """Image + condition -> score in (0,1) per sample, shape (N,)."""
 
-    def __init__(self, spec: DiscriminatorSpec, seed: int):
-        self.spec = spec
-        self._params = _init_params(spec.param_shapes, seed)
+    def __init__(self, config, data: dict, seed: int):
+        self.config, self.data = config, data
+        self._params = _init_params(discriminator_shapes(config, data), seed)
 
     def params(self) -> dict[str, Tensor]:
         return self._params
 
     def features(self, x, condition_values) -> Tensor:
         """Per-sample dense features (before any batch mixing), shape (N, A)."""
-        spec = self.spec
+        data = self.data
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.data.ndim != 4 or x.data.shape[1] != 1 or \
-                x.data.shape[2:] != (spec.in_h, spec.in_w):
+                x.data.shape[2:] != (data["height"], data["width"]):
             raise SpecError(
-                f"input must be (N, 1, {spec.in_h}, {spec.in_w}), got {x.shape}")
+                f"input must be (N, 1, {data['height']}, {data['width']}), got {x.shape}")
         n = x.data.shape[0]
-        cond = encode_condition_vector(
-            condition_values, spec.condition_kind, spec.condition_cardinality)
+        cond = encode_condition_vector(condition_values, data["kind"], data["cardinality"])
         if cond.shape[0] != n:
             raise SpecError("image and condition batch sizes differ")
         p = self._params
@@ -277,10 +248,9 @@ class Discriminator:
         return ad.leaky_relu(h, LEAKY_SLOPE)
 
     def forward(self, x, condition_values) -> Tensor:
-        spec = self.spec
         f = self.features(x, condition_values)
         p = self._params
-        if spec.minibatch:
+        if self.config.minibatch_discrimination:
             o = minibatch_features(f, p["minibatch.T"])
             f = ad.concat([f, o], axis=1)
         logit = f @ p["head.w"] + p["head.b"]

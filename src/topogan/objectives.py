@@ -46,7 +46,7 @@ def _scores(scores, name: str, like: Tensor | None = None) -> Tensor:
     t = scores if isinstance(scores, Tensor) else Tensor(scores)
     if t.data.size == 0:
         raise ContractError(f"{name}: empty score batch")
-    if t.data.min() < 0.0 or t.data.max() > 1.0:
+    if not (t.data.min() >= 0.0 and t.data.max() <= 1.0):   # NaN fails both
         raise ContractError(f"{name}: scores must lie in [0, 1]")
     if like is not None and t.data.shape != like.data.shape:
         raise ContractError("score groups must share the batch size")

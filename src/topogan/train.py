@@ -11,14 +11,14 @@ length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
 back, and a u32 CRC32 of every byte before it. The header holds one
 description of the run: "config", the TrainConfig fields (the objective by
 name), and "data", the shape of the training data {height, width, kind,
-cardinality}; both network specs are built from these two by `_net_specs`.
-It also holds the step, the Adam step counts, the rng state, the trailing
-diversity window, and the tensor table [[name, shape], ...] that orders the
-tensor data. A checkpoint is written to a temporary file in its directory and
-renamed into place, so a crash never leaves a partial file under its name.
-Metrics are one JSON object per line with keys step, iter, d_loss, g_loss,
-diversity, mean_score_real, mean_score_fake, mean_score_mismatch (null when
-unused), wall_ms; a resumed run first drops the records past its checkpoint.
+cardinality}; both networks are built from these two. It also holds the step,
+the Adam step counts, the rng state, the trailing diversity window, and the
+tensor table [[name, shape], ...] that orders the tensor data. A checkpoint
+is written to a temporary file in its directory and renamed into place, so a
+crash never leaves a partial file under its name. Metrics are one JSON object
+per line with keys step, iter, d_loss, g_loss, diversity, mean_score_real,
+mean_score_fake, mean_score_mismatch (null when unused), wall_ms; a resumed
+run first drops the records past its checkpoint.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .exceptions import (
     ParameterError,
     TrainingAbort,
 )
-from .nets import Discriminator, DiscriminatorSpec, Generator, GeneratorSpec
+from .nets import Discriminator, Generator, discriminator_shapes, generator_shapes
 from .objectives import (
     MISMATCH_MARGIN,
     ConditionSampler,
@@ -95,8 +95,13 @@ class TrainConfig:
             raise ParameterError("steps must be >= 0")
         if self.checkpoint_every < 0:
             raise ParameterError("checkpoint_every must be >= 0")
-        if self.lr <= 0:
+        if not self.lr > 0:   # NaN included
             raise ParameterError("lr must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ParameterError(
+                f"Adam betas must lie in [0, 1), got {self.beta1} and {self.beta2}")
+        if not self.eps > 0:
+            raise ParameterError("eps must be positive")
 
     def steps_per_iteration(self, dataset_size: int) -> int:
         """ceil(n / batch): the steps of one pass over a dataset of n samples."""
@@ -127,28 +132,12 @@ def _sampler_for(dataset: Dataset) -> ConditionSampler:
     return ConditionSampler(kind=KIND_CONTINUOUS, low=lo, high=min(hi, 1.0))
 
 
-def _net_specs(config: TrainConfig, data: dict) -> tuple[GeneratorSpec, DiscriminatorSpec]:
-    """The network specs of a run: its config applied to the shape of its data."""
-    h, w, kind, cardinality = data["height"], data["width"], data["kind"], data["cardinality"]
-    return (
-        GeneratorSpec(out_h=h, out_w=w, z_dim=config.z_dim, condition_kind=kind,
-                      condition_cardinality=cardinality, channels=config.gen_channels),
-        DiscriminatorSpec(in_h=h, in_w=w, condition_kind=kind,
-                          condition_cardinality=cardinality, channels=config.disc_channels,
-                          feature_dim=config.feature_dim,
-                          minibatch=config.minibatch_discrimination,
-                          minibatch_kernels=config.minibatch_kernels,
-                          minibatch_dim=config.minibatch_dim),
-    )
-
-
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     data = {"height": dataset.height, "width": dataset.width, "kind": dataset.kind,
             "cardinality": dataset.cardinality}
-    gen_spec, disc_spec = _net_specs(config, data)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
-    gen = Generator(gen_spec, seed=seeds[0])
-    disc = Discriminator(disc_spec, seed=seeds[1])
+    gen = Generator(config, data, seed=seeds[0])
+    disc = Discriminator(config, data, seed=seeds[1])
     gp, dp = list(gen.params().values()), list(disc.params().values())
     return TrainState(
         config=config, data=data, gen=gen, disc=disc,
@@ -211,6 +200,12 @@ def _mismatch_partners(conds: np.ndarray, sampler: ConditionSampler,
     return out
 
 
+def _abort_unless_finite(step: int, *scores) -> None:
+    """TrainingAbort if D has diverged; finite scores lie in (0, 1) and give finite losses."""
+    if not all(s is None or np.isfinite(s.data).all() for s in scores):
+        raise TrainingAbort(f"non-finite discriminator scores at step {step}")
+
+
 def training_step(state: TrainState, images: np.ndarray,
                   conditions: np.ndarray) -> dict:
     """One discriminator update followed by one generator update (fresh noise)."""
@@ -240,9 +235,8 @@ def training_step(state: TrainState, images: np.ndarray,
             partners = _mismatch_partners(conds, state.sampler, state.rng)
             d_mismatch = state.disc.forward(x_real[partners], conds)
     d_fake = state.disc.forward(fake, conds)
+    _abort_unless_finite(state.step + 1, d_real, d_fake, d_mismatch)
     d_loss = discriminator_loss(cfg.objective, d_real, d_fake, d_mismatch)
-    if not np.isfinite(d_loss.item()):
-        raise TrainingAbort(f"non-finite discriminator loss at step {state.step + 1}")
     for p in disc_params.values():
         p.zero_grad()
     d_loss.backward()
@@ -254,9 +248,8 @@ def training_step(state: TrainState, images: np.ndarray,
     fake2 = state.gen.forward(z2, conds)
     with frozen(disc_params.values()):
         d_fake2 = state.disc.forward(fake2, conds)
+    _abort_unless_finite(state.step + 1, d_fake2)
     g_loss = generator_loss(d_fake2)
-    if not np.isfinite(g_loss.item()):
-        raise TrainingAbort(f"non-finite generator loss at step {state.step + 1}")
     for p in gen_params.values():
         p.zero_grad()
     g_loss.backward()
@@ -385,16 +378,20 @@ def write_state(state: TrainState, path) -> None:
     }, _state_tensors(state))
 
 
-def _stored_run(header: dict) -> tuple[TrainConfig, dict, GeneratorSpec]:
-    """The config and data shape a checkpoint header stores, and its generator spec."""
+def _stored_run(header: dict) -> tuple[TrainConfig, dict, dict[str, tuple]]:
+    """The config and data shape a checkpoint header stores, and its generator's shapes.
+
+    Both networks must be buildable from them, or the header raises FormatError.
+    """
     try:
         config = TrainConfig(**{k: tuple(v) if isinstance(v, list) else v
                                 for k, v in header["config"].items()})
         data = header["data"]
-        gen_spec, _ = _net_specs(config, data)
+        gen_shapes = generator_shapes(config, data)
+        discriminator_shapes(config, data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a run: {exc}") from None
-    return config, data, gen_spec
+    return config, data, gen_shapes
 
 
 def _check_shapes(shapes: dict[str, tuple], tensors: dict[str, np.ndarray]) -> None:
@@ -515,31 +512,29 @@ def read_metrics(path) -> list[dict]:
 def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
     """The trained generator stored in a checkpoint, and the config it was trained with."""
     header, tensors = load_checkpoint(path)
-    config, _, gen_spec = _stored_run(header)
+    config, data, gen_shapes = _stored_run(header)
     # before any weight is drawn: the header alone sets the generator's size
-    _check_shapes({f"g.{name}": shape for name, shape in gen_spec.param_shapes.items()},
-                  tensors)
-    gen = Generator(gen_spec, seed=0)
+    _check_shapes({f"g.{name}": shape for name, shape in gen_shapes.items()}, tensors)
+    gen = Generator(config, data, seed=0)
     _fill({f"g.{name}": p.data for name, p in gen.params().items()}, tensors)
     return gen, config
 
 
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     """Generate `count` images at a fixed condition; deterministic given seed."""
-    spec = gen.spec
-    if spec.condition_kind == KIND_CLASS:
+    data = gen.data
+    if data["kind"] == KIND_CLASS:
         condition = int(condition)
-        if not (0 <= condition < spec.condition_cardinality):
-            raise DomainError(
-                f"class {condition} outside cardinality {spec.condition_cardinality}")
+        if not (0 <= condition < data["cardinality"]):
+            raise DomainError(f"class {condition} outside cardinality {data['cardinality']}")
     else:
         condition = float(condition)
         if not (0.0 <= condition <= 1.0):
             raise DomainError(f"continuous condition {condition} outside [0, 1]")
     if count == 0:
-        return np.empty((0, spec.out_h, spec.out_w))
+        return np.empty((0, data["height"], data["width"]))
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, spec.z_dim))
+    z = rng.standard_normal((count, gen.config.z_dim))
     conds = np.full(count, condition, dtype=np.float64)
     with frozen(gen.params().values()):
         return gen.forward(z, conds).data[:, 0, :, :]

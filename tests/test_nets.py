@@ -10,27 +10,23 @@ from topogan.autodiff import AdamState, Tensor, adam_step, grad_check, mean, ten
 from topogan.exceptions import DomainError, SpecError
 from topogan.nets import (
     Discriminator,
-    DiscriminatorSpec,
     Generator,
-    GeneratorSpec,
+    discriminator_shapes,
     encode_condition_vector,
+    generator_shapes,
     minibatch_features,
 )
+from topogan.train import TrainConfig
 
 
-def tiny_gen_spec(**over):
-    base = dict(out_h=8, out_w=8, z_dim=5, condition_kind="class",
-                condition_cardinality=2, channels=(4, 3))
-    base.update(over)
-    return GeneratorSpec(**base)
-
-
-def tiny_disc_spec(**over):
-    base = dict(in_h=8, in_w=8, condition_kind="class", condition_cardinality=2,
-                channels=(3, 4), feature_dim=6, minibatch=True,
+def tiny_run(height=8, width=8, cardinality=2, **over):
+    """(config, data) of a run with tiny nets on `height` x `width` class images."""
+    base = dict(objective="cgan", steps=1, z_dim=5, gen_channels=(4, 3),
+                disc_channels=(3, 4), feature_dim=6, minibatch_discrimination=True,
                 minibatch_kernels=4, minibatch_dim=3)
     base.update(over)
-    return DiscriminatorSpec(**base)
+    return TrainConfig(**base), {"height": height, "width": width, "kind": "class",
+                                 "cardinality": cardinality}
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ def test_continuous_encoding():
 # generator
 
 def test_generator_output_shape_and_range():
-    gen = Generator(tiny_gen_spec(out_h=16, out_w=16), seed=0)
+    gen = Generator(*tiny_run(height=16, width=16), seed=0)
     z = np.random.default_rng(0).normal(size=(4, 5))
     out = gen.forward(z, [0, 1, 0, 1])
     assert out.shape == (4, 1, 16, 16)
@@ -168,40 +164,48 @@ def test_generator_output_shape_and_range():
 
 
 def test_generator_seed_reproducible():
-    a = Generator(tiny_gen_spec(), seed=7)
-    b = Generator(tiny_gen_spec(), seed=7)
+    a = Generator(*tiny_run(), seed=7)
+    b = Generator(*tiny_run(), seed=7)
     for name in a.params():
         assert np.array_equal(a.params()[name].data, b.params()[name].data)
-    c = Generator(tiny_gen_spec(), seed=8)
+    c = Generator(*tiny_run(), seed=8)
     assert any(not np.array_equal(a.params()[n].data, c.params()[n].data)
                for n in a.params())
 
 
 def test_generator_spec_validation():
     with pytest.raises(SpecError):
-        GeneratorSpec(out_h=10, out_w=8, z_dim=4, condition_kind="class",
-                      condition_cardinality=2)
+        generator_shapes(*tiny_run(height=10, z_dim=4))
     with pytest.raises(SpecError):   # divisible by 4, but no image
-        GeneratorSpec(out_h=-4, out_w=8, z_dim=4, condition_kind="class",
-                      condition_cardinality=2)
+        generator_shapes(*tiny_run(height=-4, z_dim=4))
     with pytest.raises(SpecError):
-        GeneratorSpec(out_h=8, out_w=8, z_dim=0, condition_kind="class",
-                      condition_cardinality=2)
+        generator_shapes(*tiny_run(z_dim=0))
     with pytest.raises(SpecError):
-        GeneratorSpec(out_h=8, out_w=8, z_dim=4, condition_kind="class",
-                      condition_cardinality=0)
+        generator_shapes(*tiny_run(z_dim=4, cardinality=0))
+
+
+def test_discriminator_shapes_validation():
+    for over in (dict(disc_channels=(0, 4)), dict(feature_dim=0),
+                 dict(minibatch_kernels=0)):
+        config, data = tiny_run(**over)
+        generator_shapes(config, data)
+        with pytest.raises(SpecError):
+            discriminator_shapes(config, data)
+    # the minibatch dims are only checked when minibatch discrimination is on
+    discriminator_shapes(*tiny_run(minibatch_kernels=0, minibatch_discrimination=False))
 
 
 def test_generator_condition_sensitivity_after_training_step():
     # one gradient step on class-separated targets makes outputs condition-dependent
     rng = np.random.default_rng(9)
-    gen = Generator(tiny_gen_spec(), seed=3)
+    gen = Generator(*tiny_run(), seed=3)
     z = rng.normal(size=(6, 5))
     conds = np.array([0, 0, 0, 1, 1, 1], dtype=float)
     targets = np.where(conds[:, None, None, None] > 0, 0.9, 0.1) * np.ones((6, 1, 8, 8))
 
     params = gen.params()
-    state = AdamState.for_params(list(params.values()), lr=0.05)
+    state = AdamState.for_params(list(params.values()), lr=0.05, beta1=0.9, beta2=0.999,
+                                 eps=1e-8)
     for _ in range(3):
         for p in params.values():
             p.zero_grad()
@@ -220,7 +224,7 @@ def test_generator_condition_sensitivity_after_training_step():
 # discriminator
 
 def test_discriminator_scores_shape_and_range():
-    disc = Discriminator(tiny_disc_spec(), seed=1)
+    disc = Discriminator(*tiny_run(), seed=1)
     x = np.random.default_rng(2).uniform(0, 1, size=(4, 1, 8, 8))
     scores = disc.forward(x, [0, 1, 1, 0])
     assert scores.shape == (4,)
@@ -228,15 +232,15 @@ def test_discriminator_scores_shape_and_range():
 
 
 def test_discriminator_minibatch_widens_head():
-    with_mb = Discriminator(tiny_disc_spec(minibatch=True), seed=0)
-    without = Discriminator(tiny_disc_spec(minibatch=False), seed=0)
+    with_mb = Discriminator(*tiny_run(minibatch_discrimination=True), seed=0)
+    without = Discriminator(*tiny_run(minibatch_discrimination=False), seed=0)
     a = with_mb.params()["head.w"].data.shape[0]
     b = without.params()["head.w"].data.shape[0]
-    assert a == b + tiny_disc_spec().minibatch_kernels
+    assert a == b + tiny_run()[0].minibatch_kernels
 
 
 def test_discriminator_per_sample_independence_without_minibatch():
-    disc = Discriminator(tiny_disc_spec(minibatch=False), seed=4)
+    disc = Discriminator(*tiny_run(minibatch_discrimination=False), seed=4)
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, size=(5, 1, 8, 8))
     conds = np.array([0, 1, 0, 1, 0], dtype=float)
@@ -247,16 +251,16 @@ def test_discriminator_per_sample_independence_without_minibatch():
 
 
 def test_discriminator_seed_reproducible():
-    a = Discriminator(tiny_disc_spec(), seed=11)
-    b = Discriminator(tiny_disc_spec(), seed=11)
+    a = Discriminator(*tiny_run(), seed=11)
+    b = Discriminator(*tiny_run(), seed=11)
     for name in a.params():
         assert np.array_equal(a.params()[name].data, b.params()[name].data)
 
 
 def test_network_end_to_end_gradcheck():
     rng = np.random.default_rng(12)
-    gen = Generator(tiny_gen_spec(), seed=21)
-    disc = Discriminator(tiny_disc_spec(), seed=22)
+    gen = Generator(*tiny_run(), seed=21)
+    disc = Discriminator(*tiny_run(), seed=22)
     z = rng.normal(size=(3, 5))
     conds = np.array([0, 1, 1], dtype=float)
 
@@ -290,7 +294,7 @@ def randomized(net, seed):
 def test_networks_match_nchw_loop_oracles():
     # non-square maps pin the H and W axes; random biases pin their reshapes
     rng = np.random.default_rng(13)
-    gen = randomized(Generator(tiny_gen_spec(out_w=12), seed=0), 1)
+    gen = randomized(Generator(*tiny_run(width=12), seed=0), 1)
     p = {k: v.data for k, v in gen.params().items()}
     z = rng.normal(size=(3, 5))
     conds = np.array([1, 0, 1], dtype=float)
@@ -302,7 +306,7 @@ def test_networks_match_nchw_loop_oracles():
     assert out.shape == (3, 1, 8, 12)
     assert np.abs(out - expected).max() < 1e-12
 
-    disc = randomized(Discriminator(tiny_disc_spec(in_w=12), seed=0), 2)
+    disc = randomized(Discriminator(*tiny_run(width=12), seed=0), 2)
     p = {k: v.data for k, v in disc.params().items()}
     x = rng.uniform(0, 1, size=(3, 1, 8, 12))
     planes = np.broadcast_to(encode_condition_vector(conds, "class", 2)[:, :, None, None],

@@ -124,6 +124,23 @@ def test_scores_outside_unit_interval_rejected():
         generator_loss(np.array([0.5, 1.5]))
 
 
+def test_discriminator_loss_rejects_nan_scores():
+    nan = float("nan")
+    with pytest.raises(ContractError):
+        d_loss_of("cgan", [nan, 0.5], [0.5, 0.5])
+    for real, fake, mismatched in (([nan], [0.5], [0.5]), ([0.5], [nan], [0.5]),
+                                   ([0.5], [0.5], [nan])):
+        with pytest.raises(ContractError):
+            d_loss_of("crcgan-a", real, fake, mismatched)
+
+
+def test_generator_loss_rejects_nan_scores():
+    with pytest.raises(ContractError):
+        generator_loss(np.array([float("nan")]))
+    with pytest.raises(ContractError):
+        generator_loss(np.array([0.5, float("nan")]))
+
+
 def test_objective_registry():
     assert list(OBJECTIVES) == ["cgan", "crcgan-a", "crcgan-b"]
     assert needs_mismatch("crcgan-a")

@@ -5,6 +5,7 @@ import os
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from topogan import train as train_module
 from topogan.data import synth_classes, write_dataset
-from topogan.exceptions import ConsistencyError, ContractError, FormatError, ParameterError
+from topogan.exceptions import (
+    ConsistencyError,
+    ContractError,
+    FormatError,
+    ParameterError,
+    TrainingAbort,
+)
 from topogan.train import (
     CKPT_VERSION,
     TrainConfig,
@@ -91,6 +98,15 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         TrainConfig(objective="cgan", steps=10, batch_size=1,
                     minibatch_discrimination=True)
+
+
+def test_config_rejects_adam_hyperparameters_outside_their_domain():
+    for over in (dict(beta1=1.5), dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=-1.0),
+                 dict(beta2=1.0), dict(beta2=float("nan")), dict(eps=0.0),
+                 dict(eps=-1e-8), dict(lr=float("nan"))):
+        with pytest.raises(ParameterError):
+            TrainConfig(objective="cgan", steps=3, **over)
+    TrainConfig(objective="cgan", steps=3, beta1=0.0, beta2=0.0, eps=1e-300)
 
 
 def test_config_rejects_negative_checkpoint_cadence(tiny_dataset, tmp_path):
@@ -355,6 +371,20 @@ def test_checkpoint_naming_a_removed_objective_is_format_error(tmp_path, tiny_da
         load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2))
 
 
+def test_checkpoint_with_an_unbuildable_network_is_format_error(tmp_path, tiny_dataset,
+                                                                state_checkpoint):
+    # feature_dim shapes D only, so the generator's reader must check D's shapes too
+    header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
+    path = tmp_path / "net.ckpt"
+    for field_value in ({"feature_dim": 0}, {"z_dim": 0}):
+        save_checkpoint(path, {**header, "config": {**header["config"], **field_value}},
+                        tensors)
+        with pytest.raises(FormatError):
+            generator_from_checkpoint(path)
+        with pytest.raises(FormatError):
+            load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2))
+
+
 def test_checkpoint_declaring_a_huge_image_fails_before_allocating(tmp_path,
                                                                   state_checkpoint):
     # the header says 1024x1024 but the tensors are those of an 8x8 run: the
@@ -400,6 +430,21 @@ def test_dataset_write_is_atomic(tmp_path, monkeypatch, tiny_dataset):
     with pytest.raises(OSError):
         write_dataset(synth_classes(2, 3, 8, seed=4), path)
     assert path.read_bytes() == before
+
+
+def test_committed_v4_checkpoint_loads_and_writes_back_byte_identical(tiny_dataset,
+                                                                       tmp_path):
+    # written by commit a8e5142, which built the nets from spec objects: pins the
+    # CRCG v4 layout and header across changes that keep the format
+    path = Path(__file__).parent / "data" / "crcgan_a_8x8_v4.ckpt"
+    state = load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2))
+    assert state.step == 2
+    gen, config = generator_from_checkpoint(path)
+    assert config == state.config
+    assert all(np.array_equal(p.data, state.gen.params()[name].data)
+               for name, p in gen.params().items())
+    write_state(state, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_load_state_rejects_other_dataset(tiny_dataset, tmp_path):
@@ -505,6 +550,18 @@ def test_resume_after_crash_matches_uninterrupted_run(tiny_dataset, tmp_path, mo
     fb = load_checkpoint(resumed.checkpoint_path)[1]
     for name in fa:
         assert np.array_equal(fa[name], fb[name]), name
+
+
+def test_resume_from_diverged_discriminator_aborts_with_snapshot(tiny_dataset, tmp_path,
+                                                                 state_checkpoint):
+    header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
+    tensors = {**tensors, "d.head.b": np.array([np.nan])}
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, header, tensors)
+    with pytest.raises(TrainingAbort) as info:
+        train(desk_config(objective="crcgan-a", steps=3), tiny_dataset, tmp_path / "run",
+              resume_from=path)
+    assert info.value.snapshot_path.exists()
 
 
 def test_train_crcgan_b_runs(tiny_dataset, tmp_path):
