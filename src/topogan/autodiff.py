@@ -19,6 +19,10 @@ contiguous rows of N, and also serves as the transposed-conv forward.
 `conv2d_planes` convolves an input concatenated with constant per-sample
 planes without building the planes. `transpose` moves a tensor into or out
 of the layout at a network's boundary.
+
+Layers add their biases inside the op: the conv ops take `bias` (K values, in
+any stored shape) and `linear(x, w, b)` is x @ w + b, each adding into the
+product it already holds, so a layer keeps one activation and not two.
 """
 from __future__ import annotations
 
@@ -192,6 +196,21 @@ def mul(a, b) -> Tensor:
     ])
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for x (N, A), w (A, F) and b (F,); b is added into the product."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise DimensionError(
+            f"linear expects x (N, A), w (A, F) and b (F,), got {x.shape}, {w.shape}, {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+    return Tensor._result(out, [
+        (x, lambda g: g @ w.data.T),
+        (w, lambda g: x.data.T @ g),
+        (b, lambda g: g.sum(axis=0)),
+    ])
+
+
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -272,8 +291,12 @@ def leaky_relu(a, alpha: float = 0.2) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
+    """1 / (1 + exp(-a)), computed in one buffer."""
     a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = np.negative(a.data)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
     return Tensor._result(s, [
         (a, lambda g: g * s * (1.0 - s)),
     ])
@@ -373,21 +396,39 @@ def _conv_dw(x: np.ndarray, dout: np.ndarray, stride: int, padding: int,
     return (dout.reshape(k, -1) @ cols.T).reshape(k, c, kh, kw)
 
 
-def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (C,H,W,N) with kernels (K,C,kh,kw) -> (K,OH,OW,N)."""
+def _biased(out: np.ndarray, bias, links: list) -> Tensor:
+    """A conv op's (K, OH, OW, N) result, with `bias` (K values) added into it.
+
+    The bias keeps its stored shape, (1, K, 1, 1) for instance. Its gradient
+    sums g over the axes after K one at a time, as `_unbroadcast` does for a
+    (K, 1, 1, 1) addend.
+    """
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.data.size != out.shape[0]:
+            raise DimensionError(
+                f"bias has {bias.data.size} values for {out.shape[0]} output channels")
+        out += bias.data.reshape(-1, 1, 1, 1)
+        links.append((bias, lambda g: g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True)
+                      .sum(axis=3, keepdims=True).reshape(bias.data.shape)))
+    return Tensor._result(out, links)
+
+
+def conv2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """Cross-correlation of (C,H,W,N) with kernels (K,C,kh,kw) -> (K,OH,OW,N), plus bias."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4D input and kernel")
     kh, kw = w.data.shape[2], w.data.shape[3]
     out = _conv_fwd(x.data, w.data, stride, padding)
-    return Tensor._result(out, [
+    return _biased(out, bias, [
         (x, lambda g: _conv_dx(g, w.data, stride, padding, x.data.shape)),
         (w, lambda g: _conv_dw(x.data, g, stride, padding, kh, kw)),
     ])
 
 
-def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """conv2d(concat([x, P], axis=0), w) without building P.
+def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """conv2d(concat([x, P], axis=0), w, bias=bias) without building P.
 
     x is (C,H,W,N), planes is a constant (N,D) array and w is (K,C+D,kh,kw);
     P[d, :, :, n] is the (H,W) plane filled with planes[n, d]. A constant
@@ -417,14 +458,14 @@ def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0) -> Tensor:
         return np.concatenate([_conv_dw(x.data, g, stride, padding, kh, kw),
                                (g_planes @ ones.T).reshape(k, d, kh, kw)], axis=1)
 
-    return Tensor._result(out, [
+    return _biased(out, bias, [
         (x, lambda g: _conv_dx(g, w.data[:, :c], stride, padding, x.data.shape)),
         (w, grad_w),
     ])
 
 
-def conv_transpose2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """Adjoint of conv2d: (Cin,H,W,N) with kernels (Cin,Cout,kh,kw) -> (Cout,OH,OW,N).
+def conv_transpose2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """Adjoint of conv2d: (Cin,H,W,N) with kernels (Cin,Cout,kh,kw) -> (Cout,OH,OW,N), plus bias.
 
     Output spatial size is (H-1)*stride - 2*padding + kh. Both gradients read
     the patch matrix of the upstream gradient g: when x and w both need one,
@@ -455,7 +496,7 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         cols = shared.pop() if shared else None
         return _conv_dw(g, x.data, stride, padding, kh, kw, cols=cols)
 
-    return Tensor._result(out, [(x, grad_x), (w, grad_w)])
+    return _biased(out, bias, [(x, grad_x), (w, grad_w)])
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,12 @@ def condition_dim(kind: str, cardinality: int, error=ParameterError) -> int:
     have cardinality 0.
     """
     if kind == KIND_CLASS:
-        if cardinality < 1:
-            raise error("class conditions need cardinality >= 1")
+        if type(cardinality) is not int or cardinality < 1:
+            raise error(f"class conditions need an int cardinality >= 1, got {cardinality!r}")
         return cardinality
     if kind == KIND_CONTINUOUS:
-        if cardinality != 0:
-            raise error(f"continuous conditions have cardinality 0, got {cardinality}")
+        if type(cardinality) is not int or cardinality != 0:
+            raise error(f"continuous conditions have cardinality 0, got {cardinality!r}")
         return 1
     raise error(f"unknown condition kind '{kind}'")
 

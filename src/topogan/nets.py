@@ -21,8 +21,9 @@ the (C, H, W, N) layout of `autodiff`. G transposes its dense output,
 reshaped to (N, c0, h0, w0), into (c0, h0, w0, N), and its (1, H, W, N)
 image back to (N, 1, H, W). D transposes its (N, 1, H, W) input, and its
 last conv map, flattened to (c2*h*w, N), back to (N, c2*h*w), so feat.w keeps
-its (c, h, w) row order. Parameters keep their stored shapes, conv biases
-(1, C, 1, 1) included, and are reshaped in forward.
+its (c, h, w) row order. Each layer hands its bias to its op
+(`autodiff.linear`, or the conv ops' `bias`), which adds it into the layer's
+output; parameters keep their stored shapes, conv biases (1, C, 1, 1) included.
 """
 from __future__ import annotations
 
@@ -61,14 +62,15 @@ def _image_dims(data: dict) -> tuple[int, int, int]:
     """(height, width, cond_dim) of a data shape, or SpecError."""
     cond_dim = condition_dim(data["kind"], data["cardinality"], SpecError)
     h, w = data["height"], data["width"]
-    if min(h, w) < 4 or h % 4 or w % 4:
+    if type(h) is not int or type(w) is not int or min(h, w) < 4 or h % 4 or w % 4:
         raise SpecError(
-            f"images {h}x{w} must be positive multiples of 4 (two 2x resampling stages)")
+            f"images {h!r}x{w!r} must be positive int multiples of 4 "
+            "(two 2x resampling stages)")
     return h, w, cond_dim
 
 
 def _channel_pair(channels) -> tuple[int, int]:
-    if len(channels) != 2 or min(channels) < 1:
+    if len(channels) != 2 or any(type(c) is not int for c in channels) or min(channels) < 1:
         raise SpecError(f"channel plan must be two positive ints, got {channels}")
     return channels
 
@@ -76,8 +78,8 @@ def _channel_pair(channels) -> tuple[int, int]:
 def generator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
     """G's parameter shapes in init order, from a TrainConfig and a data shape."""
     h, w, cond_dim = _image_dims(data)
-    if config.z_dim < 1:
-        raise SpecError(f"z_dim must be >= 1, got {config.z_dim}")
+    if type(config.z_dim) is not int or config.z_dim < 1:
+        raise SpecError(f"z_dim must be an int >= 1, got {config.z_dim!r}")
     c0, c1 = _channel_pair(config.gen_channels)
     proj = c0 * (h // 4) * (w // 4)
     return {
@@ -95,11 +97,12 @@ def discriminator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
     h, w, cond_dim = _image_dims(data)
     c1, c2 = _channel_pair(config.disc_channels)
     a = config.feature_dim
-    if a < 1:
-        raise SpecError("feature_dim must be >= 1")
+    if type(a) is not int or a < 1:
+        raise SpecError(f"feature_dim must be an int >= 1, got {a!r}")
     minibatch = config.minibatch_discrimination
-    if minibatch and (config.minibatch_kernels < 1 or config.minibatch_dim < 1):
-        raise SpecError("minibatch feature dims must be >= 1")
+    if minibatch and any(type(d) is not int or d < 1
+                         for d in (config.minibatch_kernels, config.minibatch_dim)):
+        raise SpecError("minibatch feature dims must be ints >= 1")
     shapes = {
         "conv1.w": (c1, 1 + cond_dim, 4, 4),
         "conv1.b": (1, c1, 1, 1),
@@ -201,15 +204,13 @@ class Generator:
         if cond.data.shape[0] != z.data.shape[0]:
             raise SpecError("noise and condition batch sizes differ")
         p = self._params
-        h = ad.concat([z, cond], axis=1) @ p["dense.w"] + p["dense.b"]
+        h = ad.linear(ad.concat([z, cond], axis=1), p["dense.w"], p["dense.b"])
         h = ad.leaky_relu(h, LEAKY_SLOPE)
         h = h.reshape(z.data.shape[0], -1, data["height"] // 4, data["width"] // 4)
         h = ad.transpose(h, (1, 2, 3, 0))
-        h = ad.conv_transpose2d(h, p["up1.w"], stride=2, padding=1) \
-            + p["up1.b"].reshape(-1, 1, 1, 1)
+        h = ad.conv_transpose2d(h, p["up1.w"], stride=2, padding=1, bias=p["up1.b"])
         h = ad.leaky_relu(h, LEAKY_SLOPE)
-        h = ad.conv_transpose2d(h, p["up2.w"], stride=2, padding=1) \
-            + p["up2.b"].reshape(-1, 1, 1, 1)
+        h = ad.conv_transpose2d(h, p["up2.w"], stride=2, padding=1, bias=p["up2.b"])
         return ad.transpose(ad.sigmoid(h), (3, 0, 1, 2))
 
 
@@ -237,14 +238,13 @@ class Discriminator:
             raise SpecError("image and condition batch sizes differ")
         p = self._params
         h = ad.transpose(x, (1, 2, 3, 0))
-        h = ad.conv2d_planes(h, cond, p["conv1.w"], stride=2, padding=1) \
-            + p["conv1.b"].reshape(-1, 1, 1, 1)
+        h = ad.conv2d_planes(h, cond, p["conv1.w"], stride=2, padding=1, bias=p["conv1.b"])
         h = ad.leaky_relu(h, LEAKY_SLOPE)
-        h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1) + p["conv2.b"].reshape(-1, 1, 1, 1)
+        h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1, bias=p["conv2.b"])
         h = ad.leaky_relu(h, LEAKY_SLOPE)
         # (c2*h*w, N) rows in (c, h, w) order, the row order of feat.w
         h = ad.transpose(h.reshape(-1, n), (1, 0))
-        h = h @ p["feat.w"] + p["feat.b"]
+        h = ad.linear(h, p["feat.w"], p["feat.b"])
         return ad.leaky_relu(h, LEAKY_SLOPE)
 
     def forward(self, x, condition_values) -> Tensor:
@@ -253,7 +253,7 @@ class Discriminator:
         if self.config.minibatch_discrimination:
             o = minibatch_features(f, p["minibatch.T"])
             f = ad.concat([f, o], axis=1)
-        logit = f @ p["head.w"] + p["head.b"]
+        logit = ad.linear(f, p["head.w"], p["head.b"])
         score = ad.sigmoid(logit)
         score = ad.clamp(score, SCORE_EPS, 1.0 - SCORE_EPS)
         return score.reshape(f.data.shape[0])

@@ -19,6 +19,10 @@ crash never leaves a partial file under its name. Metrics are one JSON object
 per line with keys step, iter, d_loss, g_loss, diversity, mean_score_real,
 mean_score_fake, mean_score_mismatch (null when unused), wall_ms; a resumed
 run first drops the records past its checkpoint.
+
+A step's discriminator update returns only floats, so its graphs (three D
+passes for crcgan-a/b) and its fake batch are released before the generator
+update builds its own: the step's peak holds one update's graphs, not both.
 """
 from __future__ import annotations
 
@@ -206,24 +210,16 @@ def _abort_unless_finite(step: int, *scores) -> None:
         raise TrainingAbort(f"non-finite discriminator scores at step {step}")
 
 
-def training_step(state: TrainState, images: np.ndarray,
-                  conditions: np.ndarray) -> dict:
-    """One discriminator update followed by one generator update (fresh noise)."""
+def _discriminator_update(state: TrainState, x_real: np.ndarray,
+                          conds: np.ndarray) -> tuple[float, float, float, float | None]:
+    """One D update; (d_loss, mean real, fake and mismatch scores) as floats.
+
+    Only floats come back, so the D graphs and the fake batch die on return.
+    """
     cfg = state.config
-    if images.shape[0] != cfg.batch_size:
-        raise ContractError(
-            f"batch size {images.shape[0]} != configured {cfg.batch_size}")
-    t0 = time.monotonic()
-    b = cfg.batch_size
-    x_real = np.asarray(images, dtype=np.float64)[:, None, :, :]
-    conds = np.asarray(conditions, dtype=np.float64)
-
-    gen_params = state.gen.params()
     disc_params = state.disc.params()
-
-    # discriminator update
-    z = state.rng.standard_normal((b, cfg.z_dim))
-    with frozen(gen_params.values()):
+    z = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
+    with frozen(state.gen.params().values()):
         fake = state.gen.forward(z, conds)
     d_real = state.disc.forward(x_real, conds)
     d_mismatch = None
@@ -242,11 +238,28 @@ def training_step(state: TrainState, images: np.ndarray,
     d_loss.backward()
     adam_step(list(disc_params.values()),
               [p.grad for p in disc_params.values()], state.adam_d)
+    return (d_loss.item(), float(d_real.data.mean()), float(d_fake.data.mean()),
+            None if d_mismatch is None else float(d_mismatch.data.mean()))
+
+
+def training_step(state: TrainState, images: np.ndarray,
+                  conditions: np.ndarray) -> dict:
+    """One discriminator update followed by one generator update (fresh noise)."""
+    cfg = state.config
+    if images.shape[0] != cfg.batch_size:
+        raise ContractError(
+            f"batch size {images.shape[0]} != configured {cfg.batch_size}")
+    t0 = time.monotonic()
+    x_real = np.asarray(images, dtype=np.float64)[:, None, :, :]
+    conds = np.asarray(conditions, dtype=np.float64)
+    d_loss, score_real, score_fake, score_mismatch = _discriminator_update(
+        state, x_real, conds)
 
     # generator update on fresh noise, against the just-updated discriminator
-    z2 = state.rng.standard_normal((b, cfg.z_dim))
+    gen_params = state.gen.params()
+    z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
     fake2 = state.gen.forward(z2, conds)
-    with frozen(disc_params.values()):
+    with frozen(state.disc.params().values()):
         d_fake2 = state.disc.forward(fake2, conds)
     _abort_unless_finite(state.step + 1, d_fake2)
     g_loss = generator_loss(d_fake2)
@@ -271,13 +284,12 @@ def training_step(state: TrainState, images: np.ndarray,
     state.step += 1
     return {
         "step": state.step,
-        "d_loss": d_loss.item(),
+        "d_loss": d_loss,
         "g_loss": g_loss.item(),
         "diversity": diversity,
-        "mean_score_real": float(d_real.data.mean()),
-        "mean_score_fake": float(d_fake.data.mean()),
-        "mean_score_mismatch": None if d_mismatch is None
-        else float(d_mismatch.data.mean()),
+        "mean_score_real": score_real,
+        "mean_score_fake": score_fake,
+        "mean_score_mismatch": score_mismatch,
         "collapse_warning": collapse_warning,
         "wall_ms": (time.monotonic() - t0) * 1000.0,
     }

@@ -15,6 +15,7 @@ from topogan.autodiff import (
     frozen,
     grad_check,
     leaky_relu,
+    linear,
     log_clamped,
     matmul,
     mean,
@@ -237,6 +238,7 @@ def test_conv2d_planes_rejects_mismatched_planes():
 
 def test_gradcheck_conv2d_planes():
     rng = np.random.default_rng(31)
+    bias_rng = np.random.default_rng(131)   # keeps rng's draws those of the bias-free cases
     for values, kind, cardinality, stride, padding in [([2, 0], "class", 3, 2, 1),
                                                        ([0.2, 0.7], "continuous", 0, 1, 2)]:
         planes = encode_condition_vector(values, kind, cardinality)
@@ -245,6 +247,9 @@ def test_gradcheck_conv2d_planes():
         r = Tensor(rng.normal(size=nchw(conv2d_planes, x, planes, w, stride, padding).shape))
         check(lambda: mean(nchw(conv2d_planes, x, planes, w, stride, padding) * r),
               {"x": x, "w": w}, 1e-6)
+        b = Tensor(bias_rng.normal(0, 0.5, size=(1, 3, 1, 1)), requires_grad=True)
+        check(lambda: mean(nchw(conv2d_planes, x, planes, w, stride, padding, bias=b) * r),
+              {"x": x, "w": w, "b": b}, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +348,11 @@ def test_gradcheck_linear_layer():
     r = rng.normal(size=(6, 3))
     check(lambda: mean((matmul(Tensor(x), w) + b) * Tensor(r)),
           {"w": w, "b": b}, 1e-8)
+    check(lambda: mean(linear(Tensor(x), w, b) * Tensor(r)), {"w": w, "b": b}, 1e-8)
+    # x's gradient misses 1e-8 on roundoff alone (1.8e-8 at this seed), so it
+    # is held to the 1e-6 of the other primitives
+    xt = Tensor(x, requires_grad=True)
+    check(lambda: mean(linear(xt, w, b) * Tensor(r)), {"x": xt}, 1e-6)
 
 
 def test_gradcheck_conv2d():
@@ -353,6 +363,9 @@ def test_gradcheck_conv2d():
     r = rng.normal(size=(2, 3, 3, 3))
     check(lambda: mean((nchw(conv2d, Tensor(x), w, stride=2, padding=1) + b) * Tensor(r)),
           {"w": w, "b": b}, 1e-6)
+    xt = Tensor(x, requires_grad=True)
+    check(lambda: mean(nchw(conv2d, xt, w, stride=2, padding=1, bias=b) * Tensor(r)),
+          {"x": xt, "w": w, "b": b}, 1e-6)
 
 
 def test_gradcheck_conv_transpose2d():
@@ -362,6 +375,68 @@ def test_gradcheck_conv_transpose2d():
     r = rng.normal(size=(2, 3, 6, 6))
     check(lambda: mean(nchw(conv_transpose2d, Tensor(x), w, stride=2, padding=1) * Tensor(r)),
           {"w": w}, 1e-6)
+    xt = Tensor(x, requires_grad=True)
+    b = Tensor(rng.normal(0, 0.5, size=(1, 3, 1, 1)), requires_grad=True)
+    check(lambda: mean(nchw(conv_transpose2d, xt, w, stride=2, padding=1, bias=b)
+                       * Tensor(r)), {"x": xt, "w": w, "b": b}, 1e-6)
+
+
+def _biased_op(op, stride, padding, rng):
+    """(op(x, w, bias=None), x, w) of a small case with 5 output channels."""
+    if op == "conv_transpose2d":
+        return (lambda x, w, **kw: conv_transpose2d(x, w, stride, padding, **kw),
+                rng.normal(size=(2, 4, 4, 3)), rng.normal(size=(2, 5, 4, 4)))
+    if op == "conv2d":
+        return (lambda x, w, **kw: conv2d(x, w, stride, padding, **kw),
+                rng.normal(size=(2, 6, 6, 3)), rng.normal(size=(5, 2, 4, 4)))
+    planes = rng.normal(size=(3, 2))
+    return (lambda x, w, **kw: conv2d_planes(x, planes, w, stride, padding, **kw),
+            rng.normal(size=(2, 6, 6, 3)), rng.normal(size=(5, 4, 4, 4)))
+
+
+@pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("op", ["conv2d", "conv2d_planes", "conv_transpose2d"])
+def test_conv_bias_equals_reshape_add_bit_for_bit(op, stride, padding):
+    # the bias added inside the op gives the numbers of the op followed by a
+    # reshape and an add node, forward and every gradient
+    rng = np.random.default_rng(41)
+    fn, xd, wd = _biased_op(op, stride, padding, rng)
+    bd = rng.normal(size=(1, 5, 1, 1))
+    r = Tensor(rng.normal(size=fn(Tensor(xd), Tensor(wd)).shape))
+
+    def run(inside):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        out = fn(x, w, bias=b) if inside else fn(x, w) + b.reshape(-1, 1, 1, 1)
+        mean(out * r).backward()
+        return out.data, x.grad, w.grad, b.grad
+
+    inside, composed = run(True), run(False)
+    assert inside[3].shape == (1, 5, 1, 1)
+    assert all(np.array_equal(a, c) for a, c in zip(inside, composed))
+
+
+def test_linear_equals_matmul_add_bit_for_bit():
+    rng = np.random.default_rng(42)
+    xd, wd, bd = rng.normal(size=(7, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
+    r = Tensor(rng.normal(size=(7, 3)))
+
+    def run(inside):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        out = linear(x, w, b) if inside else matmul(x, w) + b
+        mean(out * r).backward()
+        return out.data, x.grad, w.grad, b.grad
+
+    inside, composed = run(True), run(False)
+    assert all(np.array_equal(a, c) for a, c in zip(inside, composed))
+
+
+def test_bias_ops_reject_misshapen_biases():
+    with pytest.raises(DimensionError):
+        linear(np.ones((2, 4)), np.ones((4, 3)), np.ones(2))
+    with pytest.raises(DimensionError):
+        linear(np.ones((2, 4)), np.ones((4, 3)), np.ones((1, 3)))
+    with pytest.raises(DimensionError):
+        conv2d(np.ones((2, 6, 6, 3)), np.ones((5, 2, 4, 4)), bias=np.ones((1, 4, 1, 1)))
 
 
 def test_conv_transpose2d_gradients_do_not_depend_on_which_inputs_need_them():
