@@ -302,12 +302,12 @@ def sigmoid(a) -> Tensor:
     ])
 
 
-def log_clamped(a, floor: float = LOG_FLOOR) -> Tensor:
-    """log(max(a, floor)); gradient is zero where the clamp is active."""
+def log_clamped(a) -> Tensor:
+    """log(max(a, LOG_FLOOR)); gradient is zero where the clamp is active."""
     a = _as_tensor(a)
-    clamped = np.maximum(a.data, floor)
+    clamped = np.maximum(a.data, LOG_FLOOR)
     return Tensor._result(np.log(clamped), [
-        (a, lambda g: np.where(a.data > floor, g / clamped, 0.0)),
+        (a, lambda g: np.where(a.data > LOG_FLOOR, g / clamped, 0.0)),
     ])
 
 

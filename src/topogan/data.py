@@ -5,8 +5,14 @@ u32 version=1, u32 width, u32 height, u32 count, u8 condition kind
 (0=continuous, 1=class), u32 class cardinality (0 if continuous); then per
 record f32 condition, f32 volfrac, f32 penal, f32 rmin, f32 compliance,
 u8 converged flag, and width*height f32 pixels row-major. Unknown meta
-fields are written as 0; no field may be NaN. A `Dataset` is these records
-in one array: `read_dataset` returns read-only views of the file's bytes.
+fields are written as 0. A `Dataset` is these records in one array:
+`read_dataset` returns read-only views of the file's bytes.
+
+`check_conditions` is the one rule for condition values, which the dataset,
+the networks' encoding and sampling all apply: finite; class labels integral
+and in [0, cardinality); continuous values in [0, 1]. A dataset also holds
+only finite record fields and pixels in [0, 1]. Class-conditioned data comes
+from `synth_classes`, whose per-class fill fractions are known exactly.
 """
 from __future__ import annotations
 
@@ -20,13 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import (
-    ConsistencyError,
-    DimensionError,
-    FormatError,
-    ParameterError,
-)
-from .fem import BoundaryConditions, MeshSpec, SimpParams, run_simp
+from .exceptions import DimensionError, FormatError, ParameterError
+from .fem import MeshSpec, SimpParams, run_simp
 
 log = logging.getLogger(__name__)
 
@@ -35,11 +36,11 @@ TOPD_VERSION = 1
 KIND_CONTINUOUS = "continuous"
 KIND_CLASS = "class"
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
-
 GAUSS_KERNEL_SIZE = 5
 GAUSS_SIGMA = 1.0
+NOISE_FRACTION = 0.01
+NOISE_AMPLITUDE = 0.5
+MONTAGE_SEPARATOR = 128.0 / 255.0   # mid-gray
 
 
 def condition_dim(kind: str, cardinality: int, error=ParameterError) -> int:
@@ -58,6 +59,29 @@ def condition_dim(kind: str, cardinality: int, error=ParameterError) -> int:
             raise error(f"continuous conditions have cardinality 0, got {cardinality!r}")
         return 1
     raise error(f"unknown condition kind '{kind}'")
+
+
+def check_conditions(values: np.ndarray, kind: str, cardinality: int,
+                     error=ParameterError) -> int:
+    """`condition_dim`, after checking a batch of condition values of that kind.
+
+    The one rule for condition values: finite; class labels integral and in
+    [0, cardinality); continuous values in [0, 1]. `error` is the exception
+    type the caller reports a violation with.
+    """
+    dim = condition_dim(kind, cardinality, error)
+    if not values.size:
+        return dim
+    if not np.isfinite(values).all():
+        raise error("conditions must be finite")
+    if kind == KIND_CLASS:
+        if values.min() < 0 or values.max() >= cardinality:
+            raise error(f"class index outside 0..{cardinality - 1}")
+        if (values != np.trunc(values)).any():
+            raise error("class labels must be integers")
+    elif values.min() < 0.0 or values.max() > 1.0:
+        raise error("continuous conditions must lie in [0, 1]")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -133,17 +157,18 @@ class Dataset:
         return ds
 
     def _adopt(self, records: np.ndarray, kind: str, cardinality: int) -> None:
-        """Take `records` as this dataset's storage and range-check its contents."""
+        """Take `records` as this dataset's storage and check its contents.
+
+        The conditions must pass `check_conditions`, every field must be
+        finite and every pixel must lie in [0, 1].
+        """
         self.records = records
         self.kind = kind
         self.cardinality = int(cardinality)
-        condition_dim(kind, self.cardinality)
-        n = len(records)
-        if kind == KIND_CLASS:
-            if n and (self.conditions.min() < 0 or self.conditions.max() >= self.cardinality):
-                raise ParameterError("class index outside cardinality")
-        elif n and (self.conditions.min() < 0.0 or self.conditions.max() > 1.0):
-            raise ParameterError("continuous conditions must lie in [0, 1]")
+        check_conditions(self.conditions, kind, self.cardinality)
+        for name in records.dtype.names:
+            if not np.isfinite(records[name]).all():
+                raise ParameterError(f"{name} must be finite")
         if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ParameterError("pixels must lie in [0, 1]")
 
@@ -167,8 +192,9 @@ class Dataset:
         )
 
 
-def sweep_generate(grid: SweepGrid, bc: BoundaryConditions | None = None) -> Dataset:
-    """Run one SIMP optimization per grid point (volfrac-major, then penal, then rmin).
+def sweep_generate(grid: SweepGrid) -> Dataset:
+    """Run one cantilever SIMP optimization per grid point (volfrac-major, then
+    penal, then rmin).
 
     Non-converged runs are kept (flagged in meta and logged), so the sample
     count always equals the grid size.
@@ -176,13 +202,13 @@ def sweep_generate(grid: SweepGrid, bc: BoundaryConditions | None = None) -> Dat
     points = list(product(grid.volfracs, grid.penals, grid.rmins))
     images, compliance, converged = [], [], []
     for v, p, r in points:
-        result = run_simp(grid.mesh, SimpParams(volfrac=v, penal=p, rmin=r), bc=bc)
+        result = run_simp(grid.mesh, SimpParams(volfrac=v, penal=p, rmin=r))
         if not result.converged:
             log.warning(
                 "SIMP run volfrac=%s penal=%s rmin=%s did not converge in %d iterations",
                 v, p, r, result.iterations,
             )
-        images.append(np.clip(result.density.values, 0.0, 1.0))
+        images.append(result.density.values)   # oc_update keeps them in [X_MIN, 1]
         compliance.append(result.compliance_history[-1])
         converged.append(result.converged)
     volfrac, penal, rmin = zip(*points)
@@ -209,21 +235,22 @@ def augment(image: np.ndarray, noise_count: int, noise_amplitude: float,
     return image
 
 
-def augment_dataset(ds: Dataset, noise_fraction: float = 0.01,
-                    noise_amplitude: float = 0.5, seed: int = 0) -> Dataset:
-    """Double the dataset: each sample followed (at the end) by one noisy copy."""
-    noise_count = max(1, int(round(noise_fraction * ds.height * ds.width)))
+def augment_dataset(ds: Dataset, seed: int = 0) -> Dataset:
+    """Double the dataset: each sample followed (at the end) by one noisy copy,
+    with NOISE_FRACTION of its pixels perturbed by up to NOISE_AMPLITUDE."""
+    noise_count = max(1, int(round(NOISE_FRACTION * ds.height * ds.width)))
     noisy = ds.records.copy()
     for i, image in enumerate(ds.images):
-        noisy["images"][i] = augment(image, noise_count, noise_amplitude, seed=seed + i)
+        noisy["images"][i] = augment(image, noise_count, NOISE_AMPLITUDE, seed=seed + i)
     return Dataset.from_records(np.concatenate([ds.records, noisy]), ds.kind, ds.cardinality)
 
 
-def gaussian_kernel(size: int = GAUSS_KERNEL_SIZE, sigma: float = GAUSS_SIGMA) -> np.ndarray:
-    """Truncated Gaussian, renormalized to sum 1."""
-    r = size // 2
+def gaussian_kernel() -> np.ndarray:
+    """The GAUSS_KERNEL_SIZE-square Gaussian of std GAUSS_SIGMA, truncated and
+    renormalized to sum 1."""
+    r = GAUSS_KERNEL_SIZE // 2
     i, j = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    k = np.exp(-(i**2 + j**2) / (2.0 * sigma**2))
+    k = np.exp(-(i**2 + j**2) / (2.0 * GAUSS_SIGMA**2))
     return k / k.sum()
 
 
@@ -310,69 +337,11 @@ def read_dataset(path) -> Dataset:
             offset=min(len(blob), expected),
         )
     records = np.frombuffer(blob, dtype=record, count=count, offset=_HEADER.size)
-    if not all(np.isfinite(records[name]).all() for name in record.names):
-        raise FormatError("NaN or infinity in record data", offset=_HEADER.size)
     try:
         return Dataset.from_records(records, KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
                                     cardinality)
     except ParameterError as exc:
-        raise FormatError(f"record data out of range: {exc}", offset=_HEADER.size) from None
-
-
-# ---------------------------------------------------------------------------
-# MNIST-style IDX ingestion
-
-def _read_idx_images(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise FormatError("truncated IDX image header", offset=len(blob))
-    magic, count, rows, cols = struct.unpack_from(">IIII", blob, 0)
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"bad IDX image magic 0x{magic:08x}", offset=0)
-    expected = 16 + count * rows * cols
-    if len(blob) != expected:
-        raise FormatError(f"IDX image payload length {len(blob)} != {expected}",
-                          offset=min(len(blob), expected))
-    data = np.frombuffer(blob, dtype=np.uint8, offset=16)
-    return data.reshape(count, rows, cols)
-
-
-def _read_idx_labels(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise FormatError("truncated IDX label header", offset=len(blob))
-    magic, count = struct.unpack_from(">II", blob, 0)
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(f"bad IDX label magic 0x{magic:08x}", offset=0)
-    if len(blob) != 8 + count:
-        raise FormatError(f"IDX label payload length {len(blob)} != {8 + count}",
-                          offset=min(len(blob), 8 + count))
-    return np.frombuffer(blob, dtype=np.uint8, offset=8)
-
-
-def load_mnist_idx(images_path, labels_path, downscale: bool = False,
-                   cardinality: int = 10) -> Dataset:
-    """Load an IDX image/label pair as a class-conditioned dataset.
-
-    Pixels are scaled to [0,1]. `downscale` halves each spatial dimension by
-    2x2 average pooling (dimensions must be even).
-    """
-    raw = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
-    if raw.shape[0] != labels.shape[0]:
-        raise ConsistencyError(
-            f"image count {raw.shape[0]} != label count {labels.shape[0]}"
-        )
-    images = raw.astype(np.float32) / 255.0
-    if downscale:
-        n, h, w = images.shape
-        if h % 2 or w % 2:
-            raise DimensionError(f"cannot 2x2-pool odd dimensions {h}x{w}")
-        images = images.reshape(n, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
-    return Dataset(images=images, conditions=labels, kind=KIND_CLASS,
-                   cardinality=cardinality)
+        raise FormatError(f"invalid record data: {exc}", offset=_HEADER.size) from None
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +405,18 @@ def write_pgm(image: np.ndarray, path) -> None:
         fh.write(data.tobytes())
 
 
-def montage(images: np.ndarray, cols: int | None = None,
-            separator: float = 128.0 / 255.0) -> np.ndarray:
-    """Tile images into a near-square grid with 2-pixel separators."""
+def montage(images: np.ndarray) -> np.ndarray:
+    """Tile images into a near-square grid, ceil(sqrt(n)) columns wide, with
+    2-pixel separators of value MONTAGE_SEPARATOR."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3 or images.shape[0] == 0:
         raise DimensionError("montage needs a nonempty (n, H, W) stack")
     n, h, w = images.shape
-    if cols is None:
-        cols = int(np.ceil(np.sqrt(n)))
+    cols = int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
     sep = 2
-    out = np.full((rows * h + (rows - 1) * sep, cols * w + (cols - 1) * sep), separator)
+    out = np.full((rows * h + (rows - 1) * sep, cols * w + (cols - 1) * sep),
+                  MONTAGE_SEPARATOR)
     for i in range(n):
         r, c = divmod(i, cols)
         out[r * (h + sep):r * (h + sep) + h, c * (w + sep):c * (w + sep) + w] = images[i]

@@ -2,7 +2,10 @@
 
 Quantifies how well generated structures honor their volume-fraction
 condition: sample at a fixed condition, post-process, measure pixel means,
-and aggregate the absolute errors against the target.
+and aggregate the absolute errors against the target. Re-analysis treats a
+post-processed image as a density field clipped to [fem.X_MIN, 1] on the
+cantilever of the training sweeps and reports its compliance at the SIMP
+penalty REANALYSIS_PENAL.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import numpy as np
 from .data import KIND_CLASS, class_target_fraction, postprocess
 from .exceptions import DimensionError
 from .fem import (
+    X_MIN,
     BoundaryConditions,
     DensityField,
     MeshSpec,
@@ -20,6 +24,8 @@ from .fem import (
     compliance,
 )
 from .train import generator_from_checkpoint, sample
+
+REANALYSIS_PENAL = 3.0
 
 
 def measure_volfrac(image: np.ndarray) -> float:
@@ -53,8 +59,7 @@ class EvalReport:
 
 
 def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
-                     seed: int, reanalyze_compliance: bool = False,
-                     penal: float = 3.0) -> EvalReport:
+                     seed: int, reanalyze_compliance: bool = False) -> EvalReport:
     """Sample at `condition`, post-process, and measure volume-fraction fidelity.
 
     The target is the condition itself for continuous conditions, or the
@@ -70,7 +75,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     errs = np.abs(np.asarray(measured) - target) if measured else np.array([])
     compliances = None
     if reanalyze_compliance:
-        compliances = [reanalyze(img, penal=penal) for img in processed]
+        compliances = [reanalyze(img) for img in processed]
     return EvalReport(
         target=target,
         count=count,
@@ -86,16 +91,13 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     )
 
 
-def reanalyze(image: np.ndarray, bc: BoundaryConditions | None = None,
-              penal: float = 3.0, x_min: float = 1e-3) -> float:
-    """Compliance of an image treated as a density field on a matching mesh."""
+def reanalyze(image: np.ndarray) -> float:
+    """Compliance of an image treated as a density field on a matching cantilever mesh."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise DimensionError(f"expected a 2D image, got shape {image.shape}")
     nely, nelx = image.shape
     mesh = MeshSpec(nelx=nelx, nely=nely)
-    if bc is None:
-        bc = BoundaryConditions.cantilever(mesh)
-    density = DensityField(np.clip(image, x_min, 1.0))
-    u = assemble_and_solve(density, penal, mesh, bc)
-    return compliance(density, u, penal, mesh)
+    density = DensityField(np.clip(image, X_MIN, 1.0))
+    u = assemble_and_solve(density, REANALYSIS_PENAL, mesh, BoundaryConditions.cantilever(mesh))
+    return compliance(density, u, REANALYSIS_PENAL, mesh)

@@ -40,7 +40,7 @@ class FormatError(TopoganError, ValueError):
 
 
 class ConsistencyError(TopoganError, ValueError):
-    """Two files that must agree (e.g. image/label pair) do not."""
+    """Two inputs that must agree do not, e.g. a resumed run and its checkpoint."""
 
 
 class DomainError(TopoganError, ValueError):

@@ -1,7 +1,9 @@
 """2D plane-stress FEM and SIMP compliance minimization on a structured quad mesh.
 
-Conventions: unit square bilinear elements, E(x_e) = x_e^p * E0, node ids run
-column-major with y down (node = x*(nely+1) + y), density arrays are
+Conventions: unit square bilinear elements of a material with Young's modulus
+E0 = 1 and Poisson's ratio nu = 0.3, as in top88, so E(x_e) = x_e^p * E0; a
+density never drops below X_MIN = 1e-3, which keeps K(x) nonsingular. Node ids
+run column-major with y down (node = x*(nely+1) + y), density arrays are
 (nely, nelx) with row 0 at the top.
 
 The default solve follows top88 (Andreassen et al. 2011): the index vectors
@@ -35,6 +37,9 @@ from .exceptions import (
 )
 
 PCG_TOL = 1e-8
+YOUNG_MODULUS = 1.0
+POISSON_RATIO = 0.3
+X_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,16 +48,10 @@ class MeshSpec:
 
     nelx: int
     nely: int
-    young_modulus: float = 1.0
-    poisson_ratio: float = 0.3
 
     def __post_init__(self):
         if self.nelx < 1 or self.nely < 1:
             raise ParameterError(f"mesh must have nelx,nely >= 1, got {self.nelx}x{self.nely}")
-        if not (0.0 <= self.poisson_ratio < 0.5):
-            raise ParameterError(f"poisson ratio must be in [0, 0.5), got {self.poisson_ratio}")
-        if self.young_modulus <= 0.0:
-            raise ParameterError(f"young modulus must be positive, got {self.young_modulus}")
 
     @property
     def n_dofs(self) -> int:
@@ -61,21 +60,18 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class SimpParams:
-    """Inputs of the penalized compliance minimization."""
+    """Inputs of the penalized compliance minimization; densities stay in [X_MIN, 1]."""
 
     volfrac: float
     penal: float = 3.0
     rmin: float = 1.5
-    x_min: float = 1e-3
     move: float = 0.2
     change_tol: float = 0.01
     max_iters: int = 200
 
     def __post_init__(self):
-        if not (0.0 < self.x_min <= self.volfrac <= 1.0):
-            raise ParameterError(
-                f"need 0 < x_min <= volfrac <= 1, got x_min={self.x_min}, volfrac={self.volfrac}"
-            )
+        if not (X_MIN <= self.volfrac <= 1.0):
+            raise ParameterError(f"need {X_MIN} <= volfrac <= 1, got volfrac={self.volfrac}")
         if self.penal < 1.0:
             raise ParameterError(f"penal must be >= 1, got {self.penal}")
         if self.rmin <= 0.0:
@@ -152,7 +148,7 @@ class SolveResult:
     change_history: list[float]
 
 
-def element_stiffness(nu: float = 0.3, E: float = 1.0) -> np.ndarray:
+def element_stiffness(nu: float = POISSON_RATIO, E: float = YOUNG_MODULUS) -> np.ndarray:
     """8x8 stiffness of a unit bilinear quad, plane stress (exact integration)."""
     if not (0.0 <= nu < 0.5):
         raise ParameterError(f"poisson ratio must be in [0, 0.5), got {nu}")
@@ -247,7 +243,7 @@ def _pcg(K, f: np.ndarray, tol: float) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _mesh_arrays(mesh: MeshSpec) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (ke, edof) of a mesh, built once and shared by every solve."""
-    ke = element_stiffness(mesh.poisson_ratio, mesh.young_modulus)
+    ke = element_stiffness()
     edof = element_dof_map(mesh)
     ke.setflags(write=False)
     edof.setflags(write=False)
@@ -304,7 +300,7 @@ def assemble_and_solve(
     'pcg' (Jacobi-preconditioned CG, tol 1e-8 on the true residual
     ||f - K u|| / ||f||) and 'dense' (LU with a residual check) assemble a
     sparse matrix and serve as oracles. On high-contrast designs (0/1
-    densities at x_min 1e-3) 'pcg' can raise SolverError, because rounding
+    densities at X_MIN) 'pcg' can raise SolverError, because rounding
     keeps the true residual there far above 1e-8.
     Raises SingularSystemError when the reduced system is not positive definite.
     """
@@ -450,7 +446,7 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
     if np.any(dc > 0.0):
         raise ParameterError("oc_update expects non-positive sensitivities")
 
-    lower = np.maximum(params.x_min, x - params.move)
+    lower = np.maximum(X_MIN, x - params.move)
     upper = np.minimum(1.0, x + params.move)
     neg_dc = np.negative(dc)
     xnew = np.empty_like(x)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import KIND_CLASS, condition_dim
+from .data import KIND_CLASS, check_conditions, condition_dim
 from .exceptions import DomainError, SpecError
 
 WEIGHT_STD = 0.02
@@ -43,18 +43,16 @@ LEAKY_SLOPE = 0.2
 DIST_BLOCK_VALUES = 1 << 16
 
 def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarray:
-    """(N,) raw condition values -> (N, cond_dim) dense encoding (one-hot or scalar)."""
+    """(N,) raw condition values -> (N, cond_dim) dense encoding (one-hot or scalar).
+
+    Values that fail `data.check_conditions`, or a bad kind, raise DomainError.
+    """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    dim = condition_dim(kind, cardinality, SpecError)
+    dim = check_conditions(values, kind, cardinality, DomainError)
     if kind == KIND_CLASS:
-        idx = values.astype(np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= cardinality):
-            raise DomainError(f"class index outside 0..{cardinality - 1}")
         out = np.zeros((values.size, dim))
-        out[np.arange(values.size), idx] = 1.0
+        out[np.arange(values.size), values.astype(np.int64)] = 1.0
         return out
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise DomainError("continuous conditions must lie in [0, 1]")
     return values[:, None].copy()
 
 

@@ -91,23 +91,27 @@ class ConditionSampler:
             raise DomainError("continuous sampler needs low < high")
 
 
+def mismatched(y1, y2, kind: str):
+    """Whether conditions y1 and y2 (scalars or arrays) mismatch, elementwise.
+
+    Class labels mismatch when they differ, continuous values when they lie
+    at least MISMATCH_MARGIN apart.
+    """
+    return y1 != y2 if kind == KIND_CLASS else abs(y1 - y2) >= MISMATCH_MARGIN
+
+
 def sample_mismatched_condition(y1: float, sampler: ConditionSampler,
                                 rng: np.random.Generator):
-    """Draw y2 from the sampler's distribution with `rng`, resampling until it mismatches y1.
-
-    Class labels: y2 != y1; continuous values: |y2 - y1| >= MISMATCH_MARGIN.
-    Deterministic given the state of `rng`.
+    """Draw y2 from the sampler's distribution with `rng`, resampling until it
+    is `mismatched` with y1. Deterministic given the state of `rng`.
     """
-    if sampler.kind == KIND_CLASS:
-        if sampler.cardinality < 2:
-            raise DomainError("no mismatched label exists with cardinality 1")
-        for _ in range(_MAX_RESAMPLES):
+    if sampler.kind == KIND_CLASS and sampler.cardinality < 2:
+        raise DomainError("no mismatched label exists with cardinality 1")
+    for _ in range(_MAX_RESAMPLES):
+        if sampler.kind == KIND_CLASS:
             y2 = int(rng.integers(0, sampler.cardinality))
-            if y2 != int(y1):
-                return y2
-    else:
-        for _ in range(_MAX_RESAMPLES):
+        else:
             y2 = float(rng.uniform(sampler.low, sampler.high))
-            if abs(y2 - y1) >= MISMATCH_MARGIN:
-                return y2
+        if mismatched(y1, y2, sampler.kind):
+            return y2
     raise DomainError("could not draw a mismatched condition (domain too tight)")

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, adam_step, frozen
-from .data import KIND_CLASS, KIND_CONTINUOUS, Dataset, atomic_open
+from .data import KIND_CLASS, KIND_CONTINUOUS, Dataset, atomic_open, check_conditions
 from .exceptions import (
     ConsistencyError,
     ContractError,
@@ -53,6 +53,7 @@ from .objectives import (
     ConditionSampler,
     discriminator_loss,
     generator_loss,
+    mismatched,
     needs_mismatch,
     sample_mismatched_condition,
 )
@@ -190,13 +191,10 @@ def _mismatch_conditions(conds: np.ndarray, sampler: ConditionSampler,
 
 def _mismatch_partners(conds: np.ndarray, sampler: ConditionSampler,
                        rng: np.random.Generator) -> np.ndarray:
-    """Index j per sample i with a differing condition, drawn within the batch."""
+    """Index j per sample i whose condition is `mismatched` with i's, drawn within the batch."""
     out = np.empty(conds.size, dtype=np.int64)
     for i, c in enumerate(conds):
-        if sampler.kind == KIND_CLASS:
-            candidates = np.flatnonzero(conds.astype(int) != int(c))
-        else:
-            candidates = np.flatnonzero(np.abs(conds - c) >= MISMATCH_MARGIN)
+        candidates = np.flatnonzero(mismatched(conds, c, sampler.kind))
         if candidates.size == 0:
             raise ContractError(
                 "crcgan-b needs each batch to contain differing conditions")
@@ -533,16 +531,13 @@ def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
 
 
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
-    """Generate `count` images at a fixed condition; deterministic given seed."""
+    """Generate `count` images at a fixed condition; deterministic given seed.
+
+    A condition that fails `data.check_conditions` raises DomainError, even for count 0.
+    """
     data = gen.data
-    if data["kind"] == KIND_CLASS:
-        condition = int(condition)
-        if not (0 <= condition < data["cardinality"]):
-            raise DomainError(f"class {condition} outside cardinality {data['cardinality']}")
-    else:
-        condition = float(condition)
-        if not (0.0 <= condition <= 1.0):
-            raise DomainError(f"continuous condition {condition} outside [0, 1]")
+    condition = float(condition)
+    check_conditions(np.array([condition]), data["kind"], data["cardinality"], DomainError)
     if count == 0:
         return np.empty((0, data["height"], data["width"]))
     rng = np.random.default_rng(seed)

@@ -12,7 +12,6 @@ from topogan.data import (
     augment_dataset,
     class_target_fraction,
     gaussian_kernel,
-    load_mnist_idx,
     montage,
     postprocess,
     read_dataset,
@@ -22,12 +21,7 @@ from topogan.data import (
     write_dataset,
     write_pgm,
 )
-from topogan.exceptions import (
-    ConsistencyError,
-    DimensionError,
-    FormatError,
-    ParameterError,
-)
+from topogan.exceptions import DimensionError, FormatError, ParameterError
 from topogan.fem import MeshSpec
 
 
@@ -241,11 +235,14 @@ def test_topd_reader_is_total(tmp_path_factory, edits, cut):
 
 
 def test_topd_rejects_out_of_range_records(tmp_path):
-    path = tmp_path / "r.topd"
-    write_dataset(small_dataset(), path)
+    continuous, labelled = tmp_path / "r.topd", tmp_path / "c.topd"
+    write_dataset(small_dataset(), continuous)
+    write_dataset(synth_classes(3, 2, 4, seed=0), labelled)
     header = struct.calcsize("<4sIIIIBI")
-    for offset, value in ((header, 1.5), (header + 8, float("nan")),
-                          (header + 16, float("inf"))):   # condition, penal, compliance
+    for path, offset, value in ((continuous, header, 1.5),                   # condition
+                                (continuous, header + 8, float("nan")),      # penal
+                                (continuous, header + 16, float("inf")),     # compliance
+                                (labelled, header, 1.5)):                    # class label
         blob = bytearray(path.read_bytes())
         struct.pack_into("<f", blob, offset, value)
         bad = tmp_path / "bad.topd"
@@ -273,64 +270,6 @@ def test_topd_bad_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="version"):
         read_dataset(path)
-
-
-# ---------------------------------------------------------------------------
-# IDX ingestion
-
-def write_idx_pair(tmp_path, images, labels):
-    img_path = tmp_path / "images.idx"
-    lbl_path = tmp_path / "labels.idx"
-    n, h, w = images.shape
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(lbl_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, labels.shape[0]))
-        fh.write(labels.astype(np.uint8).tobytes())
-    return img_path, lbl_path
-
-
-def test_idx_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    images = rng.integers(0, 256, size=(5, 6, 4), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=5, dtype=np.uint8)
-    img_path, lbl_path = write_idx_pair(tmp_path, images, labels)
-    ds = load_mnist_idx(img_path, lbl_path)
-    assert len(ds) == 5
-    assert ds.kind == "class" and ds.cardinality == 10
-    assert np.allclose(ds.images, images.astype(np.float32) / 255.0)
-    assert np.array_equal(ds.conditions.astype(int), labels)
-
-
-def test_idx_count_mismatch(tmp_path):
-    rng = np.random.default_rng(2)
-    images = rng.integers(0, 256, size=(5, 4, 4), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=4, dtype=np.uint8)
-    img_path, lbl_path = write_idx_pair(tmp_path, images, labels)
-    with pytest.raises(ConsistencyError):
-        load_mnist_idx(img_path, lbl_path)
-
-
-def test_idx_bad_magic(tmp_path):
-    img_path = tmp_path / "bad.idx"
-    img_path.write_bytes(struct.pack(">IIII", 0x12345678, 1, 2, 2) + b"\x00" * 4)
-    lbl_path = tmp_path / "l.idx"
-    lbl_path.write_bytes(struct.pack(">II", 0x00000801, 1) + b"\x00")
-    with pytest.raises(FormatError, match="magic"):
-        load_mnist_idx(img_path, lbl_path)
-
-
-def test_idx_downscale_pools_blocks(tmp_path):
-    rng = np.random.default_rng(3)
-    images = rng.integers(0, 256, size=(2, 8, 8), dtype=np.uint8)
-    labels = np.array([1, 2], dtype=np.uint8)
-    img_path, lbl_path = write_idx_pair(tmp_path, images, labels)
-    ds = load_mnist_idx(img_path, lbl_path, downscale=True)
-    assert ds.images.shape == (2, 4, 4)
-    scaled = images.astype(np.float64) / 255.0
-    blocks = scaled.reshape(2, 4, 2, 4, 2).mean(axis=(2, 4))
-    assert np.allclose(ds.images, blocks, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +382,21 @@ def test_montage_shape_and_separators():
 
 def test_condition_types_validate():
     image = np.zeros((1, 4, 4))
-    with pytest.raises(ParameterError):
-        Dataset(image, [1.5], kind="continuous")
-    with pytest.raises(ParameterError):
-        Dataset(image, [3], kind="class", cardinality=3)
+    for conditions, kind, cardinality in (([1.5], "continuous", 0), ([3], "class", 3),
+                                          ([1.5], "class", 3), ([np.nan], "class", 3)):
+        with pytest.raises(ParameterError):
+            Dataset(image, conditions, kind=kind, cardinality=cardinality)
     assert Dataset(image, [2], kind="class", cardinality=3).conditions[0] == 2
+
+
+@pytest.mark.parametrize("field", ["images", "conditions", "volfrac", "penal", "rmin",
+                                   "compliance"])
+def test_dataset_rejects_nan_record_fields(field):
+    ds = small_dataset()
+    fields = {name: np.array(getattr(ds, name)) for name in ds.records.dtype.names}
+    fields[field].flat[1] = np.nan
+    with pytest.raises(ParameterError):
+        Dataset(kind=ds.kind, **fields)
 
 
 def test_continuous_conditions_have_cardinality_zero():

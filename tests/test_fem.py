@@ -13,6 +13,9 @@ from topogan.exceptions import (
 )
 from topogan.fem import (
     PCG_TOL,
+    POISSON_RATIO,
+    X_MIN,
+    YOUNG_MODULUS,
     BoundaryConditions,
     DensityField,
     MeshSpec,
@@ -58,7 +61,7 @@ def ke_quadrature_oracle(nu, E):
 
 def dense_assembly_oracle(x, penal, mesh):
     """Dense global stiffness assembled with explicit per-element loops."""
-    ke = ke_quadrature_oracle(mesh.poisson_ratio, mesh.young_modulus)
+    ke = ke_quadrature_oracle(POISSON_RATIO, YOUNG_MODULUS)
     n = mesh.n_dofs
     K = np.zeros((n, n))
     for ey in range(mesh.nely):
@@ -124,7 +127,7 @@ def filter_oracle(x, dc, rmin):
 
 def oc_scan_oracle(x, dc, params, n_grid=200_000):
     """Fine log-grid scan over the Lagrange multiplier."""
-    lower = np.maximum(params.x_min, x - params.move)
+    lower = np.maximum(X_MIN, x - params.move)
     upper = np.minimum(1.0, x + params.move)
     best = None
     for lam in np.logspace(-9, 9, n_grid):
@@ -238,7 +241,7 @@ def test_solve_residual_contract():
 
 @pytest.mark.parametrize("seed,contrast", [(0, True), (1, True), (0, False)])
 def test_pcg_stops_on_the_true_residual(seed, contrast):
-    # on random 0/1 designs at x_min 1e-3 the CG recurrence residual can sit
+    # on random 0/1 designs at X_MIN the CG recurrence residual can sit
     # orders of magnitude below ||f - K u|| / ||f||; pcg either meets its
     # tolerance on the true residual or raises SolverError
     mesh = MeshSpec(60, 20)
@@ -357,7 +360,7 @@ def test_compliance_uniform_half_density_matches_oracle():
     density = DensityField.uniform(mesh, 0.5)
     bc = BoundaryConditions.cantilever(mesh)
     u_oracle = solve_oracle(density.values, 3.0, mesh, bc)
-    ke = ke_quadrature_oracle(mesh.poisson_ratio, mesh.young_modulus)
+    ke = ke_quadrature_oracle(POISSON_RATIO, YOUNG_MODULUS)
     c_oracle = 0.0
     for ey in range(mesh.nely):
         for ex in range(mesh.nelx):
@@ -387,7 +390,7 @@ def test_sensitivities_power_rule_p1():
     u = assemble_and_solve(density, 1.0, mesh, bc, solver="dense")
     dc = sensitivities(density, u, 1.0, mesh)
     # p=1: dc_e = -u_e^T k0 u_e, independent of x_e
-    ke = ke_quadrature_oracle(mesh.poisson_ratio, mesh.young_modulus)
+    ke = ke_quadrature_oracle(POISSON_RATIO, YOUNG_MODULUS)
     for ey in range(3):
         for ex in range(3):
             n1 = (mesh.nely + 1) * ex + ey
@@ -556,11 +559,11 @@ def test_oc_invariants_random(seed, volfrac, move):
     rng = np.random.default_rng(seed)
     params = SimpParams(volfrac=volfrac, move=move)
     x = np.clip(rng.uniform(volfrac - move / 2, volfrac + move / 2, size=(4, 5)),
-                params.x_min, 1.0)
+                X_MIN, 1.0)
     dc = -rng.uniform(1e-3, 10.0, size=(4, 5))
     out = oc_update(DensityField(x), dc, params)
     assert abs(out.values.mean() - volfrac) <= 1e-4
-    assert np.all(out.values >= params.x_min - 1e-12)
+    assert np.all(out.values >= X_MIN - 1e-12)
     assert np.all(out.values <= 1.0 + 1e-12)
     assert np.all(np.abs(out.values - x) <= move + 1e-12)
 
@@ -574,7 +577,7 @@ def test_run_simp_cantilever_small():
     result = run_simp(mesh, params)
     assert result.converged
     assert abs(result.density.values.mean() - 0.5) <= 1e-3
-    assert np.all(result.density.values >= params.x_min - 1e-12)
+    assert np.all(result.density.values >= X_MIN - 1e-12)
     assert np.all(result.density.values <= 1.0 + 1e-12)
     assert len(result.compliance_history) == result.iterations
     assert len(result.change_history) == result.iterations

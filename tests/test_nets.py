@@ -143,13 +143,17 @@ def test_minibatch_permutation_property(seed, n):
 def test_one_hot_encoding():
     enc = encode_condition_vector([0, 2, 1], "class", 3)
     assert np.array_equal(enc, np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float))
+    for bad in ([1.5], [np.nan], [3], [-1]):   # NaN must fail before any int cast
+        with pytest.raises(DomainError):
+            encode_condition_vector(bad, "class", 3)
 
 
 def test_continuous_encoding():
     enc = encode_condition_vector([0.3, 0.8], "continuous")
     assert np.array_equal(enc, np.array([[0.3], [0.8]]))
-    with pytest.raises(DomainError):
-        encode_condition_vector([1.2], "continuous")
+    for bad in ([1.2], [np.nan]):
+        with pytest.raises(DomainError):
+            encode_condition_vector(bad, "continuous")
 
 
 # ---------------------------------------------------------------------------

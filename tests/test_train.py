@@ -666,5 +666,7 @@ def test_sample_condition_domain_error(tiny_dataset, tmp_path):
     from topogan.exceptions import DomainError
     outcome = train(desk_config(steps=1), tiny_dataset, tmp_path / "run")
     gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
-    with pytest.raises(DomainError):
-        sample(gen, 5, count=2, seed=0)
+    for condition in (5, 1.5, float("nan")):
+        for count in (2, 0):
+            with pytest.raises(DomainError):
+                sample(gen, condition, count=count, seed=0)
