@@ -164,8 +164,8 @@ class Dataset:
         """
         self.records = records
         self.kind = kind
-        self.cardinality = int(cardinality)
-        check_conditions(self.conditions, kind, self.cardinality)
+        check_conditions(self.conditions, kind, cardinality)
+        self.cardinality = cardinality
         for name in records.dtype.names:
             if not np.isfinite(records[name]).all():
                 raise ParameterError(f"{name} must be finite")

@@ -15,10 +15,15 @@ cardinality}; both networks are built from these two. It also holds the step,
 the Adam step counts, the rng state, the trailing diversity window, and the
 tensor table [[name, shape], ...] that orders the tensor data. A checkpoint
 is written to a temporary file in its directory and renamed into place, so a
-crash never leaves a partial file under its name. Metrics are one JSON object
-per line with keys step, iter, d_loss, g_loss, diversity, mean_score_real,
-mean_score_fake, mean_score_mismatch (null when unused), wall_ms; a resumed
-run first drops the records past its checkpoint.
+crash never leaves a partial file under its name. Neither a save nor a load
+holds the whole file: a save writes each tensor from its own buffer, and a
+load streams the CRC over the file in 1 MiB chunks, then reads each tensor
+straight into the array that keeps it (a generator's weights, or the arrays
+of a fresh TrainState) and skips the tensors that no array asks for.
+
+Metrics are one JSON object per line with keys step, iter, d_loss, g_loss,
+diversity, mean_score_real, mean_score_fake, mean_score_mismatch (null when
+unused), wall_ms; a resumed run first drops the records past its checkpoint.
 
 A step's discriminator update returns only floats, so its graphs (three D
 passes for crcgan-a/b) and its fake batch are released before the generator
@@ -29,9 +34,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 import time
 import zlib
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -64,6 +71,7 @@ CKPT_MAGIC = b"CRCG"
 CKPT_VERSION = 4
 _CKPT_PREFIX = struct.Struct("<4sII")   # magic, version, header length
 _CKPT_CRC = struct.Struct("<I")
+_CKPT_CHUNK = 1 << 20                   # bytes per read of a load's CRC pass
 # TrainConfig fields a resumed run may change: they set the budget, not the model
 _BUDGET_FIELDS = ("steps", "checkpoint_every")
 
@@ -137,9 +145,14 @@ def _sampler_for(dataset: Dataset) -> ConditionSampler:
     return ConditionSampler(kind=KIND_CONTINUOUS, low=lo, high=min(hi, 1.0))
 
 
-def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
-    data = {"height": dataset.height, "width": dataset.width, "kind": dataset.kind,
+def _data_shape(dataset: Dataset) -> dict:
+    """The shape of the training data that a checkpoint stores and the nets are built from."""
+    return {"height": dataset.height, "width": dataset.width, "kind": dataset.kind,
             "cardinality": dataset.cardinality}
+
+
+def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
+    data = _data_shape(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = Generator(config, data, seed=seeds[0])
     disc = Discriminator(config, data, seed=seeds[1])
@@ -299,65 +312,110 @@ def training_step(state: TrainState, images: np.ndarray,
 def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     """Write `header`, the tensor table and the tensors as one CRC-checked file.
 
-    The bytes go to a temporary file in the same directory, which is synced
-    and then renamed over `path`.
+    Each tensor's own little-endian f64 buffer goes to the CRC and the file in
+    turn, so the data is never copied whole. The bytes go to a temporary file
+    in the same directory, which is synced and then renamed over `path`.
     """
-    arrays = {name: np.asarray(a, dtype="<f8") for name, a in tensors.items()}
-    table = [[name, list(a.shape)] for name, a in arrays.items()]
+    table = [[name, list(np.shape(a))] for name, a in tensors.items()]
     head = json.dumps({**header, "tensors": table}).encode("utf-8")
+    prefix = _CKPT_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(head))
     with atomic_open(path) as fh:
-        crc = 0
-        for chunk in (_CKPT_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(head)), head,
-                      *(a.tobytes() for a in arrays.values())):
-            crc = zlib.crc32(chunk, crc)
-            fh.write(chunk)
+        crc = zlib.crc32(head, zlib.crc32(prefix))
+        fh.write(prefix + head)
+        for a in tensors.values():
+            a = np.asarray(a, dtype="<f8", order="C")   # no copy of a C-ordered f64 array
+            crc = zlib.crc32(a, crc)
+            fh.write(a)
         fh.write(_CKPT_CRC.pack(crc))
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_exact(fh, buf) -> None:
+    """Fill the writable buffer `buf` from `fh`; a file that ends first raises FormatError."""
+    view = memoryview(buf).cast("B")
+    if fh.readinto(view) != view.nbytes:
+        raise FormatError("short read: the checkpoint ends early", offset=fh.tell())
+
+
+def _check_shapes(shapes: dict[str, tuple], table: dict[str, tuple]) -> None:
+    """Raise FormatError unless the tensor table has a tensor of each name and shape."""
+    for name, shape in shapes.items():
+        if table.get(name) != shape:
+            raise FormatError(f"checkpoint tensor {name} is missing or misshapen")
+
+
+def load_checkpoint(path, targets: Callable[[dict, dict[str, tuple]], dict] | None = None
+                    ) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, tensors) of a checkpoint; a malformed file raises FormatError.
 
-    The tensors are read-only views of the file's bytes.
+    The file is never held whole. A first pass streams the CRC through one
+    reused buffer of `_CKPT_CHUNK` bytes; only then are the prefix, the header
+    and the tensor table read and checked. With no `targets`, every tensor is
+    read into a new array. Otherwise `targets(header, shapes)` is called once
+    the table has passed its checks, with `shapes` the table's {name: shape}.
+    It returns existing C-contiguous float64 arrays by name; those tensors are
+    read straight into them and the others are skipped. A target that the
+    table lacks, or holds in another shape, raises FormatError.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _CKPT_PREFIX.size + _CKPT_CRC.size:
-        raise FormatError("truncated checkpoint header", offset=len(blob))
-    magic, version, head_len = _CKPT_PREFIX.unpack_from(blob)
-    if magic != CKPT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    end = len(blob) - _CKPT_CRC.size
-    if zlib.crc32(memoryview(blob)[:end]) != _CKPT_CRC.unpack_from(blob, end)[0]:
-        raise FormatError("CRC32 mismatch: checkpoint is corrupt or truncated", offset=end)
-    offset = _CKPT_PREFIX.size + head_len
-    if offset > end:
-        raise FormatError("header runs past the end of the file", offset=_CKPT_PREFIX.size)
-    try:
-        header = json.loads(blob[_CKPT_PREFIX.size:offset].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
-        raise FormatError(f"unreadable header: {exc}", offset=_CKPT_PREFIX.size) from None
-    table = header.pop("tensors", None) if isinstance(header, dict) else None
-    if not isinstance(table, list):
-        raise FormatError("header has no tensor table", offset=_CKPT_PREFIX.size)
-    tensors: dict[str, np.ndarray] = {}
-    for entry in table:
-        name, shape = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
-        if not (isinstance(name, str) and isinstance(shape, list)
-                and all(type(d) is int and d >= 0 for d in shape)):
-            raise FormatError("bad tensor table entry", offset=_CKPT_PREFIX.size)
-        count = math.prod(shape)
-        if offset + 8 * count > end:
-            raise FormatError(f"tensor {name} runs past the end of the data", offset=offset)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _CKPT_PREFIX.size + _CKPT_CRC.size:
+            raise FormatError("truncated checkpoint header", offset=size)
+        end = size - _CKPT_CRC.size
+        crc, chunk = 0, memoryview(bytearray(min(_CKPT_CHUNK, end)))
+        for start in range(0, end, len(chunk)):
+            part = chunk[:min(len(chunk), end - start)]
+            _read_exact(fh, part)
+            crc = zlib.crc32(part, crc)
+        del part, chunk   # the buffer is freed before any target is built
+        trailer, prefix = bytearray(_CKPT_CRC.size), bytearray(_CKPT_PREFIX.size)
+        _read_exact(fh, trailer)
+        fh.seek(0)
+        _read_exact(fh, prefix)
+        magic, version, head_len = _CKPT_PREFIX.unpack(prefix)
+        if magic != CKPT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}", offset=0)
+        if version != CKPT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}", offset=4)
+        if crc != _CKPT_CRC.unpack(trailer)[0]:
+            raise FormatError("CRC32 mismatch: checkpoint is corrupt or truncated", offset=end)
+        offset = _CKPT_PREFIX.size + head_len
+        if offset > end:
+            raise FormatError("header runs past the end of the file", offset=_CKPT_PREFIX.size)
+        head = bytearray(head_len)
+        _read_exact(fh, head)
         try:
-            tensors[name] = np.frombuffer(blob, dtype="<f8", count=count,
-                                          offset=offset).reshape(shape)
-        except ValueError as exc:  # more dimensions than numpy supports
-            raise FormatError(f"tensor {name}: {exc}", offset=_CKPT_PREFIX.size) from None
-        offset += 8 * count
-    if offset != end:
-        raise FormatError("bytes left after the last tensor", offset=offset)
+            header = json.loads(head.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+            raise FormatError(f"unreadable header: {exc}", offset=_CKPT_PREFIX.size) from None
+        table = header.pop("tensors", None) if isinstance(header, dict) else None
+        if not isinstance(table, list):
+            raise FormatError("header has no tensor table", offset=_CKPT_PREFIX.size)
+        shapes: dict[str, tuple] = {}
+        offsets: dict[str, int] = {}    # a name listed twice keeps its last tensor
+        for entry in table:
+            name, shape = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+            if not (isinstance(name, str) and isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)):
+                raise FormatError("bad tensor table entry", offset=_CKPT_PREFIX.size)
+            count = math.prod(shape)
+            if offset + 8 * count > end:
+                raise FormatError(f"tensor {name} runs past the end of the data", offset=offset)
+            try:
+                np.broadcast_to(0.0, shape)   # numpy's limits on a shape, with no allocation
+            except ValueError as exc:  # more dimensions than numpy supports
+                raise FormatError(f"tensor {name}: {exc}", offset=_CKPT_PREFIX.size) from None
+            shapes[name], offsets[name] = tuple(shape), offset
+            offset += 8 * count
+        if offset != end:
+            raise FormatError("bytes left after the last tensor", offset=offset)
+        if targets is None:
+            tensors = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
+        else:
+            tensors = targets(header, shapes)
+            _check_shapes({name: array.shape for name, array in tensors.items()}, shapes)
+        for name, array in tensors.items():
+            fh.seek(offsets[name])
+            _read_exact(fh, array)
     return header, tensors
 
 
@@ -404,42 +462,36 @@ def _stored_run(header: dict) -> tuple[TrainConfig, dict, dict[str, tuple]]:
     return config, data, gen_shapes
 
 
-def _check_shapes(shapes: dict[str, tuple], tensors: dict[str, np.ndarray]) -> None:
-    """Raise FormatError unless the checkpoint has a tensor of each name and shape."""
-    for name, shape in shapes.items():
-        source = tensors.get(name)
-        if source is None or source.shape != shape:
-            raise FormatError(f"checkpoint tensor {name} is missing or misshapen")
-
-
-def _fill(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> None:
-    """Copy each checkpoint tensor into the target array of the same name."""
-    _check_shapes({name: target.shape for name, target in targets.items()}, tensors)
-    for name, target in targets.items():
-        target[...] = tensors[name]
-
-
 def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
-    """Restore a TrainState; `config` may differ from the stored one in its budget only."""
-    header, tensors = load_checkpoint(path)
-    stored, data, _ = _stored_run(header)
-    stored = replace(stored, **{f: getattr(config, f) for f in _BUDGET_FIELDS})
-    if stored != config:
-        raise ConsistencyError(
-            "config does not match checkpoint structure "
-            f"(stored {stored}, requested {config})")
-    state = init_state(config, dataset)
-    if state.data != data:
-        raise ConsistencyError(
-            f"dataset shape {state.data} does not match the checkpoint's {data}")
-    _fill(_state_tensors(state), tensors)
+    """Restore a TrainState; `config` may differ from the stored one in its budget only.
+
+    The stored run is checked against `config` and `dataset` before the state
+    is built, and every tensor is read straight into the arrays that
+    `init_state` made.
+    """
+    shape, states = _data_shape(dataset), []
+
+    def state_arrays(header: dict, shapes: dict) -> dict[str, np.ndarray]:
+        stored, data, _ = _stored_run(header)
+        stored = replace(stored, **{f: getattr(config, f) for f in _BUDGET_FIELDS})
+        if stored != config:
+            raise ConsistencyError(
+                "config does not match checkpoint structure "
+                f"(stored {stored}, requested {config})")
+        if shape != data:
+            raise ConsistencyError(f"dataset shape {shape} does not match the checkpoint's {data}")
+        states.append(init_state(config, dataset))
+        return _state_tensors(states[0])
+
+    header, _ = load_checkpoint(path, state_arrays)
+    state = states[0]
     try:
         state.adam_g.step = int(header["adam_steps"]["g"])
         state.adam_d.step = int(header["adam_steps"]["d"])
         state.step = int(header["step"])
         state.rng.bit_generator.state = header["rng"]
         state.diversity_history = [float(d) for d in header["diversity_window"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header lacks training state: {exc}") from None
     return state
 
@@ -520,14 +572,22 @@ def read_metrics(path) -> list[dict]:
 # sampling from a checkpoint
 
 def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
-    """The trained generator stored in a checkpoint, and the config it was trained with."""
-    header, tensors = load_checkpoint(path)
-    config, data, gen_shapes = _stored_run(header)
-    # before any weight is drawn: the header alone sets the generator's size
-    _check_shapes({f"g.{name}": shape for name, shape in gen_shapes.items()}, tensors)
-    gen = Generator(config, data, seed=0)
-    _fill({f"g.{name}": p.data for name, p in gen.params().items()}, tensors)
-    return gen, config
+    """The trained generator stored in a checkpoint, and the config it was trained with.
+
+    The g.* tensors are read straight into the generator's weights; the other
+    tensors are only CRC-checked.
+    """
+    gens = []
+
+    def weights(header: dict, shapes: dict) -> dict[str, np.ndarray]:
+        config, data, gen_shapes = _stored_run(header)
+        # before any weight is drawn: the header alone sets the generator's size
+        _check_shapes({f"g.{name}": shape for name, shape in gen_shapes.items()}, shapes)
+        gens.append(Generator(config, data, seed=0))
+        return {f"g.{name}": p.data for name, p in gens[0].params().items()}
+
+    load_checkpoint(path, weights)
+    return gens[0], gens[0].config
 
 
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:

@@ -42,15 +42,32 @@ def test_bench_hook_target_resolves(target):
     assert callable(owner), target
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_bench_workload_runs_at_toy_size(workload, tmp_path):
-    out = tmp_path / f"{workload}.json"
+def run_workload(workload: str, out: Path, *flags: str) -> dict:
+    """The result of one fixed toy-size run of `workload` by bench/workloads.py."""
     env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "workloads.py"), "--workload", workload,
-         "--size", "toy", "--seed", "0", "--seconds", "0", "--fixed", "--out", str(out)],
+         "--size", "toy", "--seed", "0", "--seconds", "0", "--fixed", "--out", str(out),
+         *flags],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(out.read_text(encoding="utf-8"))
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_runs_at_toy_size(workload, tmp_path):
+    result = run_workload(workload, tmp_path / f"{workload}.json")
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["failures"]
+
+
+def test_bench_checkpoint_metrics_are_measured(tmp_path):
+    # a loader that bypassed train.load_checkpoint would pass the hook test
+    # above and still zero these: each eval loads its checkpoint exactly once
+    result = run_workload("pipeline", tmp_path / "pipeline.json", "--trace", "1")
+    assert result["failed"] == 0, result["failures"]
+    assert result["absent"] == []
+    layers = result["layers"]
+    assert layers["train.checkpoint_loads_per_eval"]["value"] == 1.0
+    assert layers["train.load_checkpoint_ms"]["value"] > 0
+    assert layers["train.save_checkpoint_ms"]["value"] > 0

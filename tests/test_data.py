@@ -399,6 +399,19 @@ def test_dataset_rejects_nan_record_fields(field):
         Dataset(kind=ds.kind, **fields)
 
 
+def test_dataset_rejects_a_cardinality_that_is_not_an_int():
+    # each was cast to int before the check: 2.7 became 2 classes, 0.4 became 0
+    image = np.zeros((1, 4, 4))
+    for conditions, kind, cardinality in (([1], "class", 2.7), ([1], "class", 2.0),
+                                          ([0.5], "continuous", 0.4)):
+        with pytest.raises(ParameterError):
+            Dataset(image, conditions, kind=kind, cardinality=cardinality)
+        with pytest.raises(ParameterError):
+            Dataset.from_records(Dataset(image, conditions, kind=kind,
+                                         cardinality=int(cardinality)).records,
+                                 kind, cardinality)
+
+
 def test_continuous_conditions_have_cardinality_zero():
     image = np.zeros((1, 4, 4))
     with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 """Training loop determinism, checkpoint persistence, and metric contracts."""
 import contextlib
+import io
 import json
 import os
 import struct
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topogan import train as train_module
-from topogan.data import synth_classes, write_dataset
+from topogan.data import Dataset, synth_classes, write_dataset
 from topogan.exceptions import (
     ConsistencyError,
     ContractError,
@@ -370,9 +371,49 @@ def test_checkpoint_reader_is_total(state_checkpoint, tmp_path_factory, edits, c
         assert all(tensors[k].tobytes() == tensors0[k].tobytes() for k in tensors)
 
 
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 2047), st.integers(0, 255)),
+                      min_size=1, max_size=4),
+       cut=st.integers(0, 8), resealed=st.booleans())
+def test_in_place_loaders_are_total(state_checkpoint, tiny_dataset, tmp_path_factory,
+                                    edits, cut, resealed):
+    # the edits of the test above, fed to the readers that fill a generator and
+    # a TrainState in place: each loads or raises FormatError, and a resealed
+    # header may also name another run than the one load_state is asked for
+    blob = bytearray(state_checkpoint)
+    for pos, value in edits:
+        blob[pos] = value
+    mutated = bytes(blob[:len(blob) - cut])
+    if resealed and len(mutated) >= 16:
+        mutated = seal(mutated)
+    path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+    path.write_bytes(mutated)
+    for load, errors in (
+            (lambda: generator_from_checkpoint(path), FormatError),
+            (lambda: load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2)),
+             (FormatError, ConsistencyError) if resealed else FormatError)):
+        try:
+            load()
+        except errors:
+            continue
+        assert mutated == seal(mutated), "a checkpoint with a wrong CRC32 loaded"
+
+
+def test_checkpoint_short_read_is_format_error(state_checkpoint):
+    # a file that ends before the size its CRC pass and tensor table were
+    # checked against (cut while being read) fails at the read itself
+    fh = io.BytesIO(state_checkpoint[:100])
+    with pytest.raises(FormatError, match="short read"):
+        train_module._read_exact(fh, np.empty(13))
+
+
 @pytest.mark.parametrize("header", [
     b"\xff\xfe{", b"{not json", b"[1, 2]", b'{"step": 1}', b'{"tensors": [["x", [-1]]]}',
     b'{"tensors": [["x", [2, 2]]]}', b'{"tensors": [[3, []]]}', b"[" * 100_000,
+    # more dimensions than numpy supports: [1] * 65 also runs past the (empty)
+    # data, so [1] * 64 + [0], with no data, is what reaches numpy's limit
+    json.dumps({"tensors": [["x", [1] * 65]]}).encode(),
+    json.dumps({"tensors": [["x", [1] * 64 + [0]]]}).encode(),
 ])
 def test_checkpoint_malformed_header_is_format_error(tmp_path, header):
     prefix = struct.pack("<4sII", b"CRCG", CKPT_VERSION, len(header))
@@ -461,6 +502,68 @@ def test_checkpoint_declaring_a_huge_image_fails_before_allocating(tmp_path,
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_load_state_header_numbers_out_of_range_are_format_error(tmp_path, tiny_dataset,
+                                                                 state_checkpoint):
+    # each raised a bare OverflowError: int(inf), a 200-bit rng state, float(10**400)
+    header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
+    path = tmp_path / "n.ckpt"
+    rng = header["rng"]
+    for field_value in ({"step": float("inf")},
+                        {"rng": {**rng, "state": {**rng["state"], "state": 2**200}}},
+                        {"diversity_window": [10**400]}):
+        save_checkpoint(path, {**header, **field_value}, tensors)
+        with pytest.raises(FormatError):
+            load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2))
+
+
+@pytest.fixture(scope="module")
+def pipeline_state(tmp_path_factory):
+    """The pipeline workload's networks (crcgan-b, default widths, 32x32
+    continuous data), initialised, and their checkpoint."""
+    ds = Dataset(np.full((2, 32, 32), 0.5), [0.4, 0.6], kind="continuous")
+    config = TrainConfig(objective="crcgan-b", steps=1, batch_size=16)
+    state = init_state(config, ds)
+    path = tmp_path_factory.mktemp("pipeline") / "p.ckpt"
+    write_state(state, path)
+    return ds, state, path
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while `fn` runs, kept or not."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generator_load_peak_memory(pipeline_state):
+    # measured: 5.41 MB to load a 5.38 MB generator from a 23.7 MB file (1.0x).
+    # Reading the whole file first peaked at 29.1 MB (5.4x).
+    _, state, path = pipeline_state
+    gen_bytes = sum(p.data.nbytes for p in state.gen.params().values())
+    peak = traced_peak(lambda: generator_from_checkpoint(path))
+    assert peak <= 1.5 * gen_bytes, f"peak {peak / gen_bytes:.2f}x the generator"
+
+
+def test_load_state_peak_memory(pipeline_state):
+    # measured: 23.69 MB for 23.65 MB of state tensors (1.0x). Reading the
+    # whole file and then copying it into the state peaked at 47.3 MB (2.0x).
+    ds, state, path = pipeline_state
+    state_bytes = sum(a.nbytes for a in train_module._state_tensors(state).values())
+    peak = traced_peak(lambda: load_state(path, ds, state.config))
+    assert peak <= 1.5 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
+
+
+def test_write_state_peak_memory(pipeline_state, tmp_path):
+    # measured: 0.03 MB. A byte copy of every tensor, made before the first
+    # write, peaked at 23.7 MB, the size of the file.
+    _, state, _ = pipeline_state
+    peak = traced_peak(lambda: write_state(state, tmp_path / "w.ckpt"))
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
