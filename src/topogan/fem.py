@@ -271,9 +271,14 @@ class _BandPlan:
 
 @functools.lru_cache(maxsize=16)
 def _band_plan(mesh: MeshSpec, fixed_dofs: bytes) -> _BandPlan:
-    """The plan of one mesh and fixed-DOF set (`fixed_dofs` as int64 bytes)."""
+    """The plan of one mesh and fixed-DOF set (`fixed_dofs` as int64 bytes, inside the mesh)."""
+    fixed = np.frombuffer(fixed_dofs, dtype=np.int64)
+    outside = fixed[(fixed < 0) | (fixed >= mesh.n_dofs)]
+    if outside.size:
+        raise DimensionError(
+            f"fixed DOFs {outside.tolist()} outside mesh with {mesh.n_dofs} DOFs")
     ke, edof = _mesh_arrays(mesh)
-    free = np.setdiff1d(np.arange(mesh.n_dofs), np.frombuffer(fixed_dofs, dtype=np.int64))
+    free = np.setdiff1d(np.arange(mesh.n_dofs), fixed)
     reduced = np.full(mesh.n_dofs, -1, dtype=np.int64)
     reduced[free] = np.arange(free.size)
     red = reduced[edof]
@@ -484,16 +489,14 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
 def run_simp(
     mesh: MeshSpec,
     params: SimpParams,
-    bc: BoundaryConditions | None = None,
     solver: str = "auto",
 ) -> SolveResult:
-    """Full SIMP loop: solve, compliance, sensitivities, filter, OC update.
+    """Full SIMP loop on the cantilever: solve, compliance, sensitivities, filter, OC update.
 
     Stops when the max elementwise density change drops below change_tol;
     hitting max_iters returns converged=False rather than raising.
     """
-    if bc is None:
-        bc = BoundaryConditions.cantilever(mesh)
+    bc = BoundaryConditions.cantilever(mesh)
     density = DensityField.uniform(mesh, params.volfrac)
     history: list[float] = []
     changes: list[float] = []

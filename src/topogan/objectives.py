@@ -13,20 +13,18 @@ mismatched scores. The registry maps each objective name to that need:
 produced), `crcgan-a` (a random wrong condition y2 for the same image) and
 `crcgan-b` (a second real image whose true condition differs from y) use
 three. The variants differ only in how the training step builds the
-mismatched scores. All logs carry the global 1e-12 floor clamp.
+mismatched scores, and `mismatched` is the one rule for when two conditions
+differ. crcgan-a's wrong condition is drawn in `train._mismatch_conditions`,
+uniformly over the training data's class labels or over the range of its
+continuous conditions. All logs carry the global 1e-12 floor clamp.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .autodiff import Tensor, log_clamped, mean
-from .data import KIND_CLASS, condition_dim
+from .data import KIND_CLASS
 from .exceptions import ContractError, DomainError
 
 MISMATCH_MARGIN = 0.05
-_MAX_RESAMPLES = 10_000
 
 # objective name -> whether its loss needs mismatched real scores
 OBJECTIVES = {"cgan": False, "crcgan-a": True, "crcgan-b": True}
@@ -73,24 +71,6 @@ def generator_loss(fake) -> Tensor:
     return -mean(log_clamped(_scores(fake, "fake")))
 
 
-# ---------------------------------------------------------------------------
-# mismatched-condition sampling
-
-@dataclass
-class ConditionSampler:
-    """Uniform condition distribution, discrete labels or a continuous range."""
-
-    kind: str  # KIND_CLASS or KIND_CONTINUOUS
-    cardinality: int = 0
-    low: float = 0.0
-    high: float = 1.0
-
-    def __post_init__(self):
-        condition_dim(self.kind, self.cardinality, DomainError)
-        if self.kind != KIND_CLASS and not (self.low < self.high):
-            raise DomainError("continuous sampler needs low < high")
-
-
 def mismatched(y1, y2, kind: str):
     """Whether conditions y1 and y2 (scalars or arrays) mismatch, elementwise.
 
@@ -98,20 +78,3 @@ def mismatched(y1, y2, kind: str):
     at least MISMATCH_MARGIN apart.
     """
     return y1 != y2 if kind == KIND_CLASS else abs(y1 - y2) >= MISMATCH_MARGIN
-
-
-def sample_mismatched_condition(y1: float, sampler: ConditionSampler,
-                                rng: np.random.Generator):
-    """Draw y2 from the sampler's distribution with `rng`, resampling until it
-    is `mismatched` with y1. Deterministic given the state of `rng`.
-    """
-    if sampler.kind == KIND_CLASS and sampler.cardinality < 2:
-        raise DomainError("no mismatched label exists with cardinality 1")
-    for _ in range(_MAX_RESAMPLES):
-        if sampler.kind == KIND_CLASS:
-            y2 = int(rng.integers(0, sampler.cardinality))
-        else:
-            y2 = float(rng.uniform(sampler.low, sampler.high))
-        if mismatched(y1, y2, sampler.kind):
-            return y2
-    raise DomainError("could not draw a mismatched condition (domain too tight)")

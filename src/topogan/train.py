@@ -5,6 +5,12 @@ order is a fresh seeded shuffle per iteration, derived from (seed, iteration)
 so that a resumed run replays the identical order. All other randomness
 (noise, mismatch draws) comes from one generator whose state rides along in
 the checkpoint, making interrupt/resume bit-identical.
+crcgan-a draws its wrong condition y2 from the training data's own domain: a
+class label below the cardinality, or a value in the range of the continuous
+conditions (widened to 2 * MISMATCH_MARGIN when narrower than the margin, and
+capped at 1), redrawn until it is `objectives.mismatched` with y. crcgan-b
+draws a partner within the batch. `init_state` is the one place that checks
+that a wrong condition can exist.
 
 Checkpoint binary (little-endian): magic "CRCG", u32 version=4, u32 header
 length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
@@ -45,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, adam_step, frozen
-from .data import KIND_CLASS, KIND_CONTINUOUS, Dataset, atomic_open, check_conditions
+from .data import KIND_CLASS, Dataset, atomic_open, check_conditions
 from .exceptions import (
     ConsistencyError,
     ContractError,
@@ -57,12 +63,10 @@ from .exceptions import (
 from .nets import Discriminator, Generator, discriminator_shapes, generator_shapes
 from .objectives import (
     MISMATCH_MARGIN,
-    ConditionSampler,
     discriminator_loss,
     generator_loss,
     mismatched,
     needs_mismatch,
-    sample_mismatched_condition,
 )
 
 log = logging.getLogger(__name__)
@@ -77,6 +81,7 @@ _BUDGET_FIELDS = ("steps", "checkpoint_every")
 
 COLLAPSE_WINDOW = 100    # trailing steps for the diversity median
 COLLAPSE_FACTOR = 0.1    # warn when diversity < factor * trailing median
+_MAX_RESAMPLES = 10_000  # draws per wrong condition before DomainError
 
 
 @dataclass(frozen=True)
@@ -130,19 +135,27 @@ class TrainState:
     adam_g: AdamState
     adam_d: AdamState
     rng: np.random.Generator
-    sampler: ConditionSampler
+    mismatch_range: tuple[float, float] | None   # crcgan-a on continuous data only
     step: int = 0
     diversity_history: list = field(default_factory=list)
 
 
-def _sampler_for(dataset: Dataset) -> ConditionSampler:
-    if dataset.kind == KIND_CLASS:
-        return ConditionSampler(kind=KIND_CLASS, cardinality=dataset.cardinality)
-    lo = float(dataset.conditions.min())
-    hi = float(dataset.conditions.max())
+def _mismatch_range(config: TrainConfig, dataset: Dataset) -> tuple[float, float] | None:
+    """The (low, high) range of crcgan-a's continuous draws, or None for any other run;
+    DomainError when the data leaves a mismatch objective no wrong condition.
+    """
+    if needs_mismatch(config.objective) and dataset.kind == KIND_CLASS \
+            and dataset.cardinality < 2:
+        raise DomainError("mismatch objectives need at least 2 classes")
+    if config.objective != "crcgan-a" or dataset.kind == KIND_CLASS:
+        return None
+    lo, hi = float(dataset.conditions.min()), float(dataset.conditions.max())
     if hi - lo < MISMATCH_MARGIN:
-        hi = lo + max(2 * MISMATCH_MARGIN, 1e-3)
-    return ConditionSampler(kind=KIND_CONTINUOUS, low=lo, high=min(hi, 1.0))
+        hi = lo + 2 * MISMATCH_MARGIN
+    hi = min(hi, 1.0)
+    if not lo < hi:
+        raise DomainError(f"crcgan-a's draw range needs low < high, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def _data_shape(dataset: Dataset) -> dict:
@@ -152,6 +165,7 @@ def _data_shape(dataset: Dataset) -> dict:
 
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
+    mismatch_range = _mismatch_range(config, dataset)
     data = _data_shape(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = Generator(config, data, seed=seeds[0])
@@ -161,8 +175,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         config=config, data=data, gen=gen, disc=disc,
         adam_g=AdamState.for_params(gp, config.lr, config.beta1, config.beta2, config.eps),
         adam_d=AdamState.for_params(dp, config.lr, config.beta1, config.beta2, config.eps),
-        rng=np.random.default_rng(seeds[2]),
-        sampler=_sampler_for(dataset),
+        rng=np.random.default_rng(seeds[2]), mismatch_range=mismatch_range,
     )
 
 
@@ -195,19 +208,27 @@ def diversity_metric(images: np.ndarray) -> float:
     return total / (n * (n - 1) / 2 * pixels)
 
 
-def _mismatch_conditions(conds: np.ndarray, sampler: ConditionSampler,
+def _mismatch_conditions(conds: np.ndarray, data: dict, value_range: tuple[float, float] | None,
                          rng: np.random.Generator) -> np.ndarray:
-    return np.array([
-        float(sample_mismatched_condition(float(c), sampler, rng=rng)) for c in conds
-    ])
+    """crcgan-a's wrong condition y2 for each of `conds`, drawn with `rng` from the data."""
+    kind, out = data["kind"], np.empty(conds.size)
+    for i, c in enumerate(conds):
+        for _ in range(_MAX_RESAMPLES):
+            y2 = (int(rng.integers(0, data["cardinality"])) if kind == KIND_CLASS
+                  else float(rng.uniform(*value_range)))
+            if mismatched(float(c), y2, kind):
+                break
+        else:
+            raise DomainError("could not draw a mismatched condition (domain too tight)")
+        out[i] = y2
+    return out
 
 
-def _mismatch_partners(conds: np.ndarray, sampler: ConditionSampler,
-                       rng: np.random.Generator) -> np.ndarray:
+def _mismatch_partners(conds: np.ndarray, kind: str, rng: np.random.Generator) -> np.ndarray:
     """Index j per sample i whose condition is `mismatched` with i's, drawn within the batch."""
     out = np.empty(conds.size, dtype=np.int64)
     for i, c in enumerate(conds):
-        candidates = np.flatnonzero(mismatched(conds, c, sampler.kind))
+        candidates = np.flatnonzero(mismatched(conds, c, kind))
         if candidates.size == 0:
             raise ContractError(
                 "crcgan-b needs each batch to contain differing conditions")
@@ -236,10 +257,10 @@ def _discriminator_update(state: TrainState, x_real: np.ndarray,
     d_mismatch = None
     if needs_mismatch(cfg.objective):
         if cfg.objective == "crcgan-a":
-            y2 = _mismatch_conditions(conds, state.sampler, state.rng)
+            y2 = _mismatch_conditions(conds, state.data, state.mismatch_range, state.rng)
             d_mismatch = state.disc.forward(x_real, y2)
         else:  # crcgan-b: second real samples whose condition differs from y
-            partners = _mismatch_partners(conds, state.sampler, state.rng)
+            partners = _mismatch_partners(conds, state.data["kind"], state.rng)
             d_mismatch = state.disc.forward(x_real[partners], conds)
     d_fake = state.disc.forward(fake, conds)
     _abort_unless_finite(state.step + 1, d_real, d_fake, d_mismatch)
@@ -486,9 +507,10 @@ def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
     header, _ = load_checkpoint(path, state_arrays)
     state = states[0]
     try:
-        state.adam_g.step = int(header["adam_steps"]["g"])
-        state.adam_d.step = int(header["adam_steps"]["d"])
-        state.step = int(header["step"])
+        counts = (header["step"], header["adam_steps"]["g"], header["adam_steps"]["d"])
+        if not all(type(n) is int and n >= 0 for n in counts):   # a bool is no count
+            raise FormatError(f"checkpoint step counts {counts} must be ints >= 0")
+        state.step, state.adam_g.step, state.adam_d.step = counts
         state.rng.bit_generator.state = header["rng"]
         state.diversity_history = [float(d) for d in header["diversity_window"]]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -529,10 +551,6 @@ def train(config: TrainConfig, dataset: Dataset, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
     final_path = out_dir / "final.ckpt"
-
-    if dataset.kind == KIND_CLASS and needs_mismatch(config.objective) \
-            and dataset.cardinality < 2:
-        raise DomainError("mismatch objectives need at least 2 classes")
 
     if resume_from is not None:
         state = load_state(resume_from, dataset, config)

@@ -327,6 +327,17 @@ def test_bc_validation():
         BoundaryConditions(fixed_dofs=[3], loads=[(3, -1.0)])
 
 
+@pytest.mark.parametrize("solver", ["auto", "pcg", "dense"])
+def test_fixed_dof_outside_the_mesh_is_dimension_error(solver):
+    # as for an out-of-range load: no solver may drop the DOFs and solve without them
+    mesh = MeshSpec(4, 2)
+    cantilever = BoundaryConditions.cantilever(mesh)
+    bc = BoundaryConditions(fixed_dofs=np.append(cantilever.fixed_dofs, [-3, 37]),
+                            loads=cantilever.loads)
+    with pytest.raises(DimensionError, match="-3, 37"):
+        assemble_and_solve(DensityField.uniform(mesh, 0.5), 3.0, mesh, bc, solver=solver)
+
+
 def test_cantilever_load_node_even_and_odd():
     even = BoundaryConditions.cantilever(MeshSpec(4, 4))
     # right edge starts at node 4*5=20; midpoint row 2 -> node 22, y DOF 45

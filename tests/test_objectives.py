@@ -1,4 +1,5 @@
-"""Closed-form and property tests for the adversarial losses and the objective registry."""
+"""Closed-form and property tests for the adversarial losses, the objective registry
+and crcgan-a's wrong-condition draw."""
 import math
 
 import numpy as np
@@ -7,15 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from topogan.autodiff import Tensor
+from topogan.data import Dataset
 from topogan.exceptions import ContractError, DomainError
-from topogan.objectives import (
-    OBJECTIVES,
-    ConditionSampler,
-    discriminator_loss,
-    generator_loss,
-    needs_mismatch,
-    sample_mismatched_condition,
-)
+from topogan.objectives import OBJECTIVES, discriminator_loss, generator_loss, needs_mismatch
+from topogan.train import TrainConfig, _mismatch_conditions, init_state
 
 LOG2 = math.log(2.0)
 
@@ -215,16 +211,29 @@ def test_losses_finite_on_closed_unit_interval(seed):
 
 
 # ---------------------------------------------------------------------------
-# mismatched-condition sampling
+# crcgan-a's wrong-condition draw, from the domain init_state derives from the data
+
+def crcgan_a_state(conditions, kind, cardinality=0):
+    """A tiny crcgan-a state on 8x8 data with these conditions."""
+    ds = Dataset(np.zeros((len(conditions), 8, 8)), conditions, kind=kind,
+                 cardinality=cardinality)
+    config = TrainConfig(objective="crcgan-a", steps=1, batch_size=2, z_dim=4,
+                         gen_channels=(4, 4), disc_channels=(4, 4), feature_dim=4,
+                         minibatch_kernels=2, minibatch_dim=2)
+    return init_state(config, ds)
+
+
+def draws(state, y1, count, rng):
+    """`count` wrong conditions for condition y1, drawn as a crcgan-a step draws them."""
+    return _mismatch_conditions(np.full(count, float(y1)), state.data,
+                                state.mismatch_range, rng)
+
 
 def test_mismatch_class_uniform_chi_squared():
-    sampler = ConditionSampler(kind="class", cardinality=10)
+    state = crcgan_a_state(np.arange(10), "class", cardinality=10)
     rng = np.random.default_rng(123)
-    counts = np.zeros(10)
     n = 10_000
-    for _ in range(n):
-        y2 = sample_mismatched_condition(3, sampler, rng)
-        counts[y2] += 1
+    counts = np.bincount(draws(state, 3, n, rng).astype(int), minlength=10)
     assert counts[3] == 0
     observed = counts[np.arange(10) != 3]
     expected = n / 9
@@ -234,28 +243,25 @@ def test_mismatch_class_uniform_chi_squared():
 
 
 def test_mismatch_cardinality_one_raises():
-    sampler = ConditionSampler(kind="class", cardinality=1)
     with pytest.raises(DomainError):
-        sample_mismatched_condition(0, sampler, np.random.default_rng(0))
+        crcgan_a_state([0, 0], "class", cardinality=1)
 
 
 def test_mismatch_continuous_margin():
-    sampler = ConditionSampler(kind="continuous", low=0.3, high=0.8)
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        y2 = sample_mismatched_condition(0.5, sampler, rng)
-        assert 0.3 <= y2 <= 0.8
+    state = crcgan_a_state([0.3, 0.8], "continuous")
+    # the range is the data's own: its float32 conditions
+    assert state.mismatch_range == pytest.approx((0.3, 0.8), abs=1e-7)
+    low, high = state.mismatch_range
+    for y2 in draws(state, 0.5, 500, np.random.default_rng(7)):
+        assert low <= y2 <= high
         assert abs(y2 - 0.5) >= 0.05
 
 
 def test_mismatch_deterministic_given_seed():
-    draws1 = [sample_mismatched_condition(2, ConditionSampler("class", 5),
-                                          np.random.default_rng(9))
-              for _ in range(1)]
-    sampler = ConditionSampler("class", 5)
+    state = crcgan_a_state(np.arange(5), "class", cardinality=5)
+    draws1 = draws(state, 2, 1, np.random.default_rng(9))
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    a = [sample_mismatched_condition(2, sampler, rng1) for _ in range(20)]
-    b = [sample_mismatched_condition(2, sampler, rng2) for _ in range(20)]
-    assert a == b
+    a = draws(state, 2, 20, rng1)
+    b = draws(state, 2, 20, rng2)
+    assert np.array_equal(a, b)
     assert draws1[0] == a[0]
-

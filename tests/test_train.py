@@ -18,6 +18,7 @@ from topogan.data import Dataset, synth_classes, write_dataset
 from topogan.exceptions import (
     ConsistencyError,
     ContractError,
+    DomainError,
     FormatError,
     ParameterError,
     TrainingAbort,
@@ -254,6 +255,55 @@ def test_metrics_mismatch_group_presence(tiny_dataset):
         state = init_state(cfg, tiny_dataset)
         rec = training_step(state, tiny_dataset.images[:10], tiny_dataset.conditions[:10])
         assert (rec["mean_score_mismatch"] is not None) == present
+
+
+def test_cgan_trains_on_continuous_data_at_one_condition(tiny_dataset):
+    # cgan draws no wrong condition, so its data need leave no room for one
+    ds = Dataset(tiny_dataset.images, np.ones(len(tiny_dataset)), kind="continuous")
+    state = init_state(desk_config(steps=1), ds)
+    rec = training_step(state, ds.images[:10], ds.conditions[:10])
+    assert rec["step"] == 1 and np.isfinite(rec["d_loss"]) and np.isfinite(rec["g_loss"])
+    assert rec["mean_score_mismatch"] is None
+    # crcgan-a's draw range [1, 1] holds no wrong condition
+    with pytest.raises(DomainError, match="low < high"):
+        init_state(desk_config(objective="crcgan-a", steps=1), ds)
+
+
+@pytest.mark.parametrize("objective", ["crcgan-a", "crcgan-b"])
+def test_mismatch_objectives_on_one_class_fail_in_init_state(objective):
+    # no wrong condition exists: the run fails before its first step
+    ds = Dataset(np.zeros((4, 8, 8)), [0, 0, 0, 0], kind="class", cardinality=1)
+    with pytest.raises(DomainError, match="at least 2 classes"):
+        init_state(desk_config(objective=objective, steps=1), ds)
+
+
+# The last record of a 3-step run of each objective on class and continuous
+# data, at the benchmark's loss tolerance (LOSS_RTOL in bench/workloads.py):
+# a change to any objective's draws or losses shows here.
+LOSS_RTOL = 1e-9
+STREAM_PINS = [
+    ("cgan", "class", 1.4317102222592208, 0.5048441036370254, None),
+    ("cgan", "continuous", 1.4503115529090536, 0.9749434454997736, None),
+    ("crcgan-a", "class", 2.3614726201692333, 0.5048668952602144, 0.6053533782665765),
+    ("crcgan-a", "continuous", 1.9176590483463496, 1.0027189189212253, 0.36857261189976775),
+    ("crcgan-b", "class", 2.3614737294903625, 0.5048662734939348, 0.6053537324446978),
+    ("crcgan-b", "continuous", 1.917658709220475, 1.0027182645820916, 0.36857254273128054),
+]
+
+
+@pytest.mark.parametrize("objective, kind, d_loss, g_loss, score_mismatch", STREAM_PINS)
+def test_training_stream_is_pinned(tiny_dataset, tmp_path, objective, kind, d_loss, g_loss,
+                                   score_mismatch):
+    ds = tiny_dataset if kind == "class" else Dataset(
+        tiny_dataset.images, np.linspace(0.2, 0.8, len(tiny_dataset)), kind="continuous")
+    last = read_metrics(train(desk_config(objective=objective), ds, tmp_path).metrics_path)[-1]
+    assert last["step"] == 3
+    assert last["d_loss"] == pytest.approx(d_loss, rel=LOSS_RTOL, abs=0)
+    assert last["g_loss"] == pytest.approx(g_loss, rel=LOSS_RTOL, abs=0)
+    if score_mismatch is None:
+        assert last["mean_score_mismatch"] is None
+    else:
+        assert last["mean_score_mismatch"] == pytest.approx(score_mismatch, rel=LOSS_RTOL, abs=0)
 
 
 def test_training_step_updates_both_networks(tiny_dataset):
@@ -516,6 +566,20 @@ def test_load_state_header_numbers_out_of_range_are_format_error(tmp_path, tiny_
         save_checkpoint(path, {**header, **field_value}, tensors)
         with pytest.raises(FormatError):
             load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2))
+
+
+def test_load_state_rejects_bad_step_counts(tmp_path, tiny_dataset, state_checkpoint):
+    # a count must be an int >= 0: an Adam step of -1 makes the next update divide by zero
+    header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
+    path = tmp_path / "n.ckpt"
+    config = desk_config(objective="crcgan-a", steps=2)
+    save_checkpoint(path, header, tensors)
+    assert load_state(path, tiny_dataset, config).step == 1
+    for field_value in ({"step": -3}, {"step": 2.7}, {"step": True},
+                        {"adam_steps": {**header["adam_steps"], "g": -1}}):
+        save_checkpoint(path, {**header, **field_value}, tensors)
+        with pytest.raises(FormatError, match="step count"):
+            load_state(path, tiny_dataset, config)
 
 
 @pytest.fixture(scope="module")
