@@ -524,16 +524,16 @@ class AdamState:
         )
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -> AdamState:
-    """Standard bias-corrected Adam update, in place on the parameter data."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ContractError("adam_step: params, grads, and state lengths differ")
+def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
+    """Standard bias-corrected Adam update from each `p.grad`, in place on the parameter data."""
+    if len(params) != len(state.m):
+        raise ContractError("adam_step: params and state lengths differ")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.zeros_like(p.data) if g is None else np.asarray(g, dtype=np.float64)
+    for p, m, v in zip(params, state.m, state.v):
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         if g.shape != p.data.shape:
             raise ContractError(
                 f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape}"

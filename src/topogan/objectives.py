@@ -15,8 +15,8 @@ produced), `crcgan-a` (a random wrong condition y2 for the same image) and
 three. The variants differ only in how the training step builds the
 mismatched scores, and `mismatched` is the one rule for when two conditions
 differ. crcgan-a's wrong condition is drawn in `train._mismatch_conditions`,
-uniformly over the training data's class labels or over the range of its
-continuous conditions. All logs carry the global 1e-12 floor clamp.
+uniformly over the condition domain: the class labels below the cardinality,
+or [0, 1]. All logs carry the global 1e-12 floor clamp.
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ from .data import KIND_CLASS
 from .exceptions import ContractError, DomainError
 
 MISMATCH_MARGIN = 0.05
+# float32 rounding, far below any grid spacing: TOPD stores conditions as "<f4",
+# where 0.35 - 0.30 is 0.04999998
+ROUNDING_ALLOWANCE = 1e-6
 
 # objective name -> whether its loss needs mismatched real scores
 OBJECTIVES = {"cgan": False, "crcgan-a": True, "crcgan-b": True}
@@ -75,6 +78,6 @@ def mismatched(y1, y2, kind: str):
     """Whether conditions y1 and y2 (scalars or arrays) mismatch, elementwise.
 
     Class labels mismatch when they differ, continuous values when they lie
-    at least MISMATCH_MARGIN apart.
+    at least MISMATCH_MARGIN apart, less ROUNDING_ALLOWANCE.
     """
-    return y1 != y2 if kind == KIND_CLASS else abs(y1 - y2) >= MISMATCH_MARGIN
+    return y1 != y2 if kind == KIND_CLASS else abs(y1 - y2) >= MISMATCH_MARGIN - ROUNDING_ALLOWANCE

@@ -5,12 +5,12 @@ order is a fresh seeded shuffle per iteration, derived from (seed, iteration)
 so that a resumed run replays the identical order. All other randomness
 (noise, mismatch draws) comes from one generator whose state rides along in
 the checkpoint, making interrupt/resume bit-identical.
-crcgan-a draws its wrong condition y2 from the training data's own domain: a
-class label below the cardinality, or a value in the range of the continuous
-conditions (widened to 2 * MISMATCH_MARGIN when narrower than the margin, and
-capped at 1), redrawn until it is `objectives.mismatched` with y. crcgan-b
-draws a partner within the batch. `init_state` is the one place that checks
-that a wrong condition can exist.
+crcgan-a draws its wrong condition y2 uniformly from the condition domain of
+`data.check_conditions`: a class label in [0, cardinality), or a continuous
+value in [0, 1]. It redraws until y2 is `objectives.mismatched` with y, which
+always ends: every y has passed `check_conditions`, so at least half of the
+labels (given the 2 that `init_state` requires) or 9/10 of [0, 1] are wrong
+conditions for it. crcgan-b draws a partner within the batch.
 
 Checkpoint binary (little-endian): magic "CRCG", u32 version=4, u32 header
 length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
@@ -61,13 +61,7 @@ from .exceptions import (
     TrainingAbort,
 )
 from .nets import Discriminator, Generator, discriminator_shapes, generator_shapes
-from .objectives import (
-    MISMATCH_MARGIN,
-    discriminator_loss,
-    generator_loss,
-    mismatched,
-    needs_mismatch,
-)
+from .objectives import discriminator_loss, generator_loss, mismatched, needs_mismatch
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +75,6 @@ _BUDGET_FIELDS = ("steps", "checkpoint_every")
 
 COLLAPSE_WINDOW = 100    # trailing steps for the diversity median
 COLLAPSE_FACTOR = 0.1    # warn when diversity < factor * trailing median
-_MAX_RESAMPLES = 10_000  # draws per wrong condition before DomainError
 
 
 @dataclass(frozen=True)
@@ -105,10 +98,8 @@ class TrainConfig:
 
     def __post_init__(self):
         needs_mismatch(self.objective)
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.minibatch_discrimination and self.batch_size < 2:
-            raise ParameterError("minibatch discrimination needs batch_size >= 2")
+        if self.batch_size < 2:   # every step measures its fake batch's diversity
+            raise ParameterError("batch_size must be >= 2")
         if self.steps < 0:
             raise ParameterError("steps must be >= 0")
         if self.checkpoint_every < 0:
@@ -135,27 +126,8 @@ class TrainState:
     adam_g: AdamState
     adam_d: AdamState
     rng: np.random.Generator
-    mismatch_range: tuple[float, float] | None   # crcgan-a on continuous data only
     step: int = 0
     diversity_history: list = field(default_factory=list)
-
-
-def _mismatch_range(config: TrainConfig, dataset: Dataset) -> tuple[float, float] | None:
-    """The (low, high) range of crcgan-a's continuous draws, or None for any other run;
-    DomainError when the data leaves a mismatch objective no wrong condition.
-    """
-    if needs_mismatch(config.objective) and dataset.kind == KIND_CLASS \
-            and dataset.cardinality < 2:
-        raise DomainError("mismatch objectives need at least 2 classes")
-    if config.objective != "crcgan-a" or dataset.kind == KIND_CLASS:
-        return None
-    lo, hi = float(dataset.conditions.min()), float(dataset.conditions.max())
-    if hi - lo < MISMATCH_MARGIN:
-        hi = lo + 2 * MISMATCH_MARGIN
-    hi = min(hi, 1.0)
-    if not lo < hi:
-        raise DomainError(f"crcgan-a's draw range needs low < high, got [{lo}, {hi}]")
-    return lo, hi
 
 
 def _data_shape(dataset: Dataset) -> dict:
@@ -165,7 +137,13 @@ def _data_shape(dataset: Dataset) -> dict:
 
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
-    mismatch_range = _mismatch_range(config, dataset)
+    """A fresh run; ParameterError on empty data, DomainError on data that leaves a
+    mismatch objective no wrong condition."""
+    if len(dataset) == 0:
+        raise ParameterError("cannot train on an empty dataset")
+    if needs_mismatch(config.objective) and dataset.kind == KIND_CLASS \
+            and dataset.cardinality < 2:
+        raise DomainError("mismatch objectives need at least 2 classes")
     data = _data_shape(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = Generator(config, data, seed=seeds[0])
@@ -175,7 +153,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         config=config, data=data, gen=gen, disc=disc,
         adam_g=AdamState.for_params(gp, config.lr, config.beta1, config.beta2, config.eps),
         adam_d=AdamState.for_params(dp, config.lr, config.beta1, config.beta2, config.eps),
-        rng=np.random.default_rng(seeds[2]), mismatch_range=mismatch_range,
+        rng=np.random.default_rng(seeds[2]),
     )
 
 
@@ -185,13 +163,12 @@ def epoch_order(seed: int, iteration: int, dataset_size: int) -> np.ndarray:
 
 
 def batch_indices(config: TrainConfig, spi: int, step: int, dataset_size: int) -> np.ndarray:
-    """Dataset indices for 0-based global step; short tails wrap within the epoch."""
+    """Dataset indices for 0-based global step; a short tail, or a dataset smaller
+    than one batch, wraps around the epoch's order."""
     iteration, pos = divmod(step, spi)
     order = epoch_order(config.seed, iteration, dataset_size)
-    idx = order[pos * config.batch_size:(pos + 1) * config.batch_size]
-    if idx.size < config.batch_size:
-        idx = np.concatenate([idx, order[:config.batch_size - idx.size]])
-    return idx
+    b = config.batch_size
+    return order.take(range(pos * b, (pos + 1) * b), mode="wrap")
 
 
 def diversity_metric(images: np.ndarray) -> float:
@@ -208,18 +185,15 @@ def diversity_metric(images: np.ndarray) -> float:
     return total / (n * (n - 1) / 2 * pixels)
 
 
-def _mismatch_conditions(conds: np.ndarray, data: dict, value_range: tuple[float, float] | None,
-                         rng: np.random.Generator) -> np.ndarray:
-    """crcgan-a's wrong condition y2 for each of `conds`, drawn with `rng` from the data."""
+def _mismatch_conditions(conds: np.ndarray, data: dict, rng: np.random.Generator) -> np.ndarray:
+    """crcgan-a's wrong condition y2 for each of `conds`, drawn with `rng` from the domain."""
     kind, out = data["kind"], np.empty(conds.size)
     for i, c in enumerate(conds):
-        for _ in range(_MAX_RESAMPLES):
+        while True:
             y2 = (int(rng.integers(0, data["cardinality"])) if kind == KIND_CLASS
-                  else float(rng.uniform(*value_range)))
+                  else rng.random())
             if mismatched(float(c), y2, kind):
                 break
-        else:
-            raise DomainError("could not draw a mismatched condition (domain too tight)")
         out[i] = y2
     return out
 
@@ -242,6 +216,16 @@ def _abort_unless_finite(step: int, *scores) -> None:
         raise TrainingAbort(f"non-finite discriminator scores at step {step}")
 
 
+def _descend(loss, params: list, adam: AdamState) -> float:
+    """Clear the grads of `params`, backpropagate `loss`, and take one Adam step on
+    `params`; the loss as a float."""
+    for p in params:
+        p.zero_grad()
+    loss.backward()
+    adam_step(params, adam)
+    return loss.item()
+
+
 def _discriminator_update(state: TrainState, x_real: np.ndarray,
                           conds: np.ndarray) -> tuple[float, float, float, float | None]:
     """One D update; (d_loss, mean real, fake and mismatch scores) as floats.
@@ -249,7 +233,6 @@ def _discriminator_update(state: TrainState, x_real: np.ndarray,
     Only floats come back, so the D graphs and the fake batch die on return.
     """
     cfg = state.config
-    disc_params = state.disc.params()
     z = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
     with frozen(state.gen.params().values()):
         fake = state.gen.forward(z, conds)
@@ -257,20 +240,16 @@ def _discriminator_update(state: TrainState, x_real: np.ndarray,
     d_mismatch = None
     if needs_mismatch(cfg.objective):
         if cfg.objective == "crcgan-a":
-            y2 = _mismatch_conditions(conds, state.data, state.mismatch_range, state.rng)
+            y2 = _mismatch_conditions(conds, state.data, state.rng)
             d_mismatch = state.disc.forward(x_real, y2)
         else:  # crcgan-b: second real samples whose condition differs from y
             partners = _mismatch_partners(conds, state.data["kind"], state.rng)
             d_mismatch = state.disc.forward(x_real[partners], conds)
     d_fake = state.disc.forward(fake, conds)
     _abort_unless_finite(state.step + 1, d_real, d_fake, d_mismatch)
-    d_loss = discriminator_loss(cfg.objective, d_real, d_fake, d_mismatch)
-    for p in disc_params.values():
-        p.zero_grad()
-    d_loss.backward()
-    adam_step(list(disc_params.values()),
-              [p.grad for p in disc_params.values()], state.adam_d)
-    return (d_loss.item(), float(d_real.data.mean()), float(d_fake.data.mean()),
+    d_loss = _descend(discriminator_loss(cfg.objective, d_real, d_fake, d_mismatch),
+                      list(state.disc.params().values()), state.adam_d)
+    return (d_loss, float(d_real.data.mean()), float(d_fake.data.mean()),
             None if d_mismatch is None else float(d_mismatch.data.mean()))
 
 
@@ -288,18 +267,13 @@ def training_step(state: TrainState, images: np.ndarray,
         state, x_real, conds)
 
     # generator update on fresh noise, against the just-updated discriminator
-    gen_params = state.gen.params()
     z2 = state.rng.standard_normal((cfg.batch_size, cfg.z_dim))
     fake2 = state.gen.forward(z2, conds)
     with frozen(state.disc.params().values()):
         d_fake2 = state.disc.forward(fake2, conds)
     _abort_unless_finite(state.step + 1, d_fake2)
-    g_loss = generator_loss(d_fake2)
-    for p in gen_params.values():
-        p.zero_grad()
-    g_loss.backward()
-    adam_step(list(gen_params.values()),
-              [p.grad for p in gen_params.values()], state.adam_g)
+    g_loss = _descend(generator_loss(d_fake2), list(state.gen.params().values()),
+                      state.adam_g)
 
     diversity = diversity_metric(fake2.data[:, 0, :, :])
     collapse_warning = False
@@ -317,7 +291,7 @@ def training_step(state: TrainState, images: np.ndarray,
     return {
         "step": state.step,
         "d_loss": d_loss,
-        "g_loss": g_loss.item(),
+        "g_loss": g_loss,
         "diversity": diversity,
         "mean_score_real": score_real,
         "mean_score_fake": score_fake,

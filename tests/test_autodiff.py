@@ -537,7 +537,8 @@ def test_log_clamp_zero_gradient_below_floor():
 def test_adam_zero_gradient_keeps_params():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-    adam_step([p], [np.zeros(2)], state)
+    p.grad = np.zeros(2)
+    adam_step([p], state)
     assert np.array_equal(p.data, np.array([1.0, -2.0]))
     assert state.step == 1
 
@@ -545,7 +546,8 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_first_step_is_signed_lr():
     p = Tensor(np.array([0.5]), requires_grad=True)
     state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-12)
-    adam_step([p], [np.array([3.0])], state)
+    p.grad = np.array([3.0])
+    adam_step([p], state)
     assert p.data[0] == pytest.approx(0.5 - 0.1, abs=1e-6)
 
 
@@ -554,7 +556,8 @@ def test_adam_descends_quadratic():
     state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     values = [abs(p.data[0])]
     for _ in range(10):
-        adam_step([p], [2.0 * p.data], state)
+        p.grad = 2.0 * p.data
+        adam_step([p], state)
         values.append(abs(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -562,8 +565,9 @@ def test_adam_descends_quadratic():
 def test_adam_shape_mismatch():
     p = Tensor(np.zeros((2, 2)), requires_grad=True)
     state = AdamState.for_params([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+    p.grad = np.zeros(3)
     with pytest.raises(ContractError):
-        adam_step([p], [np.zeros(3)], state)
+        adam_step([p], state)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,15 @@ from scipy.stats import chi2
 from topogan.autodiff import Tensor
 from topogan.data import Dataset
 from topogan.exceptions import ContractError, DomainError
-from topogan.objectives import OBJECTIVES, discriminator_loss, generator_loss, needs_mismatch
+from topogan.objectives import (
+    MISMATCH_MARGIN,
+    OBJECTIVES,
+    ROUNDING_ALLOWANCE,
+    discriminator_loss,
+    generator_loss,
+    mismatched,
+    needs_mismatch,
+)
 from topogan.train import TrainConfig, _mismatch_conditions, init_state
 
 LOG2 = math.log(2.0)
@@ -211,7 +219,20 @@ def test_losses_finite_on_closed_unit_interval(seed):
 
 
 # ---------------------------------------------------------------------------
-# crcgan-a's wrong-condition draw, from the domain init_state derives from the data
+# the mismatch rule
+
+def test_float32_volfrac_grid_pairs_mismatch():
+    # a 0.05 grid stored as TOPD "<f4": 0.35f - 0.30f is 0.04999998
+    grid = np.round(np.arange(0.30, 0.701, 0.05), 2).astype(np.float32)
+    for values in (grid, grid.astype(np.float64)):
+        assert mismatched(values[:-1], values[1:], "continuous").all()
+    close = np.round(np.arange(0.30, 0.701, 0.04), 2)
+    for values in (close.astype(np.float32), close):
+        assert not mismatched(values[:-1], values[1:], "continuous").any()
+
+
+# ---------------------------------------------------------------------------
+# crcgan-a's wrong-condition draw, from the condition domain
 
 def crcgan_a_state(conditions, kind, cardinality=0):
     """A tiny crcgan-a state on 8x8 data with these conditions."""
@@ -225,8 +246,7 @@ def crcgan_a_state(conditions, kind, cardinality=0):
 
 def draws(state, y1, count, rng):
     """`count` wrong conditions for condition y1, drawn as a crcgan-a step draws them."""
-    return _mismatch_conditions(np.full(count, float(y1)), state.data,
-                                state.mismatch_range, rng)
+    return _mismatch_conditions(np.full(count, float(y1)), state.data, rng)
 
 
 def test_mismatch_class_uniform_chi_squared():
@@ -248,13 +268,20 @@ def test_mismatch_cardinality_one_raises():
 
 
 def test_mismatch_continuous_margin():
+    # the draw covers [0, 1], not the data's range [0.3, 0.8]
     state = crcgan_a_state([0.3, 0.8], "continuous")
-    # the range is the data's own: its float32 conditions
-    assert state.mismatch_range == pytest.approx((0.3, 0.8), abs=1e-7)
-    low, high = state.mismatch_range
-    for y2 in draws(state, 0.5, 500, np.random.default_rng(7)):
-        assert low <= y2 <= high
-        assert abs(y2 - 0.5) >= 0.05
+    n = 10_000
+    y2 = draws(state, 0.5, n, np.random.default_rng(7))
+    assert ((0.0 <= y2) & (y2 <= 1.0)).all()
+    assert (abs(y2 - 0.5) >= MISMATCH_MARGIN - ROUNDING_ALLOWANCE).all()
+    # uniform over [0, 1] minus the hole (0.45, 0.55): close the hole up to
+    # [0, 0.9] and count in 18 equal bins
+    closed = np.where(y2 < 0.5, y2, y2 - 2 * MISMATCH_MARGIN)
+    observed, _ = np.histogram(closed, bins=18, range=(0.0, 0.9))
+    assert observed.sum() == n
+    expected = n / 18
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert stat < chi2.ppf(0.99, df=17)
 
 
 def test_mismatch_deterministic_given_seed():
