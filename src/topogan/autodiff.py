@@ -528,16 +528,17 @@ def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
     """Standard bias-corrected Adam update from each `p.grad`, in place on the parameter data."""
     if len(params) != len(state.m):
         raise ContractError("adam_step: params and state lengths differ")
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
-    for p, m, v in zip(params, state.m, state.v):
-        g = np.zeros_like(p.data) if p.grad is None else p.grad
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    for p, g in zip(params, grads):
         if g.shape != p.data.shape:
             raise ContractError(
                 f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape}"
             )
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**state.step
+    bc2 = 1.0 - b2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -442,14 +442,18 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
 
     The multiplier is bisected over [1e-9, 1e9] until the relative bracket
     width drops below 1e-6; the updated mean density meets the target volume
-    fraction to 1e-4 or a ConstraintError is raised.
+    fraction to 1e-4 or a ConstraintError is raised. Each bisection step
+    evaluates the volume in one reused buffer with plain ufunc calls (the
+    clamp as maximum then minimum, the mean as a pairwise add.reduce over the
+    size), which round exactly as np.clip and ndarray.mean do but skip their
+    Python-level wrappers.
     """
     x = density.values
     dc = np.asarray(dc, dtype=np.float64)
     if dc.shape != x.shape:
         raise DimensionError(f"gradient shape {dc.shape} does not match density {x.shape}")
-    if np.any(dc > 0.0):
-        raise ParameterError("oc_update expects non-positive sensitivities")
+    if not np.all(np.isfinite(dc)) or np.any(dc > 0.0):
+        raise ParameterError("oc_update expects finite, non-positive sensitivities")
 
     lower = np.maximum(X_MIN, x - params.move)
     upper = np.minimum(1.0, x + params.move)
@@ -461,8 +465,9 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
         np.divide(neg_dc, lmid, out=xnew)
         np.sqrt(xnew, out=xnew)
         np.multiply(x, xnew, out=xnew)
-        np.clip(xnew, lower, upper, out=xnew)
-        return float(xnew.mean())
+        np.maximum(xnew, lower, out=xnew)
+        np.minimum(xnew, upper, out=xnew)
+        return float(np.add.reduce(xnew, axis=None) / xnew.size)
 
     l1, l2 = 1e-9, 1e9
     vol_hi = volume(l1)   # small multiplier -> densities pushed up
@@ -479,7 +484,7 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
         else:
             l2 = lmid
     vol = volume(0.5 * (l1 + l2))
-    if abs(vol - params.volfrac) > 1e-4:
+    if not abs(vol - params.volfrac) <= 1e-4:
         raise ConstraintError(
             f"bisection ended with volume {vol:.6f}, target {params.volfrac}"
         )

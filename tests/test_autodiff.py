@@ -563,11 +563,20 @@ def test_adam_descends_quadratic():
 
 
 def test_adam_shape_mismatch():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True)
-    state = AdamState.for_params([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
-    p.grad = np.zeros(3)
+    # the second gradient is misshapen: the error must leave the first
+    # parameter, every moment and the step count as they were
+    first = Tensor(np.ones((2, 2)), requires_grad=True)
+    second = Tensor(np.zeros((2, 2)), requires_grad=True)
+    state = AdamState.for_params([first, second], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    first.grad = np.full((2, 2), 3.0)
+    second.grad = np.zeros(3)
     with pytest.raises(ContractError):
-        adam_step([p], state)
+        adam_step([first, second], state)
+    assert state.step == 0
+    assert np.array_equal(first.data, np.ones((2, 2)))
+    assert np.array_equal(second.data, np.zeros((2, 2)))
+    for moment in state.m + state.v:
+        assert np.array_equal(moment, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """FEM and SIMP solver tests against independent oracles."""
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
+from topogan import fem
 from topogan.exceptions import (
     ConstraintError,
     DimensionError,
@@ -136,6 +141,31 @@ def oc_scan_oracle(x, dc, params, n_grid=200_000):
         if best is None or err < best[0]:
             best = (err, xnew)
     return best
+
+
+def oc_update_oracle(x, dc, params):
+    """The OC step written with np.clip and ndarray.mean, bisection as in fem."""
+    lower = np.maximum(X_MIN, x - params.move)
+    upper = np.minimum(1.0, x + params.move)
+
+    def volume(lmid):
+        xnew = np.clip(x * np.sqrt(-dc / lmid), lower, upper)
+        return xnew, float(xnew.mean())
+
+    l1, l2 = 1e-9, 1e9
+    if (params.volfrac > volume(l1)[1] + 1e-4
+            or params.volfrac < volume(l2)[1] - 1e-4):
+        raise ConstraintError("unreachable")
+    while (l2 - l1) / (l1 + l2) > 1e-6:
+        lmid = 0.5 * (l1 + l2)
+        if volume(lmid)[1] > params.volfrac:
+            l1 = lmid
+        else:
+            l2 = lmid
+    xnew, vol = volume(0.5 * (l1 + l2))
+    if abs(vol - params.volfrac) > 1e-4:
+        raise ConstraintError("missed the volume")
+    return xnew
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +590,63 @@ def test_oc_rejects_positive_sensitivities():
         oc_update(DensityField(np.full((2, 2), 0.5)), np.full((2, 2), 1.0), params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_oc_rejects_non_finite_sensitivities(bad):
+    params = SimpParams(volfrac=0.5)
+    dc = np.full((2, 3), -1.0)
+    dc[0, 0] = bad
+    with pytest.raises(ParameterError):
+        oc_update(DensityField(np.full((2, 3), 0.5)), dc, params)
+
+
+def test_oc_nan_volume_is_constraint_error():
+    # a NaN density makes every volume NaN, which no comparison rejects
+    x = np.full((2, 3), 0.5)
+    x[1, 2] = np.nan
+    with pytest.raises(ConstraintError):
+        oc_update(DensityField(x), np.full((2, 3), -1.0), SimpParams(volfrac=0.5))
+
+
+def assert_oc_matches_oracle(x, dc, params):
+    try:
+        expected = oc_update_oracle(x, dc, params)
+    except ConstraintError:
+        with pytest.raises(ConstraintError):
+            oc_update(DensityField(x), dc, params)
+        return
+    assert np.array_equal(oc_update(DensityField(x), dc, params).values, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nely=st.integers(1, 12),
+    nelx=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+    zero_share=st.floats(0.0, 0.5),
+    volfrac=st.floats(0.05, 1.0),
+    move=st.floats(0.01, 0.5),
+)
+def test_oc_matches_clip_mean_oracle_bit_for_bit(nely, nelx, seed, zero_share, volfrac, move):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(X_MIN, 1.0, size=(nely, nelx))
+    dc = -rng.exponential(rng.uniform(1e-3, 10.0), size=(nely, nelx))
+    dc[rng.random((nely, nelx)) < zero_share] = 0.0
+    assert_oc_matches_oracle(x, dc, SimpParams(volfrac=volfrac, move=move))
+
+
+def test_oc_matches_oracle_on_simp_iterates(monkeypatch):
+    calls = []
+
+    def checked(density, dc, params):
+        assert_oc_matches_oracle(density.values, dc, params)
+        calls.append(1)
+        return oc_update(density, dc, params)
+
+    monkeypatch.setattr(fem, "oc_update", checked)
+    run_simp(MeshSpec(60, 20), SimpParams(volfrac=0.5, penal=3.0, rmin=1.5, max_iters=12))
+    assert len(calls) == 12
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -633,6 +720,27 @@ def test_run_simp_nonconvergence_flag():
     result = run_simp(mesh, params)
     assert not result.converged
     assert result.iterations == 2
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+# bench/workloads.py's COMPLIANCE_RTOL: the benchmark's check on each design
+REFERENCE_RTOL = 1e-6
+
+
+TOY_DESIGNS = json.loads(REFERENCE.read_text(encoding="utf-8"))["toy"]["designs"]
+
+
+@pytest.mark.parametrize("key", sorted(TOY_DESIGNS))
+def test_run_simp_matches_bench_reference(key):
+    """A change to SIMP numerics fails here before it fails the benchmark."""
+    ref = TOY_DESIGNS[key]
+    m = re.fullmatch(r"(\d+)x(\d+)/v([\d.]+)/p([\d.]+)/r([\d.]+)", key)
+    result = run_simp(MeshSpec(int(m[1]), int(m[2])),
+                      SimpParams(volfrac=float(m[3]), penal=float(m[4]), rmin=float(m[5])))
+    assert result.iterations == ref["iterations"]
+    assert result.converged == ref["converged"]
+    assert result.compliance_history[-1] == pytest.approx(ref["compliance"],
+                                                          rel=REFERENCE_RTOL, abs=0.0)
 
 
 def test_simp_params_need_at_least_one_iteration():
