@@ -364,7 +364,7 @@ def _element_energies(x: np.ndarray, u: np.ndarray, mesh: MeshSpec) -> np.ndarra
     """u_e^T k0 u_e per element, shape (nely, nelx)."""
     ke, edof = _mesh_arrays(mesh)
     ue = u[edof]
-    return np.einsum("ij,jk,ik->i", ue, ke, ue).reshape(mesh.nely, mesh.nelx)
+    return np.einsum("ij,ij->i", ue @ ke, ue).reshape(mesh.nely, mesh.nelx)
 
 
 def _compliance(x: np.ndarray, energies: np.ndarray, penal: float) -> float:
