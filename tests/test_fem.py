@@ -623,14 +623,19 @@ def assert_oc_matches_oracle(x, dc, params):
     nelx=st.integers(1, 12),
     seed=st.integers(0, 10_000),
     zero_share=st.floats(0.0, 0.5),
-    volfrac=st.floats(0.05, 1.0),
+    reach=st.floats(-0.1, 1.1),
     move=st.floats(0.01, 0.5),
 )
-def test_oc_matches_clip_mean_oracle_bit_for_bit(nely, nelx, seed, zero_share, volfrac, move):
+def test_oc_matches_clip_mean_oracle_bit_for_bit(nely, nelx, seed, zero_share, reach, move):
     rng = np.random.default_rng(seed)
     x = rng.uniform(X_MIN, 1.0, size=(nely, nelx))
     dc = -rng.exponential(rng.uniform(1e-3, 10.0), size=(nely, nelx))
     dc[rng.random((nely, nelx)) < zero_share] = 0.0
+    # the target volume at `reach` between the move limits' extremes, and at
+    # times outside them, so that both outcomes of the step are compared
+    lowest = np.maximum(X_MIN, x - move).mean()
+    highest = np.minimum(1.0, x + move).mean()
+    volfrac = float(np.clip(lowest + reach * (highest - lowest), 0.01, 1.0))
     assert_oc_matches_oracle(x, dc, SimpParams(volfrac=volfrac, move=move))
 
 
@@ -725,8 +730,6 @@ def test_run_simp_nonconvergence_flag():
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 # bench/workloads.py's COMPLIANCE_RTOL: the benchmark's check on each design
 REFERENCE_RTOL = 1e-6
-
-
 TOY_DESIGNS = json.loads(REFERENCE.read_text(encoding="utf-8"))["toy"]["designs"]
 
 
