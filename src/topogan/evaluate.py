@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import KIND_CLASS, class_target_fraction, postprocess
-from .exceptions import DimensionError
+from .exceptions import DimensionError, ParameterError
 from .fem import (
     X_MIN,
     BoundaryConditions,
@@ -63,8 +63,13 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     """Sample at `condition`, post-process, and measure volume-fraction fidelity.
 
     The target is the condition itself for continuous conditions, or the
-    class's known fill fraction for the synthetic class datasets.
+    class's known fill fraction for the synthetic class datasets. An empty
+    evaluation has no error to average: `count` must be >= 1.
     """
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    if not 0.0 <= tolerance < np.inf:   # NaN included
+        raise ParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
     gen, config = generator_from_checkpoint(checkpoint_path)
     if gen.data["kind"] == KIND_CLASS:
         target = class_target_fraction(int(condition), gen.data["cardinality"])
@@ -72,17 +77,17 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
         target = float(condition)
     processed = [postprocess(img) for img in sample(gen, condition, count, seed)]
     measured = [measure_volfrac(img) for img in processed]
-    errs = np.abs(np.asarray(measured) - target) if measured else np.array([])
+    errs = np.abs(np.asarray(measured) - target)
     compliances = None
     if reanalyze_compliance:
         compliances = [reanalyze(img) for img in processed]
     return EvalReport(
         target=target,
         count=count,
-        mean_vf=float(np.mean(measured)) if measured else 0.0,
-        mean_abs_err=float(errs.mean()) if errs.size else 0.0,
-        std_abs_err=float(errs.std()) if errs.size else 0.0,
-        frac_within_tol=float((errs <= tolerance).mean()) if errs.size else 0.0,
+        mean_vf=float(np.mean(measured)),
+        mean_abs_err=float(errs.mean()),
+        std_abs_err=float(errs.std()),
+        frac_within_tol=float((errs <= tolerance).mean()),
         per_sample=[float(v) for v in measured],
         checkpoint=str(checkpoint_path),
         seed=seed,

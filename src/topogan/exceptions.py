@@ -18,7 +18,7 @@ class SingularSystemError(TopoganError):
 
 
 class SolverError(TopoganError):
-    """Iterative solve failed to reach the required residual."""
+    """Iterative solve failed to reach the required residual (only `fem._pcg`, the tests' CG)."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -6,13 +6,14 @@ density never drops below X_MIN = 1e-3, which keeps K(x) nonsingular. Node ids
 run column-major with y down (node = x*(nely+1) + y), density arrays are
 (nely, nelx) with row 0 at the top.
 
-The default solve follows top88 (Andreassen et al. 2011): the index vectors
-of the assembly are built once per mesh and fixed-DOF set, and K(free, free)
-is assembled straight into LAPACK upper band storage and solved by a banded
-Cholesky factorization. Column-major node numbering bounds the half-bandwidth
-of the reduced matrix by 2*nely + 5 whatever the fixed DOFs. Jacobi-PCG
-('pcg') and a dense LU solve ('dense') assemble a sparse matrix and stay as
-the oracles the tests compare against.
+The solve follows top88 (Andreassen et al. 2011) and has one path: the index
+vectors of the assembly are built once per mesh and fixed-DOF set, and
+K(free, free) is assembled straight into LAPACK upper band storage and solved
+by a banded Cholesky factorization. Column-major node numbering bounds the
+half-bandwidth of the reduced matrix by 2*nely + 5 whatever the fixed DOFs.
+`_pcg`, a Jacobi-preconditioned CG, is no part of that path: it is the
+reference the tests compare against, and it stays here under the name the
+benchmark's per-layer hook wraps until that hook moves to the banded solve.
 
 The sensitivity filter is also top88's: a sparse matrix H with one row per
 element, H_ei = max(0, rmin - dist(e, i)), and its row sums, built once per
@@ -72,14 +73,17 @@ class SimpParams:
     def __post_init__(self):
         if not (X_MIN <= self.volfrac <= 1.0):
             raise ParameterError(f"need {X_MIN} <= volfrac <= 1, got volfrac={self.volfrac}")
-        if self.penal < 1.0:
-            raise ParameterError(f"penal must be >= 1, got {self.penal}")
-        if self.rmin <= 0.0:
-            raise ParameterError(f"rmin must be positive, got {self.rmin}")
-        if self.move <= 0.0:
-            raise ParameterError(f"move limit must be positive, got {self.move}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        # each `not` form also rejects NaN, which fails every comparison
+        if not 1.0 <= self.penal < np.inf:
+            raise ParameterError(f"penal must be finite and >= 1, got {self.penal}")
+        if not 0.0 < self.rmin < np.inf:
+            raise ParameterError(f"rmin must be positive and finite, got {self.rmin}")
+        if not 0.0 < self.move < np.inf:
+            raise ParameterError(f"move limit must be positive and finite, got {self.move}")
+        if not 0.0 < self.change_tol < np.inf:
+            raise ParameterError(f"change_tol must be positive and finite, got {self.change_tol}")
+        if not 1 <= self.max_iters < np.inf:
+            raise ParameterError(f"max_iters must be finite and >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -110,9 +114,11 @@ class BoundaryConditions:
         if self.fixed_dofs.size == 0:
             raise ParameterError("at least one DOF must be fixed")
         fixed = set(self.fixed_dofs.tolist())
-        for dof, _ in self.loads:
+        for dof, value in self.loads:
             if dof in fixed:
                 raise ParameterError(f"load applied to fixed DOF {dof}")
+            if not np.isfinite(value):
+                raise ParameterError(f"load on DOF {dof} must be finite, got {value}")
 
     @staticmethod
     def cantilever(mesh: MeshSpec, load: float = -1.0) -> "BoundaryConditions":
@@ -152,8 +158,8 @@ def element_stiffness(nu: float = POISSON_RATIO, E: float = YOUNG_MODULUS) -> np
     """8x8 stiffness of a unit bilinear quad, plane stress (exact integration)."""
     if not (0.0 <= nu < 0.5):
         raise ParameterError(f"poisson ratio must be in [0, 0.5), got {nu}")
-    if E <= 0.0:
-        raise ParameterError(f"young modulus must be positive, got {E}")
+    if not 0.0 < E < np.inf:
+        raise ParameterError(f"young modulus must be positive and finite, got {E}")
     k = np.array([
         0.5 - nu / 6.0, 0.125 + nu / 8.0, -0.25 - nu / 12.0, -0.125 + 3.0 * nu / 8.0,
         -0.25 + nu / 12.0, -0.125 - nu / 8.0, nu / 6.0, 0.125 - 3.0 * nu / 8.0,
@@ -196,6 +202,9 @@ def _check_density(density: DensityField, mesh: MeshSpec) -> np.ndarray:
 
 def _pcg(K, f: np.ndarray, tol: float) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients on the reduced system.
+
+    Not on the solve path: the tests' CG reference, kept here under the
+    `fem:_pcg` name that bench/layers.py hooks until ROADMAP item 7(b).
 
     Stops on the true residual ||f - K u|| / ||f|| <= tol. The CG recurrence
     residual drifts from the true one on high-contrast designs, so when the
@@ -296,67 +305,29 @@ def assemble_and_solve(
     penal: float,
     mesh: MeshSpec,
     bc: BoundaryConditions,
-    solver: str = "auto",
 ) -> np.ndarray:
     """Solve K(x) U = F for the full displacement vector.
 
-    `solver`: 'auto' assembles K(free, free) in band storage from a plan
-    cached per mesh and fixed-DOF set and solves it by banded Cholesky.
-    'pcg' (Jacobi-preconditioned CG, tol 1e-8 on the true residual
-    ||f - K u|| / ||f||) and 'dense' (LU with a residual check) assemble a
-    sparse matrix and serve as oracles. On high-contrast designs (0/1
-    densities at X_MIN) 'pcg' can raise SolverError, because rounding
-    keeps the true residual there far above 1e-8.
+    K(free, free) is assembled in band storage from a plan cached per mesh
+    and fixed-DOF set and solved by banded Cholesky.
     Raises SingularSystemError when the reduced system is not positive definite.
     """
-    if solver not in ("auto", "pcg", "dense"):
-        raise ParameterError(f"unknown solver '{solver}'")
     x = _check_density(density, mesh)
     plan = _band_plan(mesh, bc.fixed_dofs.tobytes())
     free = plan.free
     if free.size == 0:
         return np.zeros(mesh.n_dofs)
     f_red = bc.force_vector(mesh)[free]
-    if solver == "auto":
-        weights = plan.ke_value * (x.ravel() ** penal)[plan.element]
-        band = np.bincount(plan.band_index, weights=weights,
-                           minlength=(plan.bandwidth + 1) * free.size)
-        try:
-            u_red = solveh_banded(band.reshape(plan.bandwidth + 1, free.size, order="F"), f_red,
-                                  overwrite_ab=True)
-        except LinAlgError as exc:
-            raise SingularSystemError(f"banded Cholesky failed: {exc}") from exc
-    else:
-        ke, edof = _mesh_arrays(mesh)
-        scale = (x.ravel() ** penal)
-        data = (ke.ravel()[None, :] * scale[:, None]).ravel()
-        rows = np.repeat(edof, 8, axis=1).ravel()
-        cols = np.tile(edof, (1, 8)).ravel()
-        K = coo_matrix((data, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs)).tocsc()
-        K_red = K[free][:, free].tocsr()
-        if solver == "pcg":
-            u_red = _pcg(K_red, f_red, PCG_TOL)
-        else:
-            u_red = _dense_solve(K_red.toarray(), f_red)
-
+    weights = plan.ke_value * (x.ravel() ** penal)[plan.element]
+    band = np.bincount(plan.band_index, weights=weights,
+                       minlength=(plan.bandwidth + 1) * free.size)
+    try:
+        u_red = solveh_banded(band.reshape(plan.bandwidth + 1, free.size, order="F"), f_red,
+                              overwrite_ab=True)
+    except LinAlgError as exc:
+        raise SingularSystemError(f"banded Cholesky failed: {exc}") from exc
     u = np.zeros(mesh.n_dofs)
     u[free] = u_red
-    return u
-
-
-def _dense_solve(K: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """LU solve that rejects a near-singular system by its residual."""
-    try:
-        u = np.linalg.solve(K, f)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"dense solve failed: {exc}") from exc
-    fnorm = np.linalg.norm(f)
-    if fnorm > 0.0:
-        rel = np.linalg.norm(K @ u - f) / fnorm
-        if not np.isfinite(rel) or rel > PCG_TOL:
-            raise SingularSystemError(
-                f"dense solve residual {rel:.3e} exceeds {PCG_TOL} (system near singular)"
-            )
     return u
 
 
@@ -426,8 +397,8 @@ def filter_sensitivities(
     filtered_e = sum_i H_ei x_i dc_i / (x_e sum_i H_ei),
     H_ei = max(0, rmin - dist(e, i)) with center distance in element widths.
     """
-    if rmin <= 0.0:
-        raise ParameterError(f"rmin must be positive, got {rmin}")
+    if not 0.0 < rmin < np.inf:   # NaN included
+        raise ParameterError(f"rmin must be positive and finite, got {rmin}")
     x = _check_density(density, mesh)
     dc = np.asarray(dc, dtype=np.float64)
     if dc.shape != x.shape:
@@ -491,11 +462,7 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
     return DensityField(xnew)
 
 
-def run_simp(
-    mesh: MeshSpec,
-    params: SimpParams,
-    solver: str = "auto",
-) -> SolveResult:
+def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
     """Full SIMP loop on the cantilever: solve, compliance, sensitivities, filter, OC update.
 
     Stops when the max elementwise density change drops below change_tol;
@@ -508,7 +475,7 @@ def run_simp(
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iters + 1):
-        u = assemble_and_solve(density, params.penal, mesh, bc, solver=solver)
+        u = assemble_and_solve(density, params.penal, mesh, bc)
         x = density.values
         energies = _element_energies(x, u, mesh)
         history.append(_compliance(x, energies, params.penal))

@@ -585,11 +585,14 @@ def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     """Generate `count` images at a fixed condition; deterministic given seed.
 
-    A condition that fails `data.check_conditions` raises DomainError, even for count 0.
+    A condition that fails `data.check_conditions` raises DomainError, even for count 0;
+    a negative count raises ParameterError.
     """
     data = gen.data
     condition = float(condition)
     check_conditions(np.array([condition]), data["kind"], data["cardinality"], DomainError)
+    if count < 0:
+        raise ParameterError(f"count must be >= 0, got {count}")
     if count == 0:
         return np.empty((0, data["height"], data["width"]))
     rng = np.random.default_rng(seed)

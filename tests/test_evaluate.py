@@ -4,7 +4,7 @@ import pytest
 
 from topogan.data import Dataset, class_target_fraction, postprocess, synth_classes
 from topogan.evaluate import conditional_eval, measure_volfrac, reanalyze
-from topogan.exceptions import DimensionError
+from topogan.exceptions import DimensionError, ParameterError
 from topogan.fem import (
     BoundaryConditions,
     DensityField,
@@ -82,3 +82,11 @@ def test_conditional_eval_continuous_model_with_reanalysis(continuous_checkpoint
     plain = conditional_eval(continuous_checkpoint, 0.4, count=2, tolerance=0.05, seed=1)
     assert plain.per_sample_compliance is None
     assert plain.per_sample == report.per_sample
+
+
+def test_conditional_eval_rejects_an_empty_count_or_a_bad_tolerance(class_checkpoint):
+    # an empty evaluation has no error to average, and a NaN tolerance passes
+    # no sample: both would read as a plain number rather than fail
+    for count, tolerance in ((0, 0.1), (-1, 0.1), (3, np.nan), (3, -0.1), (3, np.inf)):
+        with pytest.raises(ParameterError):
+            conditional_eval(class_checkpoint, 1, count=count, tolerance=tolerance, seed=7)

@@ -864,6 +864,8 @@ def test_sample_count_zero(tiny_dataset, tmp_path):
     gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
     out = sample(gen, 1, count=0, seed=0)
     assert out.shape == (0, 8, 8)
+    with pytest.raises(ParameterError):
+        sample(gen, 1, count=-1, seed=0)
 
 
 def test_sample_condition_domain_error(tiny_dataset, tmp_path):
