@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .exceptions import ContractError, DimensionError
+from .exceptions import DimensionError, ParameterError
 
 LOG_FLOOR = 1e-12
 
@@ -63,7 +63,7 @@ class Tensor:
 
     def backward(self) -> None:
         if self.data.size != 1:
-            raise ContractError(f"backward needs a scalar loss, got shape {self.shape}")
+            raise DimensionError(f"backward needs a scalar loss, got shape {self.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -199,7 +199,8 @@ def mul(a, b) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """x @ w + b for x (N, A), w (A, F) and b (F,); b is added into the product."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] \
+            or b.data.shape != w.data.shape[1:]:
         raise DimensionError(
             f"linear expects x (N, A), w (A, F) and b (F,), got {x.shape}, {w.shape}, {b.shape}")
     out = x.data @ w.data
@@ -276,7 +277,7 @@ def tensor_sum(a) -> Tensor:
 def leaky_relu(a, alpha: float = 0.2) -> Tensor:
     """max(a, alpha*a); backward rebuilds the slope from a bool mask."""
     if not 0.0 <= alpha <= 1.0:
-        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {alpha}")
+        raise ParameterError(f"leaky_relu slope must lie in [0, 1], got {alpha}")
     a = _as_tensor(a)
     positive = a.data > 0
 
@@ -527,11 +528,11 @@ class AdamState:
 def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
     """Standard bias-corrected Adam update from each `p.grad`, in place on the parameter data."""
     if len(params) != len(state.m):
-        raise ContractError("adam_step: params and state lengths differ")
+        raise DimensionError("adam_step: params and state lengths differ")
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
     for p, g in zip(params, grads):
         if g.shape != p.data.shape:
-            raise ContractError(
+            raise DimensionError(
                 f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape}"
             )
     state.step += 1

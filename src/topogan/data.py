@@ -43,44 +43,43 @@ NOISE_AMPLITUDE = 0.5
 MONTAGE_SEPARATOR = 128.0 / 255.0   # mid-gray
 
 
-def condition_dim(kind: str, cardinality: int, error=ParameterError) -> int:
+def condition_dim(kind: str, cardinality: int) -> int:
     """Width of an encoded condition: one-hot `cardinality` for class, 1 for continuous.
 
-    The one check of a condition kind; `error` is the exception type the
-    caller reports a bad kind or cardinality with. Continuous conditions
-    have cardinality 0.
+    The one check of a condition kind: a bad kind or cardinality raises
+    ParameterError. Continuous conditions have cardinality 0.
     """
     if kind == KIND_CLASS:
         if type(cardinality) is not int or cardinality < 1:
-            raise error(f"class conditions need an int cardinality >= 1, got {cardinality!r}")
+            raise ParameterError(f"class conditions need an int cardinality >= 1, "
+                                 f"got {cardinality!r}")
         return cardinality
     if kind == KIND_CONTINUOUS:
         if type(cardinality) is not int or cardinality != 0:
-            raise error(f"continuous conditions have cardinality 0, got {cardinality!r}")
+            raise ParameterError(f"continuous conditions have cardinality 0, got {cardinality!r}")
         return 1
-    raise error(f"unknown condition kind '{kind}'")
+    raise ParameterError(f"unknown condition kind '{kind}'")
 
 
-def check_conditions(values: np.ndarray, kind: str, cardinality: int,
-                     error=ParameterError) -> int:
+def check_conditions(values: np.ndarray, kind: str, cardinality: int) -> int:
     """`condition_dim`, after checking a batch of condition values of that kind.
 
     The one rule for condition values: finite; class labels integral and in
-    [0, cardinality); continuous values in [0, 1]. `error` is the exception
-    type the caller reports a violation with.
+    [0, cardinality); continuous values in [0, 1]. A violation raises
+    ParameterError.
     """
-    dim = condition_dim(kind, cardinality, error)
+    dim = condition_dim(kind, cardinality)
     if not values.size:
         return dim
     if not np.isfinite(values).all():
-        raise error("conditions must be finite")
+        raise ParameterError("conditions must be finite")
     if kind == KIND_CLASS:
         if values.min() < 0 or values.max() >= cardinality:
-            raise error(f"class index outside 0..{cardinality - 1}")
+            raise ParameterError(f"class index outside 0..{cardinality - 1}")
         if (values != np.trunc(values)).any():
-            raise error("class labels must be integers")
+            raise ParameterError("class labels must be integers")
     elif values.min() < 0.0 or values.max() > 1.0:
-        raise error("continuous conditions must lie in [0, 1]")
+        raise ParameterError("continuous conditions must lie in [0, 1]")
     return dim
 
 

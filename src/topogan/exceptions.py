@@ -6,11 +6,14 @@ class TopoganError(Exception):
 
 
 class ParameterError(TopoganError, ValueError):
-    """A scalar parameter is outside its admissible range."""
+    """Any mistake of a caller that is not a shape or size (DimensionError): a setting
+    out of range, an unknown name, a condition outside its domain, a run unlike its
+    checkpoint."""
 
 
 class DimensionError(TopoganError, ValueError):
-    """Array shapes do not match the operation contract."""
+    """An array or batch handed to a call has the wrong shape or size; any other
+    mistake of a caller is a ParameterError."""
 
 
 class SingularSystemError(TopoganError):
@@ -37,22 +40,6 @@ class FormatError(TopoganError, ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class ConsistencyError(TopoganError, ValueError):
-    """Two inputs that must agree do not, e.g. a resumed run and its checkpoint."""
-
-
-class DomainError(TopoganError, ValueError):
-    """A condition value lies outside the domain it is used in."""
-
-
-class ContractError(TopoganError, ValueError):
-    """An operation precondition was violated by the caller."""
-
-
-class SpecError(TopoganError, ValueError):
-    """A network spec is internally inconsistent (e.g. bad shape plan)."""
 
 
 class TrainingAbort(TopoganError):

@@ -23,6 +23,7 @@ matrix-vector product.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,12 @@ class MeshSpec:
     nely: int
 
     def __post_init__(self):
-        if self.nelx < 1 or self.nely < 1:
-            raise ParameterError(f"mesh must have nelx,nely >= 1, got {self.nelx}x{self.nely}")
+        try:   # operator.index takes Python and numpy ints, and nothing else
+            ok = operator.index(self.nelx) >= 1 and operator.index(self.nely) >= 1
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ParameterError(f"mesh must have int nelx,nely >= 1, got {self.nelx}x{self.nely}")
 
     @property
     def n_dofs(self) -> int:
@@ -73,9 +78,8 @@ class SimpParams:
     def __post_init__(self):
         if not (X_MIN <= self.volfrac <= 1.0):
             raise ParameterError(f"need {X_MIN} <= volfrac <= 1, got volfrac={self.volfrac}")
+        _check_penal(self.penal)
         # each `not` form also rejects NaN, which fails every comparison
-        if not 1.0 <= self.penal < np.inf:
-            raise ParameterError(f"penal must be finite and >= 1, got {self.penal}")
         if not 0.0 < self.rmin < np.inf:
             raise ParameterError(f"rmin must be positive and finite, got {self.rmin}")
         if not 0.0 < self.move < np.inf:
@@ -200,6 +204,11 @@ def _check_density(density: DensityField, mesh: MeshSpec) -> np.ndarray:
     return x
 
 
+def _check_penal(penal: float) -> None:
+    if not 1.0 <= penal < np.inf:   # NaN fails too
+        raise ParameterError(f"penal must be finite and >= 1, got {penal}")
+
+
 def _pcg(K, f: np.ndarray, tol: float) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients on the reduced system.
 
@@ -313,6 +322,7 @@ def assemble_and_solve(
     Raises SingularSystemError when the reduced system is not positive definite.
     """
     x = _check_density(density, mesh)
+    _check_penal(penal)
     plan = _band_plan(mesh, bc.fixed_dofs.tobytes())
     free = plan.free
     if free.size == 0:
@@ -349,6 +359,7 @@ def _sensitivities(x: np.ndarray, energies: np.ndarray, penal: float) -> np.ndar
 def compliance(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpec) -> float:
     """c(x) = sum_e x_e^p u_e^T k0 u_e."""
     x = _check_density(density, mesh)
+    _check_penal(penal)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_dofs,):
         raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")
@@ -358,6 +369,7 @@ def compliance(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpe
 def sensitivities(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpec) -> np.ndarray:
     """dc/dx_e = -p x_e^(p-1) u_e^T k0 u_e, shape (nely, nelx), all entries <= 0."""
     x = _check_density(density, mesh)
+    _check_penal(penal)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_dofs,):
         raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")

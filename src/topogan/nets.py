@@ -9,7 +9,8 @@ minibatch at once (the standard countermeasure against generator collapse).
 Both are built from a run's `train.TrainConfig`, whose network fields they
 read, and the shape of its data, the {height, width, kind, cardinality} dict.
 `generator_shapes` and `discriminator_shapes` give their parameter shapes and
-raise SpecError for a run that cannot build them.
+raise ParameterError for a run that cannot build them. A misshapen input,
+noise or batch handed to a network raises DimensionError.
 
 The condition reaches G as its encoded vector, concatenated to the noise.
 D sees it as cond_dim constant planes stacked under the image, so conv1.w
@@ -32,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import KIND_CLASS, check_conditions, condition_dim
-from .exceptions import DomainError, SpecError
+from .exceptions import DimensionError, ParameterError
 
 WEIGHT_STD = 0.02
 SCORE_EPS = 1e-12
@@ -45,10 +46,10 @@ DIST_BLOCK_VALUES = 1 << 16
 def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarray:
     """(N,) raw condition values -> (N, cond_dim) dense encoding (one-hot or scalar).
 
-    Values that fail `data.check_conditions`, or a bad kind, raise DomainError.
+    Values that fail `data.check_conditions`, or a bad kind, raise ParameterError.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    dim = check_conditions(values, kind, cardinality, DomainError)
+    dim = check_conditions(values, kind, cardinality)
     if kind == KIND_CLASS:
         out = np.zeros((values.size, dim))
         out[np.arange(values.size), values.astype(np.int64)] = 1.0
@@ -57,11 +58,11 @@ def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarr
 
 
 def _image_dims(data: dict) -> tuple[int, int, int]:
-    """(height, width, cond_dim) of a data shape, or SpecError."""
-    cond_dim = condition_dim(data["kind"], data["cardinality"], SpecError)
+    """(height, width, cond_dim) of a data shape, or ParameterError."""
+    cond_dim = condition_dim(data["kind"], data["cardinality"])
     h, w = data["height"], data["width"]
     if type(h) is not int or type(w) is not int or min(h, w) < 4 or h % 4 or w % 4:
-        raise SpecError(
+        raise ParameterError(
             f"images {h!r}x{w!r} must be positive int multiples of 4 "
             "(two 2x resampling stages)")
     return h, w, cond_dim
@@ -69,7 +70,7 @@ def _image_dims(data: dict) -> tuple[int, int, int]:
 
 def _channel_pair(channels) -> tuple[int, int]:
     if len(channels) != 2 or any(type(c) is not int for c in channels) or min(channels) < 1:
-        raise SpecError(f"channel plan must be two positive ints, got {channels}")
+        raise ParameterError(f"channel plan must be two positive ints, got {channels}")
     return channels
 
 
@@ -77,7 +78,7 @@ def generator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
     """G's parameter shapes in init order, from a TrainConfig and a data shape."""
     h, w, cond_dim = _image_dims(data)
     if type(config.z_dim) is not int or config.z_dim < 1:
-        raise SpecError(f"z_dim must be an int >= 1, got {config.z_dim!r}")
+        raise ParameterError(f"z_dim must be an int >= 1, got {config.z_dim!r}")
     c0, c1 = _channel_pair(config.gen_channels)
     proj = c0 * (h // 4) * (w // 4)
     return {
@@ -96,11 +97,11 @@ def discriminator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
     c1, c2 = _channel_pair(config.disc_channels)
     a = config.feature_dim
     if type(a) is not int or a < 1:
-        raise SpecError(f"feature_dim must be an int >= 1, got {a!r}")
+        raise ParameterError(f"feature_dim must be an int >= 1, got {a!r}")
     minibatch = config.minibatch_discrimination
     if minibatch and any(type(d) is not int or d < 1
                          for d in (config.minibatch_kernels, config.minibatch_dim)):
-        raise SpecError("minibatch feature dims must be ints >= 1")
+        raise ParameterError("minibatch feature dims must be ints >= 1")
     shapes = {
         "conv1.w": (c1, 1 + cond_dim, 4, 4),
         "conv1.b": (1, c1, 1, 1),
@@ -143,7 +144,7 @@ def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
     f = f if isinstance(f, Tensor) else Tensor(f)
     T = T if isinstance(T, Tensor) else Tensor(T)
     if f.data.ndim != 2 or T.data.ndim != 3 or f.data.shape[1] != T.data.shape[0]:
-        raise SpecError(
+        raise DimensionError(
             f"minibatch_features needs f (N,A) and T (A,B,C), got {f.shape} and {T.shape}"
         )
     n, a = f.data.shape
@@ -196,11 +197,11 @@ class Generator:
         z_dim, data = self.config.z_dim, self.data
         z = z if isinstance(z, Tensor) else Tensor(z)
         if z.data.ndim != 2 or z.data.shape[1] != z_dim:
-            raise SpecError(f"noise must be (N, {z_dim}), got {z.shape}")
+            raise DimensionError(f"noise must be (N, {z_dim}), got {z.shape}")
         cond = Tensor(encode_condition_vector(
             condition_values, data["kind"], data["cardinality"]))
         if cond.data.shape[0] != z.data.shape[0]:
-            raise SpecError("noise and condition batch sizes differ")
+            raise DimensionError("noise and condition batch sizes differ")
         p = self._params
         h = ad.linear(ad.concat([z, cond], axis=1), p["dense.w"], p["dense.b"])
         h = ad.leaky_relu(h, LEAKY_SLOPE)
@@ -228,12 +229,12 @@ class Discriminator:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.data.ndim != 4 or x.data.shape[1] != 1 or \
                 x.data.shape[2:] != (data["height"], data["width"]):
-            raise SpecError(
+            raise DimensionError(
                 f"input must be (N, 1, {data['height']}, {data['width']}), got {x.shape}")
         n = x.data.shape[0]
         cond = encode_condition_vector(condition_values, data["kind"], data["cardinality"])
         if cond.shape[0] != n:
-            raise SpecError("image and condition batch sizes differ")
+            raise DimensionError("image and condition batch sizes differ")
         p = self._params
         h = ad.transpose(x, (1, 2, 3, 0))
         h = ad.conv2d_planes(h, cond, p["conv1.w"], stride=2, padding=1, bias=p["conv1.b"])

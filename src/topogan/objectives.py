@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .autodiff import Tensor, log_clamped, mean
 from .data import KIND_CLASS
-from .exceptions import ContractError, DomainError
+from .exceptions import DimensionError, ParameterError
 
 MISMATCH_MARGIN = 0.05
 # float32 rounding, far below any grid spacing: TOPD stores conditions as "<f4",
@@ -37,7 +37,7 @@ def needs_mismatch(objective: str) -> bool:
     try:
         return OBJECTIVES[objective]
     except KeyError:
-        raise DomainError(
+        raise ParameterError(
             f"unknown objective '{objective}' (choose from {', '.join(OBJECTIVES)})"
         ) from None
 
@@ -46,11 +46,11 @@ def _scores(scores, name: str, like: Tensor | None = None) -> Tensor:
     """`scores` as a Tensor: a nonempty batch in [0, 1], as large as `like`."""
     t = scores if isinstance(scores, Tensor) else Tensor(scores)
     if t.data.size == 0:
-        raise ContractError(f"{name}: empty score batch")
+        raise DimensionError(f"{name}: empty score batch")
     if not (t.data.min() >= 0.0 and t.data.max() <= 1.0):   # NaN fails both
-        raise ContractError(f"{name}: scores must lie in [0, 1]")
+        raise ParameterError(f"{name}: scores must lie in [0, 1]")
     if like is not None and t.data.shape != like.data.shape:
-        raise ContractError("score groups must share the batch size")
+        raise DimensionError("score groups must share the batch size")
     return t
 
 
@@ -58,8 +58,8 @@ def discriminator_loss(objective: str, real, fake, mismatched=None) -> Tensor:
     """D's loss under `objective` from its scores of real, generated and mismatched inputs."""
     needed = needs_mismatch(objective)
     if needed != (mismatched is not None):
-        raise ContractError(f"objective '{objective}' "
-                            f"{'needs' if needed else 'takes no'} mismatched real scores")
+        raise ParameterError(f"objective '{objective}' "
+                             f"{'needs' if needed else 'takes no'} mismatched real scores")
     real = _scores(real, "real")
     fake = _scores(fake, "fake", like=real)
     d_loss = -mean(log_clamped(real))

@@ -52,14 +52,7 @@ import numpy as np
 
 from .autodiff import AdamState, adam_step, frozen
 from .data import KIND_CLASS, Dataset, atomic_open, check_conditions
-from .exceptions import (
-    ConsistencyError,
-    ContractError,
-    DomainError,
-    FormatError,
-    ParameterError,
-    TrainingAbort,
-)
+from .exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
 from .nets import Discriminator, Generator, discriminator_shapes, generator_shapes
 from .objectives import discriminator_loss, generator_loss, mismatched, needs_mismatch
 
@@ -137,13 +130,13 @@ def _data_shape(dataset: Dataset) -> dict:
 
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
-    """A fresh run; ParameterError on empty data, DomainError on data that leaves a
-    mismatch objective no wrong condition."""
+    """A fresh run; ParameterError on empty data, on data that leaves a mismatch
+    objective no wrong condition, or on a config the networks cannot be built from."""
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
     if needs_mismatch(config.objective) and dataset.kind == KIND_CLASS \
             and dataset.cardinality < 2:
-        raise DomainError("mismatch objectives need at least 2 classes")
+        raise ParameterError("mismatch objectives need at least 2 classes")
     data = _data_shape(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = Generator(config, data, seed=seeds[0])
@@ -176,7 +169,7 @@ def diversity_metric(images: np.ndarray) -> float:
     images = np.asarray(images, dtype=np.float64)
     n = images.shape[0]
     if n < 2:
-        raise ContractError("diversity metric needs at least 2 images")
+        raise DimensionError("diversity metric needs at least 2 images")
     flat = images.reshape(n, -1)
     pixels = flat.shape[1]
     # per pixel column: sum_{i<j} |x_i - x_j| = sum_k (2k - n + 1) x_(k)
@@ -204,7 +197,7 @@ def _mismatch_partners(conds: np.ndarray, kind: str, rng: np.random.Generator) -
     for i, c in enumerate(conds):
         candidates = np.flatnonzero(mismatched(conds, c, kind))
         if candidates.size == 0:
-            raise ContractError(
+            raise ParameterError(
                 "crcgan-b needs each batch to contain differing conditions")
         out[i] = candidates[rng.integers(0, candidates.size)]
     return out
@@ -258,7 +251,7 @@ def training_step(state: TrainState, images: np.ndarray,
     """One discriminator update followed by one generator update (fresh noise)."""
     cfg = state.config
     if images.shape[0] != cfg.batch_size:
-        raise ContractError(
+        raise DimensionError(
             f"batch size {images.shape[0]} != configured {cfg.batch_size}")
     t0 = time.monotonic()
     x_real = np.asarray(images, dtype=np.float64)[:, None, :, :]
@@ -470,11 +463,11 @@ def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
         stored, data, _ = _stored_run(header)
         stored = replace(stored, **{f: getattr(config, f) for f in _BUDGET_FIELDS})
         if stored != config:
-            raise ConsistencyError(
+            raise ParameterError(
                 "config does not match checkpoint structure "
                 f"(stored {stored}, requested {config})")
         if shape != data:
-            raise ConsistencyError(f"dataset shape {shape} does not match the checkpoint's {data}")
+            raise ParameterError(f"dataset shape {shape} does not match the checkpoint's {data}")
         states.append(init_state(config, dataset))
         return _state_tensors(states[0])
 
@@ -585,12 +578,12 @@ def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     """Generate `count` images at a fixed condition; deterministic given seed.
 
-    A condition that fails `data.check_conditions` raises DomainError, even for count 0;
-    a negative count raises ParameterError.
+    A condition that fails `data.check_conditions`, or a negative count, raises
+    ParameterError; the condition is checked even for count 0.
     """
     data = gen.data
     condition = float(condition)
-    check_conditions(np.array([condition]), data["kind"], data["cardinality"], DomainError)
+    check_conditions(np.array([condition]), data["kind"], data["cardinality"])
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     if count == 0:

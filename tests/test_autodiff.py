@@ -24,7 +24,7 @@ from topogan.autodiff import (
     tensor_sum,
     transpose,
 )
-from topogan.exceptions import ContractError, DimensionError
+from topogan.exceptions import DimensionError, ParameterError
 from topogan.nets import encode_condition_vector
 
 
@@ -308,7 +308,7 @@ def test_backward_half_sum_of_squares():
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         (x * 2.0).backward()
 
 
@@ -430,6 +430,13 @@ def test_linear_equals_matmul_add_bit_for_bit():
     assert all(np.array_equal(a, c) for a, c in zip(inside, composed))
 
 
+def test_linear_rejects_mismatched_inner_dims():
+    # x's A must be w's A, or numpy's matmul would raise its own ValueError
+    for x, w in ((np.zeros((2, 3)), np.zeros((4, 5))), (np.zeros((2, 5)), np.zeros((4, 5)))):
+        with pytest.raises(DimensionError, match="linear expects"):
+            linear(x, w, np.zeros(5))
+
+
 def test_bias_ops_reject_misshapen_biases():
     with pytest.raises(DimensionError):
         linear(np.ones((2, 4)), np.ones((4, 3)), np.ones(2))
@@ -476,7 +483,7 @@ def test_gradcheck_activations():
 def test_leaky_relu_rejects_slope_outside_unit_interval():
     # max(a, alpha*a) is the leaky ReLU only for 0 <= alpha <= 1
     for alpha in (-0.1, 1.5):
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError):
             leaky_relu(Tensor(np.ones(2)), alpha)
 
 
@@ -570,7 +577,7 @@ def test_adam_shape_mismatch():
     state = AdamState.for_params([first, second], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     first.grad = np.full((2, 2), 3.0)
     second.grad = np.zeros(3)
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         adam_step([first, second], state)
     assert state.step == 0
     assert np.array_equal(first.data, np.ones((2, 2)))

@@ -790,3 +790,26 @@ def test_non_finite_fem_inputs_are_parameter_error():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ParameterError):
             BoundaryConditions.cantilever(mesh, load=bad)
+
+
+def test_mesh_spec_needs_int_sizes_of_at_least_one():
+    assert MeshSpec(np.int64(4), np.int32(3)).n_dofs == MeshSpec(4, 3).n_dofs
+    for bad in (np.nan, np.inf, 3.0, "3", None, 0, -2):
+        for nelx, nely in ((bad, 3), (3, bad)):
+            with pytest.raises(ParameterError):
+                MeshSpec(nelx, nely)
+
+
+def test_direct_fem_calls_reject_a_bad_penal():
+    # the checks of SimpParams, for callers that pass penal without one
+    mesh = MeshSpec(4, 3)
+    density = DensityField.uniform(mesh, 0.5)
+    bc = BoundaryConditions.cantilever(mesh)
+    u = assemble_and_solve(density, 3.0, mesh, bc)
+    for bad in (np.nan, np.inf, 0.5):
+        with pytest.raises(ParameterError, match="penal"):
+            assemble_and_solve(density, bad, mesh, bc)
+        with pytest.raises(ParameterError, match="penal"):
+            compliance(density, u, bad, mesh)
+        with pytest.raises(ParameterError, match="penal"):
+            sensitivities(density, u, bad, mesh)

@@ -1,6 +1,7 @@
 """Importing topogan loads no scipy subpackage beyond linalg and sparse, no
-topogan module imports a name it never uses, and no private helper outlives
-its callers.
+topogan module imports a name it never uses, no private helper outlives
+its callers, every exception class is raised, and every console script that
+pyproject.toml declares resolves to a callable.
 
 scipy.signal, scipy.ndimage and scipy.spatial each pull in much of scipy
 (scipy.stats among it) and once made up most of the package's cold start.
@@ -10,14 +11,18 @@ source with `ast`, so it needs no linter; it catches the imports a deletion
 leaves behind. The dead-helper check reads it the same way: a top-level
 `_name` function or class that no module of the package reads is dead,
 unless bench/layers.py hooks it by name, as it hooks `fem:_pcg`, the tests'
-CG reference.
+CG reference. The exception check reads `exceptions.py` the same way: each
+class that no other class derives from must be raised by name in some other
+module, and no module may import a class from it that it does not define.
 """
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from test_bench_hooks import load_hooks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -101,3 +106,84 @@ def test_topogan_has_no_dead_private_helper():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((SRC / "topogan").glob("*.py"))}
     assert dead_private_helpers(sources, load_hooks()) == []
+
+
+EXCEPTIONS = ["ConstraintError", "DimensionError", "FormatError", "ParameterError",
+              "SingularSystemError", "SolverError", "TopoganError", "TrainingAbort"]
+# folded into ParameterError and DimensionError
+REMOVED = ["ConsistencyError", "ContractError", "DomainError", "SpecError"]
+
+
+def exception_report(sources: dict[str, str]) -> tuple[list[str], list[str], list[str]]:
+    """(classes `exceptions` defines, those of its leaf classes that no other module
+    raises by name, names other modules import from `.exceptions` that it lacks)."""
+    classes = [node for node in ast.parse(sources["exceptions"]).body
+               if isinstance(node, ast.ClassDef)]
+    defined = {node.name for node in classes}
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised, imported = set(), set()
+    for module, source in sources.items():
+        if module == "exceptions":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+            elif isinstance(node, ast.ImportFrom) and node.module == "exceptions":
+                imported.update(alias.name for alias in node.names)
+    return sorted(defined), sorted(defined - bases - raised), sorted(imported - defined)
+
+
+def test_exception_check_sees_a_leftover_class():
+    sources = {
+        "exceptions": "class Base(Exception): pass\nclass Used(Base): pass\n"
+                      "class Bare(Base): pass\nclass Leftover(Base): pass\n",
+        "fem": "from .exceptions import Used, Gone\nraise Used('x')\n",
+        "nets": "from .exceptions import Bare\ndef f():\n    raise Bare\n",
+    }
+    assert exception_report(sources) == (
+        ["Bare", "Base", "Leftover", "Used"], ["Leftover"], ["Gone"])
+
+
+def test_topogan_raises_each_of_its_exception_classes():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "topogan").glob("*.py"))}
+    assert exception_report(sources) == (EXCEPTIONS, [], [])
+    for module, source in sources.items():
+        assert not [name for name in REMOVED if name in source], module
+
+
+def unresolved_scripts(pyproject: str) -> list[str]:
+    """`[project.scripts]` entries whose "module:attr" target fails to import or
+    is not callable."""
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+    bad = []
+    for name, target in tomllib.loads(pyproject).get("project", {}).get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            bad.append(name)
+            continue
+        if not callable(obj):
+            bad.append(name)
+    return bad
+
+
+def test_script_check_sees_a_missing_target():
+    pyproject = """
+[project.scripts]
+missing = "topogan.cli:main"
+absent = "topogan.fem:main"
+value = "topogan.fem:X_MIN"
+solve = "topogan.fem:run_simp"
+"""
+    assert unresolved_scripts(pyproject) == ["missing", "absent", "value"]
+
+
+def test_declared_console_scripts_resolve():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert unresolved_scripts(pyproject) == []

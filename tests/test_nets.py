@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from test_autodiff import conv_oracle, conv_transpose_oracle
 
 from topogan.autodiff import AdamState, Tensor, adam_step, grad_check, mean, tensor_sum
-from topogan.exceptions import DomainError, SpecError
+from topogan.exceptions import ParameterError
 from topogan.nets import (
     Discriminator,
     Generator,
@@ -144,7 +144,7 @@ def test_one_hot_encoding():
     enc = encode_condition_vector([0, 2, 1], "class", 3)
     assert np.array_equal(enc, np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float))
     for bad in ([1.5], [np.nan], [3], [-1]):   # NaN must fail before any int cast
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             encode_condition_vector(bad, "class", 3)
 
 
@@ -152,7 +152,7 @@ def test_continuous_encoding():
     enc = encode_condition_vector([0.3, 0.8], "continuous")
     assert np.array_equal(enc, np.array([[0.3], [0.8]]))
     for bad in ([1.2], [np.nan]):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             encode_condition_vector(bad, "continuous")
 
 
@@ -178,13 +178,13 @@ def test_generator_seed_reproducible():
 
 
 def test_generator_spec_validation():
-    with pytest.raises(SpecError):
+    with pytest.raises(ParameterError):
         generator_shapes(*tiny_run(height=10, z_dim=4))
-    with pytest.raises(SpecError):   # divisible by 4, but no image
+    with pytest.raises(ParameterError):   # divisible by 4, but no image
         generator_shapes(*tiny_run(height=-4, z_dim=4))
-    with pytest.raises(SpecError):
+    with pytest.raises(ParameterError):
         generator_shapes(*tiny_run(z_dim=0))
-    with pytest.raises(SpecError):
+    with pytest.raises(ParameterError):
         generator_shapes(*tiny_run(z_dim=4, cardinality=0))
 
 
@@ -193,7 +193,7 @@ def test_discriminator_shapes_validation():
                  dict(minibatch_kernels=0)):
         config, data = tiny_run(**over)
         generator_shapes(config, data)
-        with pytest.raises(SpecError):
+        with pytest.raises(ParameterError):
             discriminator_shapes(config, data)
     # the minibatch dims are only checked when minibatch discrimination is on
     discriminator_shapes(*tiny_run(minibatch_kernels=0, minibatch_discrimination=False))

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 from topogan.autodiff import Tensor
 from topogan.data import Dataset
-from topogan.exceptions import ContractError, DomainError
+from topogan.exceptions import DimensionError, ParameterError
 from topogan.objectives import (
     MISMATCH_MARGIN,
     OBJECTIVES,
@@ -91,57 +91,57 @@ def test_mismatch_scores_toward_zero_decrease_d_loss():
 
 
 # ---------------------------------------------------------------------------
-# contract errors
+# caller errors
 
 def test_gan_rejects_mismatched_scores():
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         d_loss_of("cgan", [0.5], [0.5], [0.5])
 
 
 def test_crcgan_requires_mismatched_scores():
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         d_loss_of("crcgan-a", [0.5], [0.5])
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         d_loss_of("crcgan-b", [0.5], [0.5])
 
 
 def test_empty_batch_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         d_loss_of("cgan", [], [])
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         generator_loss(np.array([]))
 
 
 def test_inconsistent_batch_sizes_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         d_loss_of("cgan", [0.5, 0.5], [0.5])
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         d_loss_of("crcgan-a", [0.5, 0.5], [0.5, 0.5], [0.5])
 
 
 def test_scores_outside_unit_interval_rejected():
     for real, fake, mismatched in (([1.5], [0.5], [0.5]), ([0.5], [-0.1], [0.5]),
                                    ([0.5], [0.5], [1.01])):
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError):
             d_loss_of("crcgan-a", real, fake, mismatched)
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         generator_loss(np.array([0.5, 1.5]))
 
 
 def test_discriminator_loss_rejects_nan_scores():
     nan = float("nan")
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         d_loss_of("cgan", [nan, 0.5], [0.5, 0.5])
     for real, fake, mismatched in (([nan], [0.5], [0.5]), ([0.5], [nan], [0.5]),
                                    ([0.5], [0.5], [nan])):
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError):
             d_loss_of("crcgan-a", real, fake, mismatched)
 
 
 def test_generator_loss_rejects_nan_scores():
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         generator_loss(np.array([float("nan")]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         generator_loss(np.array([0.5, float("nan")]))
 
 
@@ -149,11 +149,11 @@ def test_objective_registry():
     assert list(OBJECTIVES) == ["cgan", "crcgan-a", "crcgan-b"]
     assert needs_mismatch("crcgan-a")
     assert not needs_mismatch("cgan")
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         needs_mismatch("wgan")
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         d_loss_of("wgan", [0.5], [0.5])
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         needs_mismatch("gan")
 
 
@@ -263,7 +263,7 @@ def test_mismatch_class_uniform_chi_squared():
 
 
 def test_mismatch_cardinality_one_raises():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         crcgan_a_state([0, 0], "class", cardinality=1)
 
 

@@ -15,14 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from topogan import train as train_module
 from topogan.data import Dataset, synth_classes, write_dataset
-from topogan.exceptions import (
-    ConsistencyError,
-    ContractError,
-    DomainError,
-    FormatError,
-    ParameterError,
-    TrainingAbort,
-)
+from topogan.exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
 from topogan.nets import Discriminator, Generator
 from topogan.train import (
     CKPT_VERSION,
@@ -87,7 +80,7 @@ def test_diversity_matches_bruteforce_oracle():
 
 
 def test_diversity_needs_two_images():
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         diversity_metric(np.zeros((1, 4, 4)))
 
 
@@ -266,7 +259,7 @@ def test_training_step_peak_memory(objective):
 def test_training_step_requires_full_batch(tiny_dataset):
     cfg = desk_config(steps=1)
     state = init_state(cfg, tiny_dataset)
-    with pytest.raises(ContractError):
+    with pytest.raises(DimensionError):
         training_step(state, tiny_dataset.images[:7], tiny_dataset.conditions[:7])
 
 
@@ -306,7 +299,7 @@ def test_crcgan_a_trains_on_narrow_continuous_sweeps(tiny_dataset, conditions):
 def test_mismatch_objectives_on_one_class_fail_in_init_state(objective):
     # no wrong condition exists: the run fails before its first step
     ds = Dataset(np.zeros((4, 8, 8)), [0, 0, 0, 0], kind="class", cardinality=1)
-    with pytest.raises(DomainError, match="at least 2 classes"):
+    with pytest.raises(ParameterError, match="at least 2 classes"):
         init_state(desk_config(objective=objective, steps=1), ds)
 
 
@@ -478,7 +471,7 @@ def test_in_place_loaders_are_total(state_checkpoint, tiny_dataset, tmp_path_fac
     for load, errors in (
             (lambda: generator_from_checkpoint(path), FormatError),
             (lambda: load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2)),
-             (FormatError, ConsistencyError) if resealed else FormatError)):
+             (FormatError, ParameterError) if resealed else FormatError)):
         try:
             load()
         except errors:
@@ -714,7 +707,7 @@ def test_load_state_rejects_other_dataset(tiny_dataset, tmp_path):
     cfg = desk_config(steps=1)
     path = tmp_path / "s.ckpt"
     write_state(init_state(cfg, tiny_dataset), path)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ParameterError):
         load_state(path, synth_classes(3, 10, 8, seed=3), cfg)
 
 
@@ -869,10 +862,9 @@ def test_sample_count_zero(tiny_dataset, tmp_path):
 
 
 def test_sample_condition_domain_error(tiny_dataset, tmp_path):
-    from topogan.exceptions import DomainError
     outcome = train(desk_config(steps=1), tiny_dataset, tmp_path / "run")
     gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
     for condition in (5, 1.5, float("nan")):
         for count in (2, 0):
-            with pytest.raises(DomainError):
+            with pytest.raises(ParameterError):
                 sample(gen, condition, count=count, seed=0)
