@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DimensionError, FormatError, ParameterError
-from .fem import MeshSpec, SimpParams, run_simp
+from .fem import MeshSpec, SimpParams, check_int, run_simp
 
 log = logging.getLogger(__name__)
 
@@ -219,8 +219,7 @@ def sweep_generate(grid: SweepGrid) -> Dataset:
 def augment(image: np.ndarray, noise_count: int, noise_amplitude: float,
             seed: int) -> np.ndarray:
     """Perturb `noise_count` uniformly chosen pixels by U(-amplitude, +amplitude)."""
-    if noise_count < 0:
-        raise ParameterError(f"noise_count must be >= 0, got {noise_count}")
+    check_int("noise_count", noise_count, 0)
     if not (0.0 <= noise_amplitude <= 1.0):
         raise ParameterError(f"noise amplitude must lie in [0,1], got {noise_amplitude}")
     rng = np.random.default_rng(seed)

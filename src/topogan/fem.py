@@ -19,6 +19,15 @@ The sensitivity filter is also top88's: a sparse matrix H with one row per
 element, H_ei = max(0, rmin - dist(e, i)), and its row sums, built once per
 (grid shape, rmin) and cached read-only, so each filter call is one sparse
 matrix-vector product.
+
+`run_simp` solves half the cantilever when nely is even, as top88 and top99
+model half of the MBB beam. The load then sits on the midline node, so the
+discrete problem is mirror-symmetric about the horizontal midline: u_x is
+antisymmetric and zero on the midline, u_y is symmetric, and so are the
+element energies, sensitivities and densities. The top half with u_x = 0 on
+its bottom row and half the load is the same problem with half the unknowns
+and about half the band. Odd nely, and every other entry point, keep the
+full domain: generated designs are not symmetric.
 """
 from __future__ import annotations
 
@@ -44,6 +53,20 @@ POISSON_RATIO = 0.3
 X_MIN = 1e-3
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ParameterError unless `value` is an int >= `minimum`.
+
+    operator.index takes Python and numpy ints, and nothing else: a float,
+    even 2.0, NaN or inf, is refused here and not by `range` or numpy later.
+    """
+    try:
+        ok = operator.index(value) >= minimum
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MeshSpec:
     """Structured rectangular mesh of unit square elements."""
@@ -52,12 +75,8 @@ class MeshSpec:
     nely: int
 
     def __post_init__(self):
-        try:   # operator.index takes Python and numpy ints, and nothing else
-            ok = operator.index(self.nelx) >= 1 and operator.index(self.nely) >= 1
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ParameterError(f"mesh must have int nelx,nely >= 1, got {self.nelx}x{self.nely}")
+        check_int("nelx", self.nelx, 1)
+        check_int("nely", self.nely, 1)
 
     @property
     def n_dofs(self) -> int:
@@ -86,8 +105,7 @@ class SimpParams:
             raise ParameterError(f"move limit must be positive and finite, got {self.move}")
         if not 0.0 < self.change_tol < np.inf:
             raise ParameterError(f"change_tol must be positive and finite, got {self.change_tol}")
-        if not 1 <= self.max_iters < np.inf:
-            raise ParameterError(f"max_iters must be finite and >= 1, got {self.max_iters}")
+        check_int("max_iters", self.max_iters, 1)
 
 
 @dataclass
@@ -148,6 +166,8 @@ class BoundaryConditions:
 class SolveResult:
     """Outcome of `run_simp`; both histories hold one entry per iteration.
 
+    The density and each compliance are the full domain's, also when the
+    loop solved only the top half (twice the half's compliance).
     `change_history[i]` is the max elementwise density change of iteration i.
     """
 
@@ -474,25 +494,47 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
     return DensityField(xnew)
 
 
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """Top-half rows `a` stacked on their mirror image about the horizontal midline."""
+    return np.vstack([a, a[::-1]])
+
+
 def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
-    """Full SIMP loop on the cantilever: solve, compliance, sensitivities, filter, OC update.
+    """The SIMP loop on the cantilever: solve, compliance, sensitivities, filter, OC update.
 
     Stops when the max elementwise density change drops below change_tol;
     hitting max_iters returns converged=False rather than raising.
+
+    For even nely the loop runs on the top half, mesh (nelx, nely/2), with
+    u_x = 0 on the midline nodes (its bottom row) and half the load, and
+    doubles each compliance; the filter sees the half stacked on its mirror
+    image, and so does the caller. The load on the midline node makes the
+    displacement antisymmetric and the densities symmetric about the midline,
+    so this is the same discrete problem and only rounding differs. Odd nely
+    solves the full mesh.
     """
-    bc = BoundaryConditions.cantilever(mesh)
-    density = DensityField.uniform(mesh, params.volfrac)
+    if mesh.nely % 2:
+        solve_mesh, scale, mirror = mesh, 1.0, np.asarray   # np.asarray: no mirror, no copy
+        bc = BoundaryConditions.cantilever(mesh)
+    else:
+        solve_mesh, scale, mirror = MeshSpec(mesh.nelx, mesh.nely // 2), 2.0, _mirror
+        left = np.arange(solve_mesh.nely + 1)
+        midline = np.arange(mesh.nelx + 1) * (solve_mesh.nely + 1) + solve_mesh.nely
+        bc = BoundaryConditions(fixed_dofs=np.concatenate([2 * left, 2 * left + 1, 2 * midline]),
+                                loads=[(2 * midline[-1] + 1, -0.5)])
+    density = DensityField.uniform(solve_mesh, params.volfrac)
     history: list[float] = []
     changes: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iters + 1):
-        u = assemble_and_solve(density, params.penal, mesh, bc)
+        u = assemble_and_solve(density, params.penal, solve_mesh, bc)
         x = density.values
-        energies = _element_energies(x, u, mesh)
-        history.append(_compliance(x, energies, params.penal))
+        energies = _element_energies(x, u, solve_mesh)
+        history.append(scale * _compliance(x, energies, params.penal))
         dc = _sensitivities(x, energies, params.penal)
-        dcf = filter_sensitivities(density, dc, params.rmin, mesh)
+        dcf = filter_sensitivities(DensityField(mirror(x)), mirror(dc), params.rmin,
+                                   mesh)[:solve_mesh.nely]
         new_density = oc_update(density, dcf, params)
         change = float(np.abs(new_density.values - x).max())
         changes.append(change)
@@ -501,7 +543,7 @@ def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
             converged = True
             break
     return SolveResult(
-        density=density,
+        density=DensityField(mirror(density.values)),
         compliance_history=history,
         iterations=iterations,
         converged=converged,

@@ -53,6 +53,7 @@ import numpy as np
 from .autodiff import AdamState, adam_step, frozen
 from .data import KIND_CLASS, Dataset, atomic_open, check_conditions
 from .exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
+from .fem import check_int
 from .nets import Discriminator, Generator, discriminator_shapes, generator_shapes
 from .objectives import discriminator_loss, generator_loss, mismatched, needs_mismatch
 
@@ -91,12 +92,9 @@ class TrainConfig:
 
     def __post_init__(self):
         needs_mismatch(self.objective)
-        if self.batch_size < 2:   # every step measures its fake batch's diversity
-            raise ParameterError("batch_size must be >= 2")
-        if self.steps < 0:
-            raise ParameterError("steps must be >= 0")
-        if self.checkpoint_every < 0:
-            raise ParameterError("checkpoint_every must be >= 0")
+        check_int("batch_size", self.batch_size, 2)   # each step measures its batch's diversity
+        check_int("steps", self.steps, 0)
+        check_int("checkpoint_every", self.checkpoint_every, 0)
         if not self.lr > 0:   # NaN included
             raise ParameterError("lr must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -578,14 +576,13 @@ def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     """Generate `count` images at a fixed condition; deterministic given seed.
 
-    A condition that fails `data.check_conditions`, or a negative count, raises
-    ParameterError; the condition is checked even for count 0.
+    A condition that fails `data.check_conditions`, or a count that is not an
+    int >= 0, raises ParameterError; the condition is checked even for count 0.
     """
     data = gen.data
     condition = float(condition)
     check_conditions(np.array([condition]), data["kind"], data["cardinality"])
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
+    check_int("count", count, 0)
     if count == 0:
         return np.empty((0, data["height"], data["width"]))
     rng = np.random.default_rng(seed)

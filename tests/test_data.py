@@ -115,6 +115,14 @@ def test_augment_zero_count_is_identity():
     assert np.array_equal(out, image)
 
 
+def test_augment_noise_count_must_be_an_int():
+    image = make_image()
+    for bad in (2.5, 2.0, -1, None):
+        with pytest.raises(ParameterError, match="noise_count"):
+            augment(image, bad, 0.3, seed=5)
+    assert np.array_equal(augment(image, np.int64(3), 0.3, seed=5), augment(image, 3, 0.3, seed=5))
+
+
 def test_augment_deterministic():
     image = make_image()
     a = augment(image, 10, 0.3, seed=7)

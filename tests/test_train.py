@@ -99,6 +99,16 @@ def test_config_validation():
                         minibatch_discrimination=minibatch_discrimination)
 
 
+def test_config_counts_must_be_ints():
+    for field, bad in (("steps", float("nan")), ("steps", 1.5), ("steps", 2.0),
+                       ("batch_size", 4.5), ("batch_size", float("inf")),
+                       ("checkpoint_every", float("nan")), ("checkpoint_every", 1.0)):
+        with pytest.raises(ParameterError, match=field):
+            TrainConfig(objective="crcgan-a", **{"steps": 3, field: bad})
+    TrainConfig(objective="crcgan-a", steps=np.int64(3), batch_size=np.int32(4),
+                checkpoint_every=np.int64(1))
+
+
 def test_config_rejects_adam_hyperparameters_outside_their_domain():
     for over in (dict(beta1=1.5), dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=-1.0),
                  dict(beta2=1.0), dict(beta2=float("nan")), dict(eps=0.0),
@@ -857,8 +867,10 @@ def test_sample_count_zero(tiny_dataset, tmp_path):
     gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
     out = sample(gen, 1, count=0, seed=0)
     assert out.shape == (0, 8, 8)
-    with pytest.raises(ParameterError):
-        sample(gen, 1, count=-1, seed=0)
+    for bad in (-1, 2.5, np.float64(2), None):
+        with pytest.raises(ParameterError, match="count"):
+            sample(gen, 1, count=bad, seed=0)
+    assert sample(gen, 1, count=np.int64(2), seed=0).shape == (2, 8, 8)
 
 
 def test_sample_condition_domain_error(tiny_dataset, tmp_path):
