@@ -50,12 +50,11 @@ def condition_dim(kind: str, cardinality: int) -> int:
     ParameterError. Continuous conditions have cardinality 0.
     """
     if kind == KIND_CLASS:
-        if type(cardinality) is not int or cardinality < 1:
-            raise ParameterError(f"class conditions need an int cardinality >= 1, "
-                                 f"got {cardinality!r}")
+        check_int("cardinality", cardinality, 1)
         return cardinality
     if kind == KIND_CONTINUOUS:
-        if type(cardinality) is not int or cardinality != 0:
+        check_int("cardinality", cardinality, 0)
+        if cardinality:
             raise ParameterError(f"continuous conditions have cardinality 0, got {cardinality!r}")
         return 1
     raise ParameterError(f"unknown condition kind '{kind}'")
@@ -357,10 +356,11 @@ def synth_classes(class_count: int, per_class: int, size: int, seed: int) -> Dat
     (band ~ U(0.96, 1), background ~ U(0, 0.04)), keeping every sample's
     pixel mean within 0.02 of its class target.
     """
-    if not (2 <= class_count <= 10):
+    check_int("class_count", class_count, 2)
+    if class_count > 10:
         raise ParameterError(f"class_count must be in 2..10, got {class_count}")
-    if per_class < 1 or size < 1:
-        raise ParameterError("per_class and size must be positive")
+    check_int("per_class", per_class, 1)
+    check_int("size", size, 1)
     rng = np.random.default_rng(seed)
     images = np.empty((class_count * per_class, size, size), dtype=np.float32)
     labels = np.empty(class_count * per_class, dtype=np.float32)

@@ -21,6 +21,7 @@ from .fem import (
     DensityField,
     MeshSpec,
     assemble_and_solve,
+    check_int,
     compliance,
 )
 from .train import generator_from_checkpoint, sample
@@ -66,8 +67,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     class's known fill fraction for the synthetic class datasets. An empty
     evaluation has no error to average: `count` must be >= 1.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    check_int("count", count, 1)
     if not 0.0 <= tolerance < np.inf:   # NaN included
         raise ParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
     gen, config = generator_from_checkpoint(checkpoint_path)

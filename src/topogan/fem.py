@@ -54,13 +54,11 @@ X_MIN = 1e-3
 
 
 def check_int(name: str, value, minimum: int) -> None:
-    """Raise ParameterError unless `value` is an int >= `minimum`.
-
-    operator.index takes Python and numpy ints, and nothing else: a float,
-    even 2.0, NaN or inf, is refused here and not by `range` or numpy later.
-    """
+    """The package's one integer rule: ParameterError naming `name` unless `value`
+    is a Python or numpy int >= `minimum`. A bool, or a float (even 2.0, NaN or
+    inf), is refused here and not by `range` or numpy later."""
     try:
-        ok = operator.index(value) >= minimum
+        ok = not isinstance(value, bool) and operator.index(value) >= minimum
     except TypeError:
         ok = False
     if not ok:

@@ -9,8 +9,8 @@ minibatch at once (the standard countermeasure against generator collapse).
 Both are built from a run's `train.TrainConfig`, whose network fields they
 read, and the shape of its data, the {height, width, kind, cardinality} dict.
 `generator_shapes` and `discriminator_shapes` give their parameter shapes and
-raise ParameterError for a run that cannot build them. A misshapen input,
-noise or batch handed to a network raises DimensionError.
+raise ParameterError for a data shape the nets cannot use (the config checks
+its own fields). A misshapen input, noise or batch raises DimensionError.
 
 The condition reaches G as its encoded vector, concatenated to the noise.
 D sees it as cond_dim constant planes stacked under the image, so conv1.w
@@ -34,6 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import KIND_CLASS, check_conditions, condition_dim
 from .exceptions import DimensionError, ParameterError
+from .fem import check_int
 
 WEIGHT_STD = 0.02
 SCORE_EPS = 1e-12
@@ -61,25 +62,17 @@ def _image_dims(data: dict) -> tuple[int, int, int]:
     """(height, width, cond_dim) of a data shape, or ParameterError."""
     cond_dim = condition_dim(data["kind"], data["cardinality"])
     h, w = data["height"], data["width"]
-    if type(h) is not int or type(w) is not int or min(h, w) < 4 or h % 4 or w % 4:
-        raise ParameterError(
-            f"images {h!r}x{w!r} must be positive int multiples of 4 "
-            "(two 2x resampling stages)")
+    check_int("height", h, 4)
+    check_int("width", w, 4)
+    if h % 4 or w % 4:
+        raise ParameterError(f"images {h}x{w} must be multiples of 4 (two 2x resampling stages)")
     return h, w, cond_dim
 
 
-def _channel_pair(channels) -> tuple[int, int]:
-    if len(channels) != 2 or any(type(c) is not int for c in channels) or min(channels) < 1:
-        raise ParameterError(f"channel plan must be two positive ints, got {channels}")
-    return channels
-
-
 def generator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
-    """G's parameter shapes in init order, from a TrainConfig and a data shape."""
+    """G's parameter shapes in init order, from a TrainConfig and a checked data shape."""
     h, w, cond_dim = _image_dims(data)
-    if type(config.z_dim) is not int or config.z_dim < 1:
-        raise ParameterError(f"z_dim must be an int >= 1, got {config.z_dim!r}")
-    c0, c1 = _channel_pair(config.gen_channels)
+    c0, c1 = config.gen_channels
     proj = c0 * (h // 4) * (w // 4)
     return {
         "dense.w": (config.z_dim + cond_dim, proj),
@@ -92,16 +85,11 @@ def generator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
 
 
 def discriminator_shapes(config, data: dict) -> dict[str, tuple[int, ...]]:
-    """D's parameter shapes in init order, from a TrainConfig and a data shape."""
+    """D's parameter shapes in init order, from a TrainConfig and a checked data shape."""
     h, w, cond_dim = _image_dims(data)
-    c1, c2 = _channel_pair(config.disc_channels)
+    c1, c2 = config.disc_channels
     a = config.feature_dim
-    if type(a) is not int or a < 1:
-        raise ParameterError(f"feature_dim must be an int >= 1, got {a!r}")
     minibatch = config.minibatch_discrimination
-    if minibatch and any(type(d) is not int or d < 1
-                         for d in (config.minibatch_kernels, config.minibatch_dim)):
-        raise ParameterError("minibatch feature dims must be ints >= 1")
     shapes = {
         "conv1.w": (c1, 1 + cond_dim, 4, 4),
         "conv1.b": (1, c1, 1, 1),

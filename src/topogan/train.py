@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
 import struct
 import time
@@ -54,7 +55,7 @@ from .autodiff import AdamState, adam_step, frozen
 from .data import KIND_CLASS, Dataset, atomic_open, check_conditions
 from .exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
 from .fem import check_int
-from .nets import Discriminator, Generator, discriminator_shapes, generator_shapes
+from .nets import Discriminator, Generator, generator_shapes
 from .objectives import discriminator_loss, generator_loss, mismatched, needs_mismatch
 
 log = logging.getLogger(__name__)
@@ -92,20 +93,32 @@ class TrainConfig:
 
     def __post_init__(self):
         needs_mismatch(self.objective)
-        check_int("batch_size", self.batch_size, 2)   # each step measures its batch's diversity
-        check_int("steps", self.steps, 0)
-        check_int("checkpoint_every", self.checkpoint_every, 0)
-        if not self.lr > 0:   # NaN included
-            raise ParameterError("lr must be positive")
+        # batch_size >= 2: each step measures its fake batch's diversity
+        for name, minimum in (("steps", 0), ("batch_size", 2), ("seed", 0), ("z_dim", 1),
+                              ("feature_dim", 1), ("checkpoint_every", 0)):
+            check_int(name, getattr(self, name), minimum)
+        for name in ("gen_channels", "disc_channels"):
+            pair = getattr(self, name)
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ParameterError(f"{name} must be a pair of ints, got {pair!r}")
+            for c in pair:
+                check_int(name, c, 1)
+        if not isinstance(self.minibatch_discrimination, bool):
+            raise ParameterError("minibatch_discrimination must be a bool")
+        if self.minibatch_discrimination:   # the dims are unused when it is off
+            check_int("minibatch_kernels", self.minibatch_kernels, 1)
+            check_int("minibatch_dim", self.minibatch_dim, 1)
+        for name in ("lr", "eps"):   # the `not` form also rejects NaN
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ParameterError(
                 f"Adam betas must lie in [0, 1), got {self.beta1} and {self.beta2}")
-        if not self.eps > 0:
-            raise ParameterError("eps must be positive")
 
     def steps_per_iteration(self, dataset_size: int) -> int:
-        """ceil(n / batch): the steps of one pass over a dataset of n samples."""
-        return max(1, -(-dataset_size // self.batch_size))
+        """ceil(n / batch), a Python int: the steps of one pass over a dataset of n samples."""
+        return max(1, -(-dataset_size // operator.index(self.batch_size)))
 
 
 @dataclass
@@ -129,7 +142,7 @@ def _data_shape(dataset: Dataset) -> dict:
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     """A fresh run; ParameterError on empty data, on data that leaves a mismatch
-    objective no wrong condition, or on a config the networks cannot be built from."""
+    objective no wrong condition, or on data the networks cannot be built for."""
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
     if needs_mismatch(config.objective) and dataset.kind == KIND_CLASS \
@@ -303,7 +316,8 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     in the same directory, which is synced and then renamed over `path`.
     """
     table = [[name, list(np.shape(a))] for name, a in tensors.items()]
-    head = json.dumps({**header, "tensors": table}).encode("utf-8")
+    # a numpy-int setting is stored as the JSON int it equals
+    head = json.dumps({**header, "tensors": table}, default=operator.index).encode("utf-8")
     prefix = _CKPT_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(head))
     with atomic_open(path) as fh:
         crc = zlib.crc32(head, zlib.crc32(prefix))
@@ -442,7 +456,6 @@ def _stored_run(header: dict) -> tuple[TrainConfig, dict, dict[str, tuple]]:
                                 for k, v in header["config"].items()})
         data = header["data"]
         gen_shapes = generator_shapes(config, data)
-        discriminator_shapes(config, data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a run: {exc}") from None
     return config, data, gen_shapes

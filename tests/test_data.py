@@ -117,7 +117,7 @@ def test_augment_zero_count_is_identity():
 
 def test_augment_noise_count_must_be_an_int():
     image = make_image()
-    for bad in (2.5, 2.0, -1, None):
+    for bad in (2.5, 2.0, -1, None, True):
         with pytest.raises(ParameterError, match="noise_count"):
             augment(image, bad, 0.3, seed=5)
     assert np.array_equal(augment(image, np.int64(3), 0.3, seed=5), augment(image, 3, 0.3, seed=5))
@@ -315,6 +315,17 @@ def test_synth_rejects_bad_class_count():
         synth_classes(11, 5, 8, seed=0)
 
 
+def test_synth_sizes_must_be_ints():
+    # each raised a bare TypeError from numpy or range
+    for args, field in (((2.5, 6, 8), "class_count"), ((2, 6, 8.5), "size"),
+                        ((2, 6.0, 8), "per_class"), ((2, True, 8), "per_class"),
+                        ((2, 6, None), "size")):
+        with pytest.raises(ParameterError, match=field):
+            synth_classes(*args, seed=0)
+    assert synth_classes(np.int64(2), np.int32(6), np.int64(8), seed=0).equals(
+        synth_classes(2, 6, 8, seed=0))
+
+
 # ---------------------------------------------------------------------------
 # SIMP sweeps
 
@@ -411,7 +422,8 @@ def test_dataset_rejects_a_cardinality_that_is_not_an_int():
     # each was cast to int before the check: 2.7 became 2 classes, 0.4 became 0
     image = np.zeros((1, 4, 4))
     for conditions, kind, cardinality in (([1], "class", 2.7), ([1], "class", 2.0),
-                                          ([0.5], "continuous", 0.4)):
+                                          ([0.5], "continuous", 0.4), ([0], "class", True),
+                                          ([0.5], "continuous", False)):
         with pytest.raises(ParameterError):
             Dataset(image, conditions, kind=kind, cardinality=cardinality)
         with pytest.raises(ParameterError):

@@ -90,3 +90,10 @@ def test_conditional_eval_rejects_an_empty_count_or_a_bad_tolerance(class_checkp
     for count, tolerance in ((0, 0.1), (-1, 0.1), (3, np.nan), (3, -0.1), (3, np.inf)):
         with pytest.raises(ParameterError):
             conditional_eval(class_checkpoint, 1, count=count, tolerance=tolerance, seed=7)
+
+
+def test_conditional_eval_checks_count_before_it_opens_the_checkpoint(tmp_path):
+    # a path that does not exist: the count is refused first, by the integer rule
+    for count in (2.5, 2.0, True, None):
+        with pytest.raises(ParameterError, match="count"):
+            conditional_eval(tmp_path / "absent.ckpt", 1, count=count, tolerance=0.1, seed=7)

@@ -847,7 +847,7 @@ def test_run_simp_calls_each_timed_entry_point_once_per_iteration(monkeypatch, n
 
 
 def test_simp_params_max_iters_must_be_an_int():
-    for bad in (2.5, 2.0, np.float64(3), "3", None):
+    for bad in (2.5, 2.0, np.float64(3), "3", None, True):
         with pytest.raises(ParameterError, match="max_iters"):
             SimpParams(volfrac=0.5, max_iters=bad)
     result = run_simp(MeshSpec(6, 4), SimpParams(volfrac=0.5, max_iters=np.int64(2),
@@ -883,7 +883,8 @@ def test_non_finite_fem_inputs_are_parameter_error():
 
 def test_mesh_spec_needs_int_sizes_of_at_least_one():
     assert MeshSpec(np.int64(4), np.int32(3)).n_dofs == MeshSpec(4, 3).n_dofs
-    for bad in (np.nan, np.inf, 3.0, "3", None, 0, -2):
+    # operator.index(True) is 1: the rule refuses a bool itself
+    for bad in (np.nan, np.inf, 3.0, "3", None, 0, -2, True, False):
         for nelx, nely in ((bad, 3), (3, bad)):
             with pytest.raises(ParameterError):
                 MeshSpec(nelx, nely)

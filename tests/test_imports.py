@@ -1,7 +1,7 @@
 """Importing topogan loads no scipy subpackage beyond linalg and sparse, no
 topogan module imports a name it never uses, no private helper outlives
-its callers, every exception class is raised, and every console script that
-pyproject.toml declares resolves to a callable.
+its callers, every exception class is raised, integers have one rule, and
+every console script that pyproject.toml declares resolves to a callable.
 
 scipy.signal, scipy.ndimage and scipy.spatial each pull in much of scipy
 (scipy.stats among it) and once made up most of the package's cold start.
@@ -14,6 +14,9 @@ unless bench/layers.py hooks it by name, as it hooks `fem:_pcg`, the tests'
 CG reference. The exception check reads `exceptions.py` the same way: each
 class that no other class derives from must be raised by name in some other
 module, and no module may import a class from it that it does not define.
+The integer-rule check reads the source the same way: `fem.check_int` is the one
+rule for an integer a caller sets, so a `type(x) is int` test may stand only
+in the two checkpoint parsers, which raise FormatError.
 """
 import ast
 import importlib
@@ -106,6 +109,45 @@ def test_topogan_has_no_dead_private_helper():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((SRC / "topogan").glob("*.py"))}
     assert dead_private_helpers(sources, load_hooks()) == []
+
+
+def int_type_checks(sources: dict[str, str]) -> list[str]:
+    """`module.name` of the top-level function or class around each
+    `type(...) is int` or `is not int` of `sources` (module name -> source),
+    or `module` for one outside any."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = f"{module}.{top.name}" if hasattr(top, "name") else module
+            found += [owner for node in ast.walk(top)
+                      if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                      and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+                      and any(isinstance(op, (ast.Is, ast.IsNot))
+                              and isinstance(c, ast.Name) and c.id == "int"
+                              for op, c in zip(node.ops, node.comparators))]
+    return sorted(found)
+
+
+# checkpoint parsers: they read JSON and raise FormatError, so `check_int`'s
+# ParameterError is not theirs to raise
+INT_TYPE_CHECK_SITES = ["train.load_checkpoint", "train.load_state"]
+
+
+def test_int_type_check_finder_sees_each_form():
+    sources = {
+        "nets": "def f(x):\n    if type(x) is not int:\n        pass\n"
+                "def g(xs):\n    return all(type(d) is int for d in xs)\n"
+                "def h(x):\n    return type(x) is float or isinstance(x, int)\n",
+        "data": "ok = type(3) is int\n",
+    }
+    assert int_type_checks(sources) == ["data", "nets.f", "nets.g"]
+
+
+def test_topogan_has_one_integer_rule():
+    # every other integer a caller sets goes through fem.check_int
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "topogan").glob("*.py"))}
+    assert int_type_checks(sources) == INT_TYPE_CHECK_SITES
 
 
 EXCEPTIONS = ["ConstraintError", "DimensionError", "FormatError", "ParameterError",

@@ -189,14 +189,18 @@ def test_generator_spec_validation():
 
 
 def test_discriminator_shapes_validation():
+    # D's settings are TrainConfig fields, which the config checks when it is made
     for over in (dict(disc_channels=(0, 4)), dict(feature_dim=0),
                  dict(minibatch_kernels=0)):
-        config, data = tiny_run(**over)
-        generator_shapes(config, data)
         with pytest.raises(ParameterError):
-            discriminator_shapes(config, data)
+            tiny_run(**over)
     # the minibatch dims are only checked when minibatch discrimination is on
-    discriminator_shapes(*tiny_run(minibatch_kernels=0, minibatch_discrimination=False))
+    config, data = tiny_run(minibatch_kernels=0, minibatch_discrimination=False)
+    assert "minibatch.T" not in discriminator_shapes(config, data)
+    # the data shape is checked by the shape functions
+    config, data = tiny_run()
+    with pytest.raises(ParameterError):
+        discriminator_shapes(config, {**data, "width": 6})
 
 
 def test_generator_condition_sensitivity_after_training_step():

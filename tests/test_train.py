@@ -100,19 +100,54 @@ def test_config_validation():
 
 
 def test_config_counts_must_be_ints():
+    # TrainConfig checks each field: True as a count, a float seed (numpy's bare
+    # TypeError in `train`) and the network fields (refused only by nets) passed it
     for field, bad in (("steps", float("nan")), ("steps", 1.5), ("steps", 2.0),
                        ("batch_size", 4.5), ("batch_size", float("inf")),
-                       ("checkpoint_every", float("nan")), ("checkpoint_every", 1.0)):
+                       ("checkpoint_every", float("nan")), ("checkpoint_every", 1.0),
+                       ("steps", True), ("batch_size", True), ("checkpoint_every", False),
+                       ("seed", 1.5), ("seed", -1), ("seed", None), ("z_dim", 0),
+                       ("z_dim", 4.0), ("z_dim", True), ("feature_dim", 8.5),
+                       ("gen_channels", (4, 2.0)), ("gen_channels", (4,)),
+                       ("gen_channels", 4), ("disc_channels", (True, 4)),
+                       ("minibatch_kernels", 1.5), ("minibatch_dim", 0),
+                       ("minibatch_discrimination", 1)):
         with pytest.raises(ParameterError, match=field):
             TrainConfig(objective="crcgan-a", **{"steps": 3, field: bad})
     TrainConfig(objective="crcgan-a", steps=np.int64(3), batch_size=np.int32(4),
                 checkpoint_every=np.int64(1))
+    assert desk_config(seed=np.int64(5), z_dim=np.int32(6), feature_dim=np.int64(8),
+                       gen_channels=(np.int64(6), 4)) == desk_config()
+
+
+def test_numpy_int_settings_train_checkpoint_and_resume_as_python_ints(tiny_dataset,
+                                                                        tmp_path):
+    # np.int64 counts raised a bare TypeError at the first checkpoint write (with
+    # checkpoint_every=0, only after the whole budget), and nets refused an np.int64 z_dim
+    def run(cast, name, **over):
+        config = desk_config(objective="crcgan-a", steps=cast(4), batch_size=cast(10),
+                             checkpoint_every=cast(2), z_dim=cast(6))
+        return train(config, tiny_dataset, tmp_path / name, **over)
+
+    py = run(int, "py")
+    numpy_run = run(np.int64, "np")
+    for name in ("step00000002.ckpt", "step00000004.ckpt", "final.ckpt"):
+        assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes()
+    assert strip_wall(read_metrics(numpy_run.metrics_path)) == \
+        strip_wall(read_metrics(py.metrics_path))
+    (tmp_path / "np" / "final.ckpt").unlink()
+    resumed = run(np.int64, "np", resume_from=tmp_path / "np" / "step00000002.ckpt")
+    assert resumed.checkpoint_path.read_bytes() == py.checkpoint_path.read_bytes()
+    assert strip_wall(read_metrics(resumed.metrics_path)) == \
+        strip_wall(read_metrics(py.metrics_path))
 
 
 def test_config_rejects_adam_hyperparameters_outside_their_domain():
+    # eps=inf was accepted, and a 3-step run then left every weight unchanged
     for over in (dict(beta1=1.5), dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=-1.0),
                  dict(beta2=1.0), dict(beta2=float("nan")), dict(eps=0.0),
-                 dict(eps=-1e-8), dict(lr=float("nan"))):
+                 dict(eps=-1e-8), dict(lr=float("nan")), dict(eps=float("inf")),
+                 dict(lr=float("inf"))):
         with pytest.raises(ParameterError):
             TrainConfig(objective="cgan", steps=3, **over)
     TrainConfig(objective="cgan", steps=3, beta1=0.0, beta2=0.0, eps=1e-300)
@@ -562,7 +597,7 @@ def test_checkpoint_naming_a_removed_objective_is_format_error(tmp_path, tiny_da
 
 def test_checkpoint_with_an_unbuildable_network_is_format_error(tmp_path, tiny_dataset,
                                                                 state_checkpoint):
-    # feature_dim shapes D only, so the generator's reader must check D's shapes too
+    # feature_dim shapes D only: the generator's reader refuses it through TrainConfig
     header, tensors = load_checkpoint_bytes(state_checkpoint, tmp_path)
     path = tmp_path / "net.ckpt"
     for field_value in ({"feature_dim": 0}, {"z_dim": 0}, {"feature_dim": 8.5},
