@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DimensionError, FormatError, ParameterError
-from .fem import MeshSpec, SimpParams, check_int, run_simp
+from .fem import MeshSpec, SimpParams, check_float, check_int, run_simp
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +40,6 @@ GAUSS_KERNEL_SIZE = 5
 GAUSS_SIGMA = 1.0
 NOISE_FRACTION = 0.01
 NOISE_AMPLITUDE = 0.5
-MONTAGE_SEPARATOR = 128.0 / 255.0   # mid-gray
 
 
 def condition_dim(kind: str, cardinality: int) -> int:
@@ -94,15 +93,10 @@ class SweepGrid:
     def __post_init__(self):
         if not (self.volfracs and self.penals and self.rmins):
             raise ParameterError("sweep grid must be nonempty on every axis")
-        for v in self.volfracs:
-            if not (0.3 <= v <= 0.8):
-                raise ParameterError(f"volfrac {v} outside [0.3, 0.8]")
-        for p in self.penals:
-            if not (2.0 <= p <= 4.0):
-                raise ParameterError(f"penal {p} outside [2, 4]")
-        for r in self.rmins:
-            if not (1.5 <= r <= 3.0):
-                raise ParameterError(f"rmin {r} outside [1.5, 3]")
+        for name, low, high in (("volfracs", 0.3, 0.8), ("penals", 2.0, 4.0),
+                                ("rmins", 1.5, 3.0)):
+            for value in getattr(self, name):
+                check_float(name, value, low, high)
 
     def __len__(self) -> int:
         return len(self.volfracs) * len(self.penals) * len(self.rmins)
@@ -219,8 +213,8 @@ def augment(image: np.ndarray, noise_count: int, noise_amplitude: float,
             seed: int) -> np.ndarray:
     """Perturb `noise_count` uniformly chosen pixels by U(-amplitude, +amplitude)."""
     check_int("noise_count", noise_count, 0)
-    if not (0.0 <= noise_amplitude <= 1.0):
-        raise ParameterError(f"noise amplitude must lie in [0,1], got {noise_amplitude}")
+    check_float("noise_amplitude", noise_amplitude, 0.0, 1.0)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     image = np.array(image, dtype=np.float64)
     count = min(noise_count, image.size)
@@ -235,6 +229,7 @@ def augment(image: np.ndarray, noise_count: int, noise_amplitude: float,
 def augment_dataset(ds: Dataset, seed: int = 0) -> Dataset:
     """Double the dataset: each sample followed (at the end) by one noisy copy,
     with NOISE_FRACTION of its pixels perturbed by up to NOISE_AMPLITUDE."""
+    check_int("seed", seed, 0)
     noise_count = max(1, int(round(NOISE_FRACTION * ds.height * ds.width)))
     noisy = ds.records.copy()
     for i, image in enumerate(ds.images):
@@ -361,6 +356,7 @@ def synth_classes(class_count: int, per_class: int, size: int, seed: int) -> Dat
         raise ParameterError(f"class_count must be in 2..10, got {class_count}")
     check_int("per_class", per_class, 1)
     check_int("size", size, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     images = np.empty((class_count * per_class, size, size), dtype=np.float32)
     labels = np.empty(class_count * per_class, dtype=np.float32)
@@ -388,34 +384,3 @@ def synth_classes(class_count: int, per_class: int, size: int, seed: int) -> Dat
     return Dataset(images=images, conditions=labels, kind=KIND_CLASS,
                    cardinality=class_count, volfrac=targets)
 
-
-# ---------------------------------------------------------------------------
-# PGM export
-
-def write_pgm(image: np.ndarray, path) -> None:
-    """Binary PGM (P5, maxval 255); pixel 1.0 maps to 255."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise DimensionError(f"PGM export needs a 2D image, got shape {image.shape}")
-    data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
-def montage(images: np.ndarray) -> np.ndarray:
-    """Tile images into a near-square grid, ceil(sqrt(n)) columns wide, with
-    2-pixel separators of value MONTAGE_SEPARATOR."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 3 or images.shape[0] == 0:
-        raise DimensionError("montage needs a nonempty (n, H, W) stack")
-    n, h, w = images.shape
-    cols = int(np.ceil(np.sqrt(n)))
-    rows = int(np.ceil(n / cols))
-    sep = 2
-    out = np.full((rows * h + (rows - 1) * sep, cols * w + (cols - 1) * sep),
-                  MONTAGE_SEPARATOR)
-    for i in range(n):
-        r, c = divmod(i, cols)
-        out[r * (h + sep):r * (h + sep) + h, c * (w + sep):c * (w + sep) + w] = images[i]
-    return out

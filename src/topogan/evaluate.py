@@ -9,18 +9,21 @@ penalty REANALYSIS_PENAL.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import KIND_CLASS, class_target_fraction, postprocess
-from .exceptions import DimensionError, ParameterError
+from .exceptions import DimensionError
 from .fem import (
     X_MIN,
     BoundaryConditions,
     DensityField,
     MeshSpec,
     assemble_and_solve,
+    check_float,
     check_int,
     compliance,
 )
@@ -65,11 +68,14 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
 
     The target is the condition itself for continuous conditions, or the
     class's known fill fraction for the synthetic class datasets. An empty
-    evaluation has no error to average: `count` must be >= 1.
+    evaluation has no error to average: `count` must be >= 1. The settings are
+    checked before the checkpoint is opened, and the report holds `count` and
+    `seed` as Python ints.
     """
+    check_float("condition", condition, -math.inf, math.inf)
     check_int("count", count, 1)
-    if not 0.0 <= tolerance < np.inf:   # NaN included
-        raise ParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
+    check_float("tolerance", tolerance, 0.0, math.inf)
+    check_int("seed", seed, 0)
     gen, config = generator_from_checkpoint(checkpoint_path)
     if gen.data["kind"] == KIND_CLASS:
         target = class_target_fraction(int(condition), gen.data["cardinality"])
@@ -83,14 +89,14 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
         compliances = [reanalyze(img) for img in processed]
     return EvalReport(
         target=target,
-        count=count,
+        count=operator.index(count),
         mean_vf=float(np.mean(measured)),
         mean_abs_err=float(errs.mean()),
         std_abs_err=float(errs.std()),
         frac_within_tol=float((errs <= tolerance).mean()),
         per_sample=[float(v) for v in measured],
         checkpoint=str(checkpoint_path),
-        seed=seed,
+        seed=operator.index(seed),
         objective=config.objective,
         per_sample_compliance=compliances,
     )

@@ -28,10 +28,17 @@ element energies, sensitivities and densities. The top half with u_x = 0 on
 its bottom row and half the load is the same problem with half the unknowns
 and about half the band. Odd nely, and every other entry point, keep the
 full domain: generated designs are not symmetric.
+
+The package's two scalar rules live here, for every module to share:
+`check_int` for an integer a caller sets and `check_float` for a real-valued
+one. Each raises ParameterError naming the setting, so a string, a bool or a
+NaN is refused where it is passed and not by a bare comparison or by numpy
+later.
 """
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -54,15 +61,37 @@ X_MIN = 1e-3
 
 
 def check_int(name: str, value, minimum: int) -> None:
-    """The package's one integer rule: ParameterError naming `name` unless `value`
-    is a Python or numpy int >= `minimum`. A bool, or a float (even 2.0, NaN or
-    inf), is refused here and not by `range` or numpy later."""
+    """The integer one of the package's two scalar rules: ParameterError naming
+    `name` unless `value` is a Python or numpy int >= `minimum`. A bool, or a
+    float (even 2.0, NaN or inf), is refused here and not by `range` or numpy
+    later."""
     try:
         ok = not isinstance(value, bool) and operator.index(value) >= minimum
     except TypeError:
         ok = False
     if not ok:
         raise ParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_float(name: str, value, low: float, high: float, *,
+                low_open: bool = False, high_open: bool = False) -> None:
+    """The real-valued one of the package's two scalar rules: ParameterError
+    naming `name` and the interval unless `value` is a finite Python or numpy
+    real number, not a bool, in [low, high], with either end open on request.
+    An infinite bound is open, as no finite value reaches it. The value is
+    left as given: an int or a numpy float is accepted as it is."""
+    try:
+        ok = (isinstance(value, (int, float, np.integer, np.floating))
+              and not isinstance(value, bool) and math.isfinite(value)
+              and (low < value if low_open else low <= value)
+              and (value < high if high_open else value <= high))
+    except OverflowError:   # an int beyond the float range
+        ok = False
+    if not ok:
+        left = "(" if low_open or low == -math.inf else "["
+        right = ")" if high_open or high == math.inf else "]"
+        raise ParameterError(
+            f"{name} must be a finite number in {left}{low:g}, {high:g}{right}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,16 +122,10 @@ class SimpParams:
     max_iters: int = 200
 
     def __post_init__(self):
-        if not (X_MIN <= self.volfrac <= 1.0):
-            raise ParameterError(f"need {X_MIN} <= volfrac <= 1, got volfrac={self.volfrac}")
-        _check_penal(self.penal)
-        # each `not` form also rejects NaN, which fails every comparison
-        if not 0.0 < self.rmin < np.inf:
-            raise ParameterError(f"rmin must be positive and finite, got {self.rmin}")
-        if not 0.0 < self.move < np.inf:
-            raise ParameterError(f"move limit must be positive and finite, got {self.move}")
-        if not 0.0 < self.change_tol < np.inf:
-            raise ParameterError(f"change_tol must be positive and finite, got {self.change_tol}")
+        check_float("volfrac", self.volfrac, X_MIN, 1.0)
+        check_float("penal", self.penal, 1.0, math.inf)
+        for name in ("rmin", "move", "change_tol"):
+            check_float(name, getattr(self, name), 0.0, math.inf, low_open=True)
         check_int("max_iters", self.max_iters, 1)
 
 
@@ -137,8 +160,7 @@ class BoundaryConditions:
         for dof, value in self.loads:
             if dof in fixed:
                 raise ParameterError(f"load applied to fixed DOF {dof}")
-            if not np.isfinite(value):
-                raise ParameterError(f"load on DOF {dof} must be finite, got {value}")
+            check_float(f"load on DOF {dof}", value, -math.inf, math.inf)
 
     @staticmethod
     def cantilever(mesh: MeshSpec, load: float = -1.0) -> "BoundaryConditions":
@@ -178,10 +200,8 @@ class SolveResult:
 
 def element_stiffness(nu: float = POISSON_RATIO, E: float = YOUNG_MODULUS) -> np.ndarray:
     """8x8 stiffness of a unit bilinear quad, plane stress (exact integration)."""
-    if not (0.0 <= nu < 0.5):
-        raise ParameterError(f"poisson ratio must be in [0, 0.5), got {nu}")
-    if not 0.0 < E < np.inf:
-        raise ParameterError(f"young modulus must be positive and finite, got {E}")
+    check_float("nu", nu, 0.0, 0.5, high_open=True)
+    check_float("E", E, 0.0, math.inf, low_open=True)
     k = np.array([
         0.5 - nu / 6.0, 0.125 + nu / 8.0, -0.25 - nu / 12.0, -0.125 + 3.0 * nu / 8.0,
         -0.25 + nu / 12.0, -0.125 - nu / 8.0, nu / 6.0, 0.125 - 3.0 * nu / 8.0,
@@ -220,11 +240,6 @@ def _check_density(density: DensityField, mesh: MeshSpec) -> np.ndarray:
     if not np.all(np.isfinite(x)) or np.any(x < 0.0):
         raise ParameterError("densities must be finite and non-negative")
     return x
-
-
-def _check_penal(penal: float) -> None:
-    if not 1.0 <= penal < np.inf:   # NaN fails too
-        raise ParameterError(f"penal must be finite and >= 1, got {penal}")
 
 
 def _pcg(K, f: np.ndarray, tol: float) -> np.ndarray:
@@ -340,7 +355,7 @@ def assemble_and_solve(
     Raises SingularSystemError when the reduced system is not positive definite.
     """
     x = _check_density(density, mesh)
-    _check_penal(penal)
+    check_float("penal", penal, 1.0, math.inf)
     plan = _band_plan(mesh, bc.fixed_dofs.tobytes())
     free = plan.free
     if free.size == 0:
@@ -377,7 +392,7 @@ def _sensitivities(x: np.ndarray, energies: np.ndarray, penal: float) -> np.ndar
 def compliance(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpec) -> float:
     """c(x) = sum_e x_e^p u_e^T k0 u_e."""
     x = _check_density(density, mesh)
-    _check_penal(penal)
+    check_float("penal", penal, 1.0, math.inf)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_dofs,):
         raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")
@@ -387,7 +402,7 @@ def compliance(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpe
 def sensitivities(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpec) -> np.ndarray:
     """dc/dx_e = -p x_e^(p-1) u_e^T k0 u_e, shape (nely, nelx), all entries <= 0."""
     x = _check_density(density, mesh)
-    _check_penal(penal)
+    check_float("penal", penal, 1.0, math.inf)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_dofs,):
         raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")
@@ -427,8 +442,7 @@ def filter_sensitivities(
     filtered_e = sum_i H_ei x_i dc_i / (x_e sum_i H_ei),
     H_ei = max(0, rmin - dist(e, i)) with center distance in element widths.
     """
-    if not 0.0 < rmin < np.inf:   # NaN included
-        raise ParameterError(f"rmin must be positive and finite, got {rmin}")
+    check_float("rmin", rmin, 0.0, math.inf, low_open=True)
     x = _check_density(density, mesh)
     dc = np.asarray(dc, dtype=np.float64)
     if dc.shape != x.shape:

@@ -54,7 +54,7 @@ import numpy as np
 from .autodiff import AdamState, adam_step, frozen
 from .data import KIND_CLASS, Dataset, atomic_open, check_conditions
 from .exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
-from .fem import check_int
+from .fem import check_float, check_int
 from .nets import Discriminator, Generator, generator_shapes
 from .objectives import discriminator_loss, generator_loss, mismatched, needs_mismatch
 
@@ -108,13 +108,10 @@ class TrainConfig:
         if self.minibatch_discrimination:   # the dims are unused when it is off
             check_int("minibatch_kernels", self.minibatch_kernels, 1)
             check_int("minibatch_dim", self.minibatch_dim, 1)
-        for name in ("lr", "eps"):   # the `not` form also rejects NaN
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ParameterError(
-                f"Adam betas must lie in [0, 1), got {self.beta1} and {self.beta2}")
+        for name in ("lr", "eps"):
+            check_float(name, getattr(self, name), 0.0, math.inf, low_open=True)
+        for name in ("beta1", "beta2"):
+            check_float(name, getattr(self, name), 0.0, 1.0, high_open=True)
 
     def steps_per_iteration(self, dataset_size: int) -> int:
         """ceil(n / batch), a Python int: the steps of one pass over a dataset of n samples."""
@@ -316,8 +313,8 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     in the same directory, which is synced and then renamed over `path`.
     """
     table = [[name, list(np.shape(a))] for name, a in tensors.items()]
-    # a numpy-int setting is stored as the JSON int it equals
-    head = json.dumps({**header, "tensors": table}, default=operator.index).encode("utf-8")
+    # a numpy setting is stored as the JSON int or float it equals
+    head = json.dumps({**header, "tensors": table}, default=np.generic.item).encode("utf-8")
     prefix = _CKPT_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(head))
     with atomic_open(path) as fh:
         crc = zlib.crc32(head, zlib.crc32(prefix))
@@ -589,13 +586,16 @@ def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     """Generate `count` images at a fixed condition; deterministic given seed.
 
-    A condition that fails `data.check_conditions`, or a count that is not an
-    int >= 0, raises ParameterError; the condition is checked even for count 0.
+    A condition that is not a finite number or fails `data.check_conditions`,
+    a count that is not an int >= 0, or a seed that is not an int >= 0, raises
+    ParameterError; each is checked even for count 0.
     """
     data = gen.data
+    check_float("condition", condition, -math.inf, math.inf)
     condition = float(condition)
     check_conditions(np.array([condition]), data["kind"], data["cardinality"])
     check_int("count", count, 0)
+    check_int("seed", seed, 0)
     if count == 0:
         return np.empty((0, data["height"], data["width"]))
     rng = np.random.default_rng(seed)

@@ -12,14 +12,12 @@ from topogan.data import (
     augment_dataset,
     class_target_fraction,
     gaussian_kernel,
-    montage,
     postprocess,
     read_dataset,
     sweep_generate,
     synth_classes,
     threshold,
     write_dataset,
-    write_pgm,
 )
 from topogan.exceptions import DimensionError, FormatError, ParameterError
 from topogan.fem import MeshSpec
@@ -121,6 +119,21 @@ def test_augment_noise_count_must_be_an_int():
         with pytest.raises(ParameterError, match="noise_count"):
             augment(image, bad, 0.3, seed=5)
     assert np.array_equal(augment(image, np.int64(3), 0.3, seed=5), augment(image, 3, 0.3, seed=5))
+
+
+def test_augment_amplitude_and_seed_are_checked():
+    image = make_image()
+    for bad in ("0.5", None, True, 1 + 0j, -0.1, 1.5, np.nan):
+        with pytest.raises(ParameterError, match="noise_amplitude"):
+            augment(image, 3, bad, seed=5)
+    assert np.array_equal(augment(image, 3, np.float64(0.5), seed=5),
+                          augment(image, 3, 0.5, seed=5))
+    ds = synth_classes(2, 1, 8, seed=0)
+    for seed in (1.5, -1, None, True):   # numpy's bare TypeError or ValueError
+        with pytest.raises(ParameterError, match="seed"):
+            augment(image, 3, 0.5, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            augment_dataset(ds, seed=seed)
 
 
 def test_augment_deterministic():
@@ -322,6 +335,9 @@ def test_synth_sizes_must_be_ints():
                         ((2, 6, None), "size")):
         with pytest.raises(ParameterError, match=field):
             synth_classes(*args, seed=0)
+    for seed in (1.5, -1, None, True):   # numpy's bare TypeError or ValueError
+        with pytest.raises(ParameterError, match="seed"):
+            synth_classes(2, 6, 8, seed=seed)
     assert synth_classes(np.int64(2), np.int32(6), np.int64(8), seed=0).equals(
         synth_classes(2, 6, 8, seed=0))
 
@@ -368,6 +384,13 @@ def test_sweep_grid_validates_bounds():
         SweepGrid(volfracs=(0.5,), penals=(5.0,), rmins=(1.5,), mesh=mesh)
     with pytest.raises(ParameterError):
         SweepGrid(volfracs=(0.5,), penals=(3.0,), rmins=(), mesh=mesh)
+    # a string compared with a bound raised a bare TypeError
+    axes = {"volfracs": (0.5,), "penals": (3.0,), "rmins": (1.5,)}
+    for name in axes:
+        for bad in ("0.5", None, True, 1 + 0j, np.nan):
+            with pytest.raises(ParameterError, match=name):
+                SweepGrid(**{**axes, name: (bad,)}, mesh=mesh)
+    assert len(SweepGrid(volfracs=(np.float32(0.5),), penals=(3,), rmins=(2,), mesh=mesh)) == 1
 
 
 def test_full_paper_grid_count_contract():
@@ -381,23 +404,6 @@ def test_full_paper_grid_count_contract():
 
 # ---------------------------------------------------------------------------
 # misc utilities
-
-def test_write_pgm(tmp_path):
-    image = np.array([[0.0, 0.5], [1.0, 0.25]])
-    path = tmp_path / "img.pgm"
-    write_pgm(image, path)
-    blob = path.read_bytes()
-    assert blob.startswith(b"P5\n2 2\n255\n")
-    assert list(blob[-4:]) == [0, 128, 255, 64]
-
-
-def test_montage_shape_and_separators():
-    images = np.zeros((4, 3, 3))
-    out = montage(images)
-    assert out.shape == (3 * 2 + 2, 3 * 2 + 2)
-    assert out[3, 0] == pytest.approx(128 / 255)
-    assert out[0, 0] == 0.0
-
 
 def test_condition_types_validate():
     image = np.zeros((1, 4, 4))

@@ -1,4 +1,6 @@
 """Volume-fraction measurement, FEM re-analysis, and checkpoint-driven evaluation."""
+import json
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,21 @@ def test_conditional_eval_rejects_an_empty_count_or_a_bad_tolerance(class_checkp
     for count, tolerance in ((0, 0.1), (-1, 0.1), (3, np.nan), (3, -0.1), (3, np.inf)):
         with pytest.raises(ParameterError):
             conditional_eval(class_checkpoint, 1, count=count, tolerance=tolerance, seed=7)
+    # a string compared with a bound raised a bare TypeError, and True passed as 1.0
+    for bad in ("0.5", None, True, 1 + 0j):
+        with pytest.raises(ParameterError, match="tolerance"):
+            conditional_eval(class_checkpoint, 1, count=3, tolerance=bad, seed=7)
+        with pytest.raises(ParameterError, match="condition"):
+            conditional_eval(class_checkpoint, bad, count=3, tolerance=0.1, seed=7)
+
+
+def test_eval_report_holds_python_ints(class_checkpoint):
+    # a numpy count or seed was kept, and json.dumps of the report raised TypeError
+    report = conditional_eval(class_checkpoint, 1, count=np.int64(2), tolerance=0.1,
+                              seed=np.int64(7))
+    assert type(report.count) is int and type(report.seed) is int
+    assert json.loads(json.dumps(report.to_dict())) == conditional_eval(
+        class_checkpoint, 1, count=2, tolerance=0.1, seed=7).to_dict()
 
 
 def test_conditional_eval_checks_count_before_it_opens_the_checkpoint(tmp_path):
@@ -97,3 +114,7 @@ def test_conditional_eval_checks_count_before_it_opens_the_checkpoint(tmp_path):
     for count in (2.5, 2.0, True, None):
         with pytest.raises(ParameterError, match="count"):
             conditional_eval(tmp_path / "absent.ckpt", 1, count=count, tolerance=0.1, seed=7)
+    # numpy's bare TypeError and ValueError, once the whole checkpoint had been read
+    for seed in (1.5, -1, None, True):
+        with pytest.raises(ParameterError, match="seed"):
+            conditional_eval(tmp_path / "absent.ckpt", 1, count=2, tolerance=0.1, seed=seed)

@@ -247,6 +247,12 @@ def test_stiffness_rejects_bad_parameters():
     for E in (0.0, np.nan, np.inf):
         with pytest.raises(ParameterError):
             element_stiffness(0.3, E)
+    for bad in ("0.5", None, True, 1 + 0j):
+        with pytest.raises(ParameterError, match="^nu must"):
+            element_stiffness(bad, 1.0)
+        with pytest.raises(ParameterError, match="^E must"):
+            element_stiffness(0.3, bad)
+    assert np.array_equal(element_stiffness(np.float64(0.3), 1), element_stiffness(0.3, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +885,23 @@ def test_non_finite_fem_inputs_are_parameter_error():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ParameterError):
             BoundaryConditions.cantilever(mesh, load=bad)
+    # a string compared with a bound raised a bare TypeError, and True passed as 1.0
+    for bad in ("0.5", None, True, 1 + 0j):
+        for field in ("volfrac", "penal", "rmin", "move", "change_tol"):
+            with pytest.raises(ParameterError, match=field):
+                SimpParams(**{"volfrac": 0.5, field: bad})
+        with pytest.raises(ParameterError, match="rmin"):
+            filter_sensitivities(density, np.full((3, 4), -1.0), bad, mesh)
+        with pytest.raises(ParameterError, match="load"):
+            BoundaryConditions.cantilever(mesh, load=bad)
+    # an int or a numpy float is the number it equals
+    mesh = MeshSpec(6, 4)
+    plain = run_simp(mesh, SimpParams(volfrac=0.5, penal=3.0, rmin=1.5, max_iters=5))
+    for over in (dict(penal=3), dict(rmin=np.float32(1.5)), dict(volfrac=np.float64(0.5))):
+        result = run_simp(mesh, SimpParams(**{"volfrac": 0.5, "max_iters": 5, **over}))
+        assert np.array_equal(result.density.values, plain.density.values), over
+        assert result.compliance_history == plain.compliance_history, over
+        assert result.change_history == plain.change_history, over
 
 
 def test_mesh_spec_needs_int_sizes_of_at_least_one():
@@ -896,7 +919,7 @@ def test_direct_fem_calls_reject_a_bad_penal():
     density = DensityField.uniform(mesh, 0.5)
     bc = BoundaryConditions.cantilever(mesh)
     u = assemble_and_solve(density, 3.0, mesh, bc)
-    for bad in (np.nan, np.inf, 0.5):
+    for bad in (np.nan, np.inf, 0.5, "0.5", None, True, 1 + 0j):
         with pytest.raises(ParameterError, match="penal"):
             assemble_and_solve(density, bad, mesh, bc)
         with pytest.raises(ParameterError, match="penal"):

@@ -1,7 +1,8 @@
 """Importing topogan loads no scipy subpackage beyond linalg and sparse, no
 topogan module imports a name it never uses, no private helper outlives
-its callers, every exception class is raised, integers have one rule, and
-every console script that pyproject.toml declares resolves to a callable.
+its callers, every exception class is raised, integers and real-valued
+settings each have one rule, and every console script that pyproject.toml
+declares resolves to a callable.
 
 scipy.signal, scipy.ndimage and scipy.spatial each pull in much of scipy
 (scipy.stats among it) and once made up most of the package's cold start.
@@ -16,7 +17,10 @@ class that no other class derives from must be raised by name in some other
 module, and no module may import a class from it that it does not define.
 The integer-rule check reads the source the same way: `fem.check_int` is the one
 rule for an integer a caller sets, so a `type(x) is int` test may stand only
-in the two checkpoint parsers, which raise FormatError.
+in the two checkpoint parsers, which raise FormatError. The float-rule check
+reads it the same way: `fem.check_float` is the one rule for a real-valued
+setting, so a comparison against `np.inf` or `math.inf` (the mark of a
+hand-written "finite and in range" check) may stand only inside it.
 """
 import ast
 import importlib
@@ -148,6 +152,46 @@ def test_topogan_has_one_integer_rule():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((SRC / "topogan").glob("*.py"))}
     assert int_type_checks(sources) == INT_TYPE_CHECK_SITES
+
+
+def _is_inf(node) -> bool:
+    """`np.inf`, `numpy.inf` or `math.inf`, or its negation."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy", "math"))
+
+
+def inf_comparisons(sources: dict[str, str]) -> list[str]:
+    """`module.name` of the top-level function or class around each comparison
+    against an infinity of numpy or math in `sources` (module name -> source),
+    or `module` for one outside any."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = f"{module}.{top.name}" if hasattr(top, "name") else module
+            found += [owner for node in ast.walk(top) if isinstance(node, ast.Compare)
+                      and any(_is_inf(side) for side in [node.left, *node.comparators])]
+    return sorted(found)
+
+
+def test_inf_comparison_finder_sees_each_form():
+    sources = {
+        "fem": "import math\nimport numpy as np\n"
+               "def f(x):\n    if not 0.0 < x < np.inf:\n        pass\n"
+               "class P:\n    def check(self):\n        return self.lr >= math.inf\n"
+               "def g(x):\n    return x == -numpy.inf\n"
+               "def h(x):\n    return check_float('x', x, 0.0, math.inf) or x < inf\n",
+        "train": "ok = 1.0 < np.inf\n",
+    }
+    assert inf_comparisons(sources) == ["fem.P", "fem.f", "fem.g", "train"]
+
+
+def test_topogan_has_one_float_rule():
+    # every other real-valued setting goes through fem.check_float
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "topogan").glob("*.py"))}
+    assert [owner for owner in inf_comparisons(sources) if owner != "fem.check_float"] == []
 
 
 EXCEPTIONS = ["ConstraintError", "DimensionError", "FormatError", "ParameterError",

@@ -150,7 +150,30 @@ def test_config_rejects_adam_hyperparameters_outside_their_domain():
                  dict(lr=float("inf"))):
         with pytest.raises(ParameterError):
             TrainConfig(objective="cgan", steps=3, **over)
+    # a string raised a bare TypeError, and a bool passed as 1.0 or 0.0
+    for name in ("lr", "beta1", "beta2", "eps"):
+        for bad in ("0.5", None, True, False, 1 + 0j):
+            with pytest.raises(ParameterError, match=name):
+                TrainConfig(objective="cgan", steps=3, **{name: bad})
+    with pytest.raises(ParameterError, match=r"lr must be a finite number in \(0, inf\), got '0.1'"):
+        TrainConfig(objective="cgan", steps=3, lr="0.1")
     TrainConfig(objective="cgan", steps=3, beta1=0.0, beta2=0.0, eps=1e-300)
+    TrainConfig(objective="cgan", steps=3, lr=np.float32(2e-4), beta1=np.float64(0.5), eps=1)
+
+
+def test_numpy_float_settings_train_checkpoint_and_resume(tiny_dataset, tmp_path):
+    # the header's writer converted only numpy ints, so a numpy-float setting
+    # passed every check and failed at the first checkpoint write
+    config = desk_config(objective="crcgan-a", steps=4, checkpoint_every=2,
+                         lr=np.float32(2e-4), beta1=np.float32(0.5))
+    whole = train(config, tiny_dataset, tmp_path / "run")
+    header, _ = load_checkpoint(tmp_path / "run" / "step00000002.ckpt")
+    assert header["config"]["lr"] == float(np.float32(2e-4))
+    final = whole.checkpoint_path.read_bytes()
+    whole.checkpoint_path.unlink()
+    resumed = train(config, tiny_dataset, tmp_path / "run",
+                    resume_from=tmp_path / "run" / "step00000002.ckpt")
+    assert resumed.checkpoint_path.read_bytes() == final
 
 
 def test_config_rejects_negative_checkpoint_cadence(tiny_dataset, tmp_path):
@@ -906,6 +929,13 @@ def test_sample_count_zero(tiny_dataset, tmp_path):
         with pytest.raises(ParameterError, match="count"):
             sample(gen, 1, count=bad, seed=0)
     assert sample(gen, 1, count=np.int64(2), seed=0).shape == (2, 8, 8)
+    # numpy's bare TypeError and ValueError, and only when count > 0
+    for bad in (1.5, -1, None, True):
+        for count in (2, 0):
+            with pytest.raises(ParameterError, match="seed"):
+                sample(gen, 1, count=count, seed=bad)
+    assert np.array_equal(sample(gen, 1, count=2, seed=np.int64(3)),
+                          sample(gen, 1, count=2, seed=3))
 
 
 def test_sample_condition_domain_error(tiny_dataset, tmp_path):
@@ -915,3 +945,9 @@ def test_sample_condition_domain_error(tiny_dataset, tmp_path):
         for count in (2, 0):
             with pytest.raises(ParameterError):
                 sample(gen, condition, count=count, seed=0)
+    # "1" and True each sampled class 1
+    for condition in ("1", None, True, 1 + 0j):
+        with pytest.raises(ParameterError, match="condition"):
+            sample(gen, condition, count=2, seed=0)
+    assert np.array_equal(sample(gen, np.float32(1), count=2, seed=0),
+                          sample(gen, 1, count=2, seed=0))
