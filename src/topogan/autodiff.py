@@ -32,9 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .exceptions import DimensionError, ParameterError
+from .exceptions import DimensionError
 
-LOG_FLOOR = 1e-12
+LOG_FLOOR = 1e-12         # log_clamped's floor; nets clamps D's scores to it as well
+LEAKY_SLOPE = 0.2         # leaky_relu's negative-side slope, the paper's in both networks
+GRAD_CHECK_STEP = 1e-6    # grad_check's central-difference step
 
 
 class Tensor:
@@ -132,17 +134,8 @@ class Tensor:
     def __rsub__(self, other):
         return add(_as_tensor(other), -self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, *shape)
-
-    def mean(self):
-        return mean(self)
-
-    def sum(self):
-        return tensor_sum(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -274,20 +267,18 @@ def tensor_sum(a) -> Tensor:
     ])
 
 
-def leaky_relu(a, alpha: float = 0.2) -> Tensor:
-    """max(a, alpha*a); backward rebuilds the slope from a bool mask."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"leaky_relu slope must lie in [0, 1], got {alpha}")
+def leaky_relu(a) -> Tensor:
+    """max(a, LEAKY_SLOPE*a); backward rebuilds the slope from a bool mask."""
     a = _as_tensor(a)
     positive = a.data > 0
 
     def grad(g: np.ndarray) -> np.ndarray:
-        slope = positive * (1.0 - alpha)
-        slope += alpha
+        slope = positive * (1.0 - LEAKY_SLOPE)
+        slope += LEAKY_SLOPE
         slope *= g
         return slope
 
-    scaled = a.data * alpha
+    scaled = a.data * LEAKY_SLOPE
     return Tensor._result(np.maximum(a.data, scaled, out=scaled), [(a, grad)])
 
 
@@ -556,21 +547,21 @@ class GradCheckReport:
     max_rel_err: float
     worst_param: str
     worst_index: tuple
-    per_param: dict
 
     def __str__(self):
         return (f"grad check: max rel err {self.max_rel_err:.3e} "
                 f"at {self.worst_param}{list(self.worst_index)}")
 
 
-def grad_check(fn, params: dict[str, Tensor], h: float = 1e-6) -> GradCheckReport:
+def grad_check(fn, params: dict[str, Tensor]) -> GradCheckReport:
     """Compare analytic gradients of fn() against central finite differences.
 
     `fn` must rebuild its graph on every call and return a scalar Tensor.
     The relative-error denominator has a 1e-3 floor: central differences at
-    h=1e-6 carry ~1e-10 * |loss| of float64 roundoff, so gradients below the
-    floor are compared in (scaled) absolute terms instead. A genuine backward
-    bug of absolute size >= 1e-9 still reads as >= 1e-6 after flooring.
+    h = GRAD_CHECK_STEP = 1e-6 carry ~1e-10 * |loss| of float64 roundoff, so
+    gradients below the floor are compared in (scaled) absolute terms instead.
+    A genuine backward bug of absolute size >= 1e-9 still reads as >= 1e-6
+    after flooring.
     """
     for p in params.values():
         p.zero_grad()
@@ -579,10 +570,9 @@ def grad_check(fn, params: dict[str, Tensor], h: float = 1e-6) -> GradCheckRepor
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for name, p in params.items()}
 
+    h = GRAD_CHECK_STEP
     worst = (0.0, "", ())
-    per_param = {}
     for name, p in params.items():
-        worst_here = (0.0, ())
         for idx in np.ndindex(p.data.shape):
             orig = p.data[idx]
             p.data[idx] = orig + h
@@ -593,12 +583,6 @@ def grad_check(fn, params: dict[str, Tensor], h: float = 1e-6) -> GradCheckRepor
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = analytic[name][idx]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-            if err > worst_here[0]:
-                worst_here = (err, idx)
-        per_param[name] = worst_here[0]
-        if worst_here[0] > worst[0]:
-            worst = (worst_here[0], name, worst_here[1])
-    return GradCheckReport(
-        max_rel_err=worst[0], worst_param=worst[1], worst_index=worst[2],
-        per_param=per_param,
-    )
+            if err > worst[0]:
+                worst = (err, name, idx)
+    return GradCheckReport(max_rel_err=worst[0], worst_param=worst[1], worst_index=worst[2])

@@ -13,6 +13,8 @@ the networks' encoding and sampling all apply: finite; class labels integral
 and in [0, cardinality); continuous values in [0, 1]. A dataset also holds
 only finite record fields and pixels in [0, 1]. Class-conditioned data comes
 from `synth_classes`, whose per-class fill fractions are known exactly.
+Augmentation has one recipe: `augment` moves NOISE_FRACTION of an image's
+pixels, at least one, by up to NOISE_AMPLITUDE.
 """
 from __future__ import annotations
 
@@ -209,31 +211,31 @@ def sweep_generate(grid: SweepGrid) -> Dataset:
                    converged=converged)
 
 
-def augment(image: np.ndarray, noise_count: int, noise_amplitude: float,
-            seed: int) -> np.ndarray:
-    """Perturb `noise_count` uniformly chosen pixels by U(-amplitude, +amplitude)."""
-    check_int("noise_count", noise_count, 0)
-    check_float("noise_amplitude", noise_amplitude, 0.0, 1.0)
+def augment(image: np.ndarray, seed: int) -> np.ndarray:
+    """A noisy copy of an (h, w) image: NOISE_FRACTION of its pixels (at least
+    one), chosen uniformly, move by U(-NOISE_AMPLITUDE, +NOISE_AMPLITUDE) and
+    are clipped to [0, 1]."""
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     image = np.array(image, dtype=np.float64)
-    count = min(noise_count, image.size)
-    if count:
-        flat_idx = rng.choice(image.size, size=count, replace=False)
-        noise = rng.uniform(-noise_amplitude, noise_amplitude, size=count)
-        np.add.at(image.ravel(), flat_idx, noise)
-        np.clip(image, 0.0, 1.0, out=image)
+    if image.ndim != 2:
+        raise DimensionError(f"expected a 2D image, got shape {image.shape}")
+    h, w = image.shape
+    count = min(max(1, int(round(NOISE_FRACTION * h * w))), image.size)
+    flat_idx = rng.choice(image.size, size=count, replace=False)
+    noise = rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, size=count)
+    np.add.at(image.ravel(), flat_idx, noise)
+    np.clip(image, 0.0, 1.0, out=image)
     return image
 
 
 def augment_dataset(ds: Dataset, seed: int = 0) -> Dataset:
-    """Double the dataset: each sample followed (at the end) by one noisy copy,
-    with NOISE_FRACTION of its pixels perturbed by up to NOISE_AMPLITUDE."""
+    """Double the dataset: each sample followed (at the end) by its `augment`
+    copy, sample i drawn with seed `seed + i`."""
     check_int("seed", seed, 0)
-    noise_count = max(1, int(round(NOISE_FRACTION * ds.height * ds.width)))
     noisy = ds.records.copy()
     for i, image in enumerate(ds.images):
-        noisy["images"][i] = augment(image, noise_count, NOISE_AMPLITUDE, seed=seed + i)
+        noisy["images"][i] = augment(image, seed=seed + i)
     return Dataset.from_records(np.concatenate([ds.records, noisy]), ds.kind, ds.cardinality)
 
 

@@ -1,10 +1,11 @@
 """2D plane-stress FEM and SIMP compliance minimization on a structured quad mesh.
 
-Conventions: unit square bilinear elements of a material with Young's modulus
-E0 = 1 and Poisson's ratio nu = 0.3, as in top88, so E(x_e) = x_e^p * E0; a
-density never drops below X_MIN = 1e-3, which keeps K(x) nonsingular. Node ids
-run column-major with y down (node = x*(nely+1) + y), density arrays are
-(nely, nelx) with row 0 at the top.
+Conventions: unit square bilinear elements of top88's material, Young's
+modulus E0 = YOUNG_MODULUS = 1 and Poisson's ratio nu = POISSON_RATIO = 0.3,
+so E(x_e) = x_e^p * E0, and the cantilever carries top88's unit load,
+TIP_LOAD = -1 (downward); a density never drops below X_MIN = 1e-3, which
+keeps K(x) nonsingular. Node ids run column-major with y down
+(node = x*(nely+1) + y), density arrays are (nely, nelx) with row 0 at the top.
 
 The solve follows top88 (Andreassen et al. 2011) and has one path: the index
 vectors of the assembly are built once per mesh and fixed-DOF set, and
@@ -57,6 +58,7 @@ from .exceptions import (
 PCG_TOL = 1e-8
 YOUNG_MODULUS = 1.0
 POISSON_RATIO = 0.3
+TIP_LOAD = -1.0
 X_MIN = 1e-3
 
 
@@ -158,20 +160,21 @@ class BoundaryConditions:
             raise ParameterError("at least one DOF must be fixed")
         fixed = set(self.fixed_dofs.tolist())
         for dof, value in self.loads:
+            check_int("load DOF", dof, 0)   # the upper bound needs the mesh: force_vector
             if dof in fixed:
                 raise ParameterError(f"load applied to fixed DOF {dof}")
             check_float(f"load on DOF {dof}", value, -math.inf, math.inf)
 
     @staticmethod
-    def cantilever(mesh: MeshSpec, load: float = -1.0) -> "BoundaryConditions":
-        """Left edge clamped, point load at the vertical midpoint of the right edge.
+    def cantilever(mesh: MeshSpec) -> "BoundaryConditions":
+        """Left edge clamped, TIP_LOAD at the vertical midpoint of the right edge.
 
         For odd nely the load node is row index (nely+1)//2 of the right edge.
         """
         left_nodes = np.arange(mesh.nely + 1)  # x = 0 column
         fixed = np.concatenate([2 * left_nodes, 2 * left_nodes + 1])
         load_node = mesh.nelx * (mesh.nely + 1) + (mesh.nely + 1) // 2
-        return BoundaryConditions(fixed_dofs=fixed, loads=[(2 * load_node + 1, load)])
+        return BoundaryConditions(fixed_dofs=fixed, loads=[(2 * load_node + 1, TIP_LOAD)])
 
     def force_vector(self, mesh: MeshSpec) -> np.ndarray:
         f = np.zeros(mesh.n_dofs)
@@ -198,10 +201,10 @@ class SolveResult:
     change_history: list[float]
 
 
-def element_stiffness(nu: float = POISSON_RATIO, E: float = YOUNG_MODULUS) -> np.ndarray:
-    """8x8 stiffness of a unit bilinear quad, plane stress (exact integration)."""
-    check_float("nu", nu, 0.0, 0.5, high_open=True)
-    check_float("E", E, 0.0, math.inf, low_open=True)
+def element_stiffness() -> np.ndarray:
+    """8x8 stiffness of a unit bilinear quad of YOUNG_MODULUS and POISSON_RATIO,
+    plane stress (exact integration)."""
+    nu, E = POISSON_RATIO, YOUNG_MODULUS
     k = np.array([
         0.5 - nu / 6.0, 0.125 + nu / 8.0, -0.25 - nu / 12.0, -0.125 + 3.0 * nu / 8.0,
         -0.25 + nu / 12.0, -0.125 - nu / 8.0, nu / 6.0, 0.125 - 3.0 * nu / 8.0,
@@ -533,7 +536,7 @@ def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
         left = np.arange(solve_mesh.nely + 1)
         midline = np.arange(mesh.nelx + 1) * (solve_mesh.nely + 1) + solve_mesh.nely
         bc = BoundaryConditions(fixed_dofs=np.concatenate([2 * left, 2 * left + 1, 2 * midline]),
-                                loads=[(2 * midline[-1] + 1, -0.5)])
+                                loads=[(2 * midline[-1] + 1, 0.5 * TIP_LOAD)])
     density = DensityField.uniform(solve_mesh, params.volfrac)
     history: list[float] = []
     changes: list[float] = []

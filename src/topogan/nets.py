@@ -37,8 +37,6 @@ from .exceptions import DimensionError, ParameterError
 from .fem import check_int
 
 WEIGHT_STD = 0.02
-SCORE_EPS = 1e-12
-LEAKY_SLOPE = 0.2
 # float64 values in one (kernels, N, N) block of the minibatch distance loop,
 # so that a block and its scratch (1 MiB together) stay in a 2 MiB L2 cache; at
 # N=64, B=32, C=8 on such a Xeon this ran 1.6x faster than a single block
@@ -192,11 +190,11 @@ class Generator:
             raise DimensionError("noise and condition batch sizes differ")
         p = self._params
         h = ad.linear(ad.concat([z, cond], axis=1), p["dense.w"], p["dense.b"])
-        h = ad.leaky_relu(h, LEAKY_SLOPE)
+        h = ad.leaky_relu(h)
         h = h.reshape(z.data.shape[0], -1, data["height"] // 4, data["width"] // 4)
         h = ad.transpose(h, (1, 2, 3, 0))
         h = ad.conv_transpose2d(h, p["up1.w"], stride=2, padding=1, bias=p["up1.b"])
-        h = ad.leaky_relu(h, LEAKY_SLOPE)
+        h = ad.leaky_relu(h)
         h = ad.conv_transpose2d(h, p["up2.w"], stride=2, padding=1, bias=p["up2.b"])
         return ad.transpose(ad.sigmoid(h), (3, 0, 1, 2))
 
@@ -226,13 +224,13 @@ class Discriminator:
         p = self._params
         h = ad.transpose(x, (1, 2, 3, 0))
         h = ad.conv2d_planes(h, cond, p["conv1.w"], stride=2, padding=1, bias=p["conv1.b"])
-        h = ad.leaky_relu(h, LEAKY_SLOPE)
+        h = ad.leaky_relu(h)
         h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1, bias=p["conv2.b"])
-        h = ad.leaky_relu(h, LEAKY_SLOPE)
+        h = ad.leaky_relu(h)
         # (c2*h*w, N) rows in (c, h, w) order, the row order of feat.w
         h = ad.transpose(h.reshape(-1, n), (1, 0))
         h = ad.linear(h, p["feat.w"], p["feat.b"])
-        return ad.leaky_relu(h, LEAKY_SLOPE)
+        return ad.leaky_relu(h)
 
     def forward(self, x, condition_values) -> Tensor:
         f = self.features(x, condition_values)
@@ -242,5 +240,5 @@ class Discriminator:
             f = ad.concat([f, o], axis=1)
         logit = ad.linear(f, p["head.w"], p["head.b"])
         score = ad.sigmoid(logit)
-        score = ad.clamp(score, SCORE_EPS, 1.0 - SCORE_EPS)
+        score = ad.clamp(score, ad.LOG_FLOOR, 1.0 - ad.LOG_FLOOR)
         return score.reshape(f.data.shape[0])

@@ -16,7 +16,7 @@ three. The variants differ only in how the training step builds the
 mismatched scores, and `mismatched` is the one rule for when two conditions
 differ. crcgan-a's wrong condition is drawn in `train._mismatch_conditions`,
 uniformly over the condition domain: the class labels below the cardinality,
-or [0, 1]. All logs carry the global 1e-12 floor clamp.
+or [0, 1]. Every log is `autodiff.log_clamped`, floored at `autodiff.LOG_FLOOR`.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 """Dataset generation, augmentation, post-processing, and file-format tests."""
+import hashlib
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topogan.data import (
+    NOISE_AMPLITUDE,
     Dataset,
     SweepGrid,
     augment,
@@ -107,58 +109,50 @@ def make_image():
     return rng.uniform(0.2, 0.8, size=(10, 12)).astype(np.float32)
 
 
-def test_augment_zero_count_is_identity():
+def test_augment_seed_is_checked():
     image = make_image()
-    out = augment(image, 0, 0.3, seed=5)
-    assert np.array_equal(out, image)
-
-
-def test_augment_noise_count_must_be_an_int():
-    image = make_image()
-    for bad in (2.5, 2.0, -1, None, True):
-        with pytest.raises(ParameterError, match="noise_count"):
-            augment(image, bad, 0.3, seed=5)
-    assert np.array_equal(augment(image, np.int64(3), 0.3, seed=5), augment(image, 3, 0.3, seed=5))
-
-
-def test_augment_amplitude_and_seed_are_checked():
-    image = make_image()
-    for bad in ("0.5", None, True, 1 + 0j, -0.1, 1.5, np.nan):
-        with pytest.raises(ParameterError, match="noise_amplitude"):
-            augment(image, 3, bad, seed=5)
-    assert np.array_equal(augment(image, 3, np.float64(0.5), seed=5),
-                          augment(image, 3, 0.5, seed=5))
     ds = synth_classes(2, 1, 8, seed=0)
     for seed in (1.5, -1, None, True):   # numpy's bare TypeError or ValueError
         with pytest.raises(ParameterError, match="seed"):
-            augment(image, 3, 0.5, seed=seed)
+            augment(image, seed=seed)
         with pytest.raises(ParameterError, match="seed"):
             augment_dataset(ds, seed=seed)
+    with pytest.raises(DimensionError):
+        augment(image.ravel(), seed=5)
 
 
 def test_augment_deterministic():
     image = make_image()
-    a = augment(image, 10, 0.3, seed=7)
-    b = augment(image, 10, 0.3, seed=7)
+    a = augment(image, seed=7)
+    b = augment(image, seed=7)
     assert np.array_equal(a, b)
 
 
 def test_augment_bounded_changes():
     image = make_image()
-    out = augment(image, 10, 0.3, seed=11)
+    out = augment(image, seed=11)
     diff = np.abs(out - image.astype(np.float64))
-    assert (diff > 0).sum() <= 10
-    assert diff.max() <= 0.3 + 1e-6
+    assert (diff > 0).sum() <= 1
+    assert diff.max() <= NOISE_AMPLITUDE + 1e-6
     assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_augment_moves_noise_fraction_of_pixels():
+    # round(NOISE_FRACTION * h * w) pixels, at least one; pixels in [0.2, 0.8]
+    # all move, as U(-0.5, 0.5) noise is never 0 and clipping never restores them
+    rng = np.random.default_rng(1)
+    for (h, w), count in (((3, 3), 1), ((10, 12), 1), ((30, 40), 12), ((28, 28), 8)):
+        image = rng.uniform(0.2, 0.8, size=(h, w))
+        assert (augment(image, seed=3) != image).sum() == count
 
 
 @settings(max_examples=25, deadline=None)
-@given(count=st.integers(0, 50), amp=st.floats(0.0, 1.0), seed=st.integers(0, 2**31))
-def test_augment_invariants(count, amp, seed):
+@given(seed=st.integers(0, 2**31))
+def test_augment_invariants(seed):
     image = make_image()
-    out = augment(image, count, amp, seed)
+    out = augment(image, seed)
     assert out.min() >= 0.0 and out.max() <= 1.0
-    assert (out != image).sum() <= count
+    assert (out != image).sum() <= 1
 
 
 def test_augment_dataset_doubles():
@@ -172,6 +166,16 @@ def test_augment_dataset_doubles():
     for name in ("conditions", "volfrac", "penal", "rmin", "compliance", "converged"):
         assert np.array_equal(getattr(out, name)[n:], getattr(ds, name)), name
         assert np.array_equal(getattr(out, name)[:n], getattr(ds, name)), name
+
+
+def test_augment_dataset_output_is_pinned():
+    # every byte of the doubled set: the noise recipe (count, amplitude, the
+    # per-sample seeds and draw order) cannot drift unseen; 16x16 images take
+    # 3 noisy pixels each
+    out = augment_dataset(synth_classes(3, 2, 16, seed=4), seed=9)
+    assert len(out) == 12
+    assert hashlib.sha256(out.records.tobytes()).hexdigest() == \
+        "3d314168f9b1d07368f27c20e0db4c29b41c386fc8b45f63a51bbca0244c2f0e"
 
 
 # ---------------------------------------------------------------------------

@@ -208,51 +208,29 @@ def simp_full_domain_oracle(mesh, params):
 # element stiffness
 
 def test_stiffness_symmetry():
-    k = element_stiffness(0.3, 1.0)
+    k = element_stiffness()
     assert np.array_equal(k, k.T)
 
 
 def test_stiffness_rigid_translation():
-    k = element_stiffness(0.3, 1.0)
+    k = element_stiffness()
     assert np.abs(k @ np.array([1, 0, 1, 0, 1, 0, 1, 0], float)).max() < 1e-14
     assert np.abs(k @ np.array([0, 1, 0, 1, 0, 1, 0, 1], float)).max() < 1e-14
 
 
 def test_stiffness_matches_quadrature_oracle():
-    for nu in (0.0, 0.25, 0.3, 0.45):
-        k = element_stiffness(nu, 1.0)
-        kq = ke_quadrature_oracle(nu, 1.0)
-        assert np.abs(k - kq).max() < 1e-12
+    k = element_stiffness()
+    assert np.abs(k - ke_quadrature_oracle(POISSON_RATIO, YOUNG_MODULUS)).max() < 1e-12
     # frozen spot value for nu=0.3, E=1: (0.5 - 0.3/6) / (1 - 0.09)
-    assert element_stiffness(0.3, 1.0)[0, 0] == pytest.approx(0.4945054945054945, abs=1e-12)
-
-
-def test_stiffness_scales_linearly_in_E():
-    assert np.allclose(element_stiffness(0.3, 7.5), 7.5 * element_stiffness(0.3, 1.0))
+    assert k[0, 0] == pytest.approx(0.4945054945054945, abs=1e-12)
 
 
 def test_stiffness_positive_semidefinite():
     rng = np.random.default_rng(0)
-    k = element_stiffness(0.3, 1.0)
+    k = element_stiffness()
     for _ in range(50):
         v = rng.normal(size=8)
         assert v @ k @ v >= -1e-12
-
-
-def test_stiffness_rejects_bad_parameters():
-    with pytest.raises(ParameterError):
-        element_stiffness(0.5, 1.0)
-    with pytest.raises(ParameterError):
-        element_stiffness(-0.1, 1.0)
-    for E in (0.0, np.nan, np.inf):
-        with pytest.raises(ParameterError):
-            element_stiffness(0.3, E)
-    for bad in ("0.5", None, True, 1 + 0j):
-        with pytest.raises(ParameterError, match="^nu must"):
-            element_stiffness(bad, 1.0)
-        with pytest.raises(ParameterError, match="^E must"):
-            element_stiffness(0.3, bad)
-    assert np.array_equal(element_stiffness(np.float64(0.3), 1), element_stiffness(0.3, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +270,8 @@ def test_solve_zero_load_gives_zero_displacement():
 def test_solve_linearity_in_load():
     mesh = MeshSpec(3, 3)
     density = DensityField.uniform(mesh, 0.7)
-    bc1 = BoundaryConditions.cantilever(mesh, load=-1.0)
-    bc2 = BoundaryConditions.cantilever(mesh, load=-2.0)
+    bc1 = BoundaryConditions.cantilever(mesh)
+    bc2 = BoundaryConditions(bc1.fixed_dofs, [(bc1.loads[0][0], -2.0)])
     u1 = assemble_and_solve(density, 3.0, mesh, bc1)
     u2 = assemble_and_solve(density, 3.0, mesh, bc2)
     assert np.allclose(2.0 * u1, u2, rtol=1e-10, atol=1e-12)
@@ -392,7 +370,7 @@ def test_banded_plan_is_keyed_on_mesh_and_fixed_dofs():
     mesh = MeshSpec(5, 3)
     density = DensityField(rng.uniform(0.1, 1.0, size=(3, 5)))
     cantilever = BoundaryConditions.cantilever(mesh)
-    cantilever_up = BoundaryConditions.cantilever(mesh, load=2.0)
+    cantilever_up = BoundaryConditions(cantilever.fixed_dofs, [(cantilever.loads[0][0], 2.0)])
     mbb = mbb_conditions(mesh)
     for bc in (cantilever, mbb, cantilever_up, mbb, cantilever):
         u = assemble_and_solve(density, 3.0, mesh, bc)
@@ -405,6 +383,16 @@ def test_bc_validation():
         BoundaryConditions(fixed_dofs=[], loads=[(3, -1.0)])
     with pytest.raises(ParameterError):
         BoundaryConditions(fixed_dofs=[3], loads=[(3, -1.0)])
+
+
+def test_load_dof_must_be_an_int():
+    # 9.0 failed in force_vector with numpy's bare IndexError, and True was
+    # reported as a "load applied to fixed DOF True"
+    for bad in (9.0, True, "3", None, -1):
+        with pytest.raises(ParameterError, match="load DOF"):
+            BoundaryConditions(fixed_dofs=[0, 1, 2, 3], loads=[(bad, -1.0)])
+    bc = BoundaryConditions(fixed_dofs=[0, 1, 2, 3], loads=[(np.int64(9), -1.0)])
+    assert bc.force_vector(MeshSpec(4, 3))[9] == -1.0
 
 
 def test_fixed_dof_outside_the_mesh_is_dimension_error():
@@ -882,9 +870,10 @@ def test_non_finite_fem_inputs_are_parameter_error():
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError):
             filter_sensitivities(density, np.full((3, 4), -1.0), bad, mesh)
+    cantilever = BoundaryConditions.cantilever(mesh)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ParameterError):
-            BoundaryConditions.cantilever(mesh, load=bad)
+            BoundaryConditions(cantilever.fixed_dofs, [(cantilever.loads[0][0], bad)])
     # a string compared with a bound raised a bare TypeError, and True passed as 1.0
     for bad in ("0.5", None, True, 1 + 0j):
         for field in ("volfrac", "penal", "rmin", "move", "change_tol"):
@@ -893,7 +882,7 @@ def test_non_finite_fem_inputs_are_parameter_error():
         with pytest.raises(ParameterError, match="rmin"):
             filter_sensitivities(density, np.full((3, 4), -1.0), bad, mesh)
         with pytest.raises(ParameterError, match="load"):
-            BoundaryConditions.cantilever(mesh, load=bad)
+            BoundaryConditions(cantilever.fixed_dofs, [(cantilever.loads[0][0], bad)])
     # an int or a numpy float is the number it equals
     mesh = MeshSpec(6, 4)
     plain = run_simp(mesh, SimpParams(volfrac=0.5, penal=3.0, rmin=1.5, max_iters=5))
