@@ -1,12 +1,22 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
-The graph is rebuilt on every forward pass (define-by-run): each op stores
-backpointers to its inputs plus a closure that routes the upstream gradient.
-Calling backward() on a scalar traverses the recorded graph in reverse
-topological order. Repeated backward calls without zeroing accumulate into
-existing gradients. Inside `frozen(params)` a graph gets no links to those
-parameters, so a forward pass whose parameter gradients are never read (a
-network used as a fixed function, or inference) computes none of them.
+The graph is rebuilt on every forward pass (define-by-run). An op result
+whose inputs need a gradient gets a `_Node`, apart from its data, that links
+to each such input with a closure routing the upstream gradient. An input is
+linked through its own node, or, when it is a leaf, as the Tensor itself,
+whose .grad backward fills. Calling backward() on a scalar traverses the
+graph in reverse topological order. Repeated backward calls without zeroing
+accumulate into existing gradients. Inside `frozen(params)` a graph gets no
+links to those parameters, so a forward pass whose parameter gradients are
+never read (a network used as a fixed function, or inference) computes none
+of them.
+
+A graph holds its nodes, its closures and its leaves, but no op result's
+Tensor, and each closure holds only what its gradient reads: a shape where
+the shape is enough, a mask where a mask is enough (`leaky_relu`, `clamp`,
+`log_clamped`). So an op result's array lives as long as the caller keeps
+its Tensor or a closure reads it; a pre-activation that `leaky_relu` has
+turned into a mask dies with its Tensor.
 
 The conv ops take and return activations in one layout, (C, H, W, N), with
 the batch axis innermost; kernels are (K, C, kh, kw). Each convolution kernel
@@ -33,30 +43,46 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import DimensionError
+from .fem import check_int
 
 LOG_FLOOR = 1e-12         # log_clamped's floor; nets clamps D's scores to it as well
 LEAKY_SLOPE = 0.2         # leaky_relu's negative-side slope, the paper's in both networks
 GRAD_CHECK_STEP = 1e-6    # grad_check's central-difference step
 
 
+class _Node:
+    """An op result's place in a graph: its (parent, gradient fn) links, each
+    parent another op result's node or a leaf Tensor."""
+
+    __slots__ = ("links",)
+
+    def __init__(self, links: list):
+        self.links = links
+
+
 class Tensor:
     """Dense float64 array participating in the differentiation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_links")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._links: list[tuple["Tensor", object]] = []
+        self._node: _Node | None = None   # None for a leaf
 
     # -- graph plumbing ----------------------------------------------------
     @staticmethod
     def _result(data, links) -> "Tensor":
-        links = [(p, fn) for p, fn in links if p.requires_grad]
+        links = [(p._place(), fn) for p, fn in links if p.requires_grad]
         out = Tensor(data, requires_grad=bool(links))
-        out._links = links
+        if links:
+            out._node = _Node(links)
         return out
+
+    def _place(self) -> "_Node | Tensor":
+        """What stands for this tensor in a graph: its node, or a leaf itself."""
+        return self if self._node is None else self._node
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -66,9 +92,10 @@ class Tensor:
     def backward(self) -> None:
         if self.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {self.shape}")
-        order: list[Tensor] = []
+        root = self._place()
+        order: list[_Node | Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -78,19 +105,20 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent, _ in node._links:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+            if isinstance(node, _Node):
+                for parent, _ in node.links:
+                    if id(parent) not in seen:
+                        stack.append((parent, False))
         # route gradients through a scratch map; only leaves accumulate .grad
-        scratch: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        scratch: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         for node in reversed(order):
             g = scratch.pop(id(node), None)
             if g is None:
                 continue
-            if not node._links:
+            if isinstance(node, Tensor):
                 node._accumulate(g)
                 continue
-            for parent, fn in node._links:
+            for parent, fn in node.links:
                 pg = fn(g)
                 if id(parent) in scratch:
                     scratch[id(parent)] = scratch[id(parent)] + pg
@@ -175,17 +203,20 @@ def frozen(params):
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
     return Tensor._result(a.data + b.data, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(g, b_shape)),
     ])
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return Tensor._result(a.data * b.data, [
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    ad, bd = a.data, b.data
+    a_shape, b_shape = ad.shape, bd.shape
+    return Tensor._result(ad * bd, [
+        (a, lambda g: _unbroadcast(g * bd, a_shape)),
+        (b, lambda g: _unbroadcast(g * ad, b_shape)),
     ])
 
 
@@ -196,22 +227,24 @@ def linear(x, w, b) -> Tensor:
             or b.data.shape != w.data.shape[1:]:
         raise DimensionError(
             f"linear expects x (N, A), w (A, F) and b (F,), got {x.shape}, {w.shape}, {b.shape}")
-    out = x.data @ w.data
+    xd, wd = x.data, w.data
+    out = xd @ wd
     out += b.data
     return Tensor._result(out, [
-        (x, lambda g: g @ w.data.T),
-        (w, lambda g: x.data.T @ g),
+        (x, lambda g: g @ wd.T),
+        (w, lambda g: xd.T @ g),
         (b, lambda g: g.sum(axis=0)),
     ])
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul expects 2D operands")
-    return Tensor._result(a.data @ b.data, [
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul expects a (N, A) and b (A, F), got {a.shape} and {b.shape}")
+    return Tensor._result(ad @ bd, [
+        (a, lambda g: g @ bd.T),
+        (b, lambda g: ad.T @ g),
     ])
 
 
@@ -226,8 +259,16 @@ def reshape(a, *shape) -> Tensor:
 
 
 def transpose(a, axes) -> Tensor:
-    """Permute the axes of `a` (a view); the gradient is permuted back."""
+    """Permute the axes of `a` (a view); the gradient is permuted back.
+
+    A negative axis counts from the end; `axes` that are not a permutation of
+    a's axes raise DimensionError.
+    """
     a = _as_tensor(a)
+    ndim = a.data.ndim
+    axes = tuple(ax + ndim if ax < 0 else ax for ax in axes)
+    if sorted(axes) != list(range(ndim)):
+        raise DimensionError(f"transpose axes {axes} are not a permutation of {ndim} axes")
     inverse = tuple(np.argsort(axes))
     return Tensor._result(a.data.transpose(axes), [
         (a, lambda g: g.transpose(inverse)),
@@ -254,16 +295,17 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def mean(a) -> Tensor:
     a = _as_tensor(a)
-    n = a.data.size
+    shape, n = a.data.shape, a.data.size
     return Tensor._result(np.asarray(a.data.mean()), [
-        (a, lambda g: np.full(a.data.shape, g.reshape(()) / n)),
+        (a, lambda g: np.full(shape, g.reshape(()) / n)),
     ])
 
 
 def tensor_sum(a) -> Tensor:
     a = _as_tensor(a)
+    shape = a.data.shape
     return Tensor._result(np.asarray(a.data.sum()), [
-        (a, lambda g: np.full(a.data.shape, g.reshape(()))),
+        (a, lambda g: np.full(shape, g.reshape(()))),
     ])
 
 
@@ -299,7 +341,7 @@ def log_clamped(a) -> Tensor:
     a = _as_tensor(a)
     clamped = np.maximum(a.data, LOG_FLOOR)
     return Tensor._result(np.log(clamped), [
-        (a, lambda g: np.where(a.data > LOG_FLOOR, g / clamped, 0.0)),
+        (a, lambda g: np.where(clamped > LOG_FLOOR, g / clamped, 0.0)),
     ])
 
 
@@ -319,6 +361,12 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 # Simard 2006). Patch rows are ordered (c, i, j) and columns (oy, ox, n), so
 # a kernel reshapes to the left operand and the (K, OH*OW*N) product is the
 # output in layout, both without a copy.
+
+def _check_geometry(stride, padding) -> None:
+    """ParameterError unless stride is an int >= 1 and padding an int >= 0."""
+    check_int("stride", stride, 1)
+    check_int("padding", padding, 0)
+
 
 def _conv_out_size(h: int, kh: int, stride: int, padding: int) -> int:
     span = h + 2 * padding - kh
@@ -401,21 +449,24 @@ def _biased(out: np.ndarray, bias, links: list) -> Tensor:
             raise DimensionError(
                 f"bias has {bias.data.size} values for {out.shape[0]} output channels")
         out += bias.data.reshape(-1, 1, 1, 1)
+        shape = bias.data.shape
         links.append((bias, lambda g: g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True)
-                      .sum(axis=3, keepdims=True).reshape(bias.data.shape)))
+                      .sum(axis=3, keepdims=True).reshape(shape)))
     return Tensor._result(out, links)
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     """Cross-correlation of (C,H,W,N) with kernels (K,C,kh,kw) -> (K,OH,OW,N), plus bias."""
     x, w = _as_tensor(x), _as_tensor(w)
+    _check_geometry(stride, padding)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4D input and kernel")
-    kh, kw = w.data.shape[2], w.data.shape[3]
-    out = _conv_fwd(x.data, w.data, stride, padding)
+    xd, wd, x_shape = x.data, w.data, x.data.shape
+    kh, kw = wd.shape[2], wd.shape[3]
+    out = _conv_fwd(xd, wd, stride, padding)
     return _biased(out, bias, [
-        (x, lambda g: _conv_dx(g, w.data, stride, padding, x.data.shape)),
-        (w, lambda g: _conv_dw(x.data, g, stride, padding, kh, kw)),
+        (x, lambda g: _conv_dx(g, wd, stride, padding, x_shape)),
+        (w, lambda g: _conv_dw(xd, g, stride, padding, kh, kw)),
     ])
 
 
@@ -428,17 +479,20 @@ def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0, bias=None) ->
     the plane's taps, zero-padded border included.
     """
     x, w = _as_tensor(x), _as_tensor(w)
+    _check_geometry(stride, padding)
     planes = np.asarray(planes, dtype=np.float64)
     if x.data.ndim != 4 or w.data.ndim != 4 or planes.ndim != 2:
         raise DimensionError("conv2d_planes expects 4D input and kernel and 2D planes")
-    c, h, width, n = x.data.shape
+    xd, x_shape = x.data, x.data.shape
+    c, h, width, n = x_shape
     k, cw, kh, kw = w.data.shape
     d = planes.shape[1]
     if planes.shape[0] != n:
         raise DimensionError(f"planes batch {planes.shape[0]} != input batch {n}")
     if c + d != cw:
         raise DimensionError(f"input channels {c} + planes {d} != kernel channels {cw}")
-    out = _conv_fwd(x.data, w.data[:, :c], stride, padding)
+    w_x = w.data[:, :c]
+    out = _conv_fwd(xd, w_x, stride, padding)
     oh, ow = out.shape[1:3]
     ones = _im2col(np.ones((1, h, width, 1)), kh, kw, stride, padding, oh, ow)
     # (K, D, OH*OW): the response of plane d's taps for output channel k
@@ -447,11 +501,11 @@ def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0, bias=None) ->
 
     def grad_w(g: np.ndarray) -> np.ndarray:
         g_planes = (g.reshape(k, oh * ow, n) @ planes).transpose(0, 2, 1)  # (K, D, OH*OW)
-        return np.concatenate([_conv_dw(x.data, g, stride, padding, kh, kw),
+        return np.concatenate([_conv_dw(xd, g, stride, padding, kh, kw),
                                (g_planes @ ones.T).reshape(k, d, kh, kw)], axis=1)
 
     return _biased(out, bias, [
-        (x, lambda g: _conv_dx(g, w.data[:, :c], stride, padding, x.data.shape)),
+        (x, lambda g: _conv_dx(g, w_x, stride, padding, x_shape)),
         (w, grad_w),
     ])
 
@@ -464,17 +518,19 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tens
     the x link builds it and hands it to the w link, which drops it after use.
     """
     x, w = _as_tensor(x), _as_tensor(w)
+    _check_geometry(stride, padding)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv_transpose2d expects 4D input and kernel")
-    cin, h, width, n = x.data.shape
-    cin_w, cout, kh, kw = w.data.shape
+    xd, wd = x.data, w.data
+    cin, h, width, n = xd.shape
+    cin_w, cout, kh, kw = wd.shape
     if cin != cin_w:
         raise DimensionError(f"input channels {cin} != kernel channels {cin_w}")
     oh = (h - 1) * stride - 2 * padding + kh
     ow = (width - 1) * stride - 2 * padding + kw
     if oh < 1 or ow < 1:
         raise DimensionError(f"transposed conv output {oh}x{ow} is empty")
-    out = _conv_dx(x.data, w.data, stride, padding, (cout, oh, ow, n))
+    out = _conv_dx(xd, wd, stride, padding, (cout, oh, ow, n))
     share = x.requires_grad and w.requires_grad
     shared: list[np.ndarray] = []
 
@@ -482,11 +538,11 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tens
         cols = _im2col(g, kh, kw, stride, padding, h, width)
         if share:
             shared.append(cols)
-        return _conv_fwd(g, w.data, stride, padding, cols=cols)
+        return _conv_fwd(g, wd, stride, padding, cols=cols)
 
     def grad_w(g: np.ndarray) -> np.ndarray:
         cols = shared.pop() if shared else None
-        return _conv_dw(g, x.data, stride, padding, kh, kw, cols=cols)
+        return _conv_dw(g, xd, stride, padding, kh, kw, cols=cols)
 
     return _biased(out, bias, [(x, grad_x), (w, grad_w)])
 

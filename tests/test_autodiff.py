@@ -1,4 +1,6 @@
 """Autodiff primitive tests: forward oracles and finite-difference gradients."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from topogan.autodiff import (
     tensor_sum,
     transpose,
 )
-from topogan.exceptions import DimensionError
+from topogan.exceptions import DimensionError, ParameterError
 from topogan.nets import encode_condition_vector
 
 
@@ -118,6 +120,25 @@ def test_conv_rejects_non_integral_output():
     w = Tensor(np.zeros((1, 1, 2, 2)))
     with pytest.raises(DimensionError):
         nchw(conv2d, x, w, stride=2, padding=0)
+
+
+# each conv op with valid shapes, given only stride and padding
+CONV_OPS = {
+    "conv2d": lambda **geometry: conv2d(np.ones((2, 6, 6, 3)), np.ones((4, 2, 2, 2)),
+                                        **geometry),
+    "conv2d_planes": lambda **geometry: conv2d_planes(
+        np.ones((2, 6, 6, 3)), np.ones((3, 1)), np.ones((4, 3, 2, 2)), **geometry),
+    "conv_transpose2d": lambda **geometry: conv_transpose2d(
+        np.ones((2, 3, 3, 3)), np.ones((2, 4, 2, 2)), **geometry),
+}
+
+
+@pytest.mark.parametrize("stride, padding", [(0, 0), (1, -1), (1.5, 0)])
+@pytest.mark.parametrize("op", sorted(CONV_OPS))
+def test_conv_ops_check_stride_and_padding(op, stride, padding):
+    # a caller's bad value is ParameterError, raised before any kernel runs
+    with pytest.raises(ParameterError, match="stride" if stride != 1 else "padding"):
+        CONV_OPS[op](stride=stride, padding=padding)
 
 
 def test_conv_transpose_matches_scatter_oracle():
@@ -437,6 +458,11 @@ def test_linear_rejects_mismatched_inner_dims():
             linear(x, w, np.zeros(5))
 
 
+def test_matmul_rejects_mismatched_inner_dims():
+    with pytest.raises(DimensionError, match="matmul expects"):
+        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
+
+
 def test_bias_ops_reject_misshapen_biases():
     with pytest.raises(DimensionError):
         linear(np.ones((2, 4)), np.ones((4, 3)), np.ones(2))
@@ -495,6 +521,63 @@ def test_gradcheck_reshape_concat_clamp():
           {"a": a, "b": b}, 1e-6)
     c = Tensor(rng.uniform(0.2, 0.8, size=(6,)), requires_grad=True)
     check(lambda: mean(clamp(c, 0.0, 1.0) * Tensor(r[:6])), {"c": c}, 1e-6)
+
+
+def test_gradcheck_transpose_negative_axes():
+    # a negative axis counts from the end, in the gradient's inverse as well
+    rng = np.random.default_rng(13)
+    for shape, axes in (((3, 3), (-1, 0)), ((2, 3, 4), (-1, 0, 1)), ((2, 3, 4), (1, -1, -3))):
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        r = Tensor(rng.normal(size=np.transpose(x.data, axes).shape))
+        assert np.array_equal(transpose(x, axes).data, np.transpose(x.data, axes))
+        check(lambda: mean(transpose(x, axes) * r), {"x": x}, 1e-6)
+
+
+def test_transpose_rejects_non_permutations():
+    x = Tensor(np.ones((2, 3)))
+    for axes in ((0, 0), (1,), (0, 1, 2), (0, -3), (-1, -2, 0)):
+        with pytest.raises(DimensionError, match="permutation"):
+            transpose(x, axes)
+
+
+def test_graph_does_not_pin_arrays_backward_does_not_read():
+    # D's two conv layers, conv2's kernel frozen as in G's update. leaky_relu
+    # keeps a bool mask and mean a shape, so each op result dies with its
+    # Tensor; with the kernel frozen, conv2's x link keeps its input's shape,
+    # not the input. The graph still gives the right gradients.
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 8, 8, 3)), requires_grad=True)
+    w1 = Tensor(rng.normal(size=(4, 2, 4, 4)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(5, 4, 4, 4)), requires_grad=True)
+    r = Tensor(rng.normal(size=(5, 2, 2, 3)))
+
+    def loss(dropped=None):
+        pre1 = conv2d(x, w1, stride=2, padding=1)
+        h1 = leaky_relu(pre1)
+        with frozen([w2]):
+            pre2 = conv2d(h1, w2, stride=2, padding=1)
+        h2 = leaky_relu(pre2)
+        prod = h2 * r
+        if dropped is not None:
+            dropped.extend(weakref.ref(t.data) for t in (pre1, h1, pre2, h2, prod))
+        return mean(prod)
+
+    dropped = []
+    graph = loss(dropped)
+    assert all(ref() is None for ref in dropped)
+    graph.backward()
+    assert x.grad is not None and w1.grad is not None and w2.grad is None
+    check(loss, {"x": x, "w1": w1}, 1e-6)
+
+
+def test_a_linked_leaf_dies_with_its_last_reference():
+    # a graph links to a leaf Tensor itself, and the leaf keeps no node, so no
+    # reference cycle holds a dropped parameter until the cycle collector runs
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    mean(matmul(Tensor(np.ones((4, 3))), w)).backward()
+    data = weakref.ref(w.data)
+    del w
+    assert data() is None
 
 
 def test_gradcheck_three_layer_network():
