@@ -552,28 +552,21 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tens
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus shared hyperparameters."""
+    """Adam's step count and per-parameter moments; `adam_step` takes the hyperparameters."""
 
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     @staticmethod
-    def for_params(params: list[Tensor], lr: float, beta1: float, beta2: float,
-                   eps: float) -> "AdamState":
-        return AdamState(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+    def for_params(params: list[Tensor]) -> "AdamState":
+        return AdamState(m=[np.zeros_like(p.data) for p in params],
+                         v=[np.zeros_like(p.data) for p in params])
 
 
-def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
-    """Standard bias-corrected Adam update from each `p.grad`, in place on the parameter data."""
+def adam_step(params: list[Tensor], state: AdamState, lr: float, beta1: float,
+              beta2: float, eps: float) -> None:
+    """Standard bias-corrected Adam update from each `p.grad`, in place on the parameters."""
     if len(params) != len(state.m):
         raise DimensionError("adam_step: params and state lengths differ")
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
@@ -583,16 +576,14 @@ def adam_step(params: list[Tensor], state: AdamState) -> AdamState:
                 f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape}"
             )
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
+    bc1 = 1.0 - beta1**state.step
+    bc2 = 1.0 - beta2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return state
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,16 @@ class SweepGrid:
     mesh: MeshSpec
 
     def __post_init__(self):
-        if not (self.volfracs and self.penals and self.rmins):
-            raise ParameterError("sweep grid must be nonempty on every axis")
         for name, low, high in (("volfracs", 0.3, 0.8), ("penals", 2.0, 4.0),
                                 ("rmins", 1.5, 3.0)):
-            for value in getattr(self, name):
+            axis = getattr(self, name)
+            # an array, a string or a bare number would be truth-tested or iterated
+            if not (isinstance(axis, (tuple, list)) and axis):
+                raise ParameterError(f"{name} must be a nonempty tuple or list, got {axis!r}")
+            for value in axis:
                 check_float(name, value, low, high)
+        if not isinstance(self.mesh, MeshSpec):
+            raise ParameterError(f"mesh must be a MeshSpec, got {self.mesh!r}")
 
     def __len__(self) -> int:
         return len(self.volfracs) * len(self.penals) * len(self.rmins)

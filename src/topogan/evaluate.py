@@ -76,7 +76,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     check_int("count", count, 1)
     check_float("tolerance", tolerance, 0.0, math.inf)
     check_int("seed", seed, 0)
-    gen, config = generator_from_checkpoint(checkpoint_path)
+    gen = generator_from_checkpoint(checkpoint_path)
     if gen.data["kind"] == KIND_CLASS:
         target = class_target_fraction(int(condition), gen.data["cardinality"])
     else:
@@ -97,7 +97,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
         per_sample=[float(v) for v in measured],
         checkpoint=str(checkpoint_path),
         seed=operator.index(seed),
-        objective=config.objective,
+        objective=gen.config.objective,
         per_sample_compliance=compliances,
     )
 

@@ -149,16 +149,27 @@ class DensityField:
 
 @dataclass
 class BoundaryConditions:
-    """Zero-displacement DOFs plus point loads as (dof index, force) pairs."""
+    """Zero-displacement DOFs plus point loads as (dof index, force) pairs.
+
+    `fixed_dofs` takes ints of any int dtype; whether they lie in the mesh is
+    checked at the solve, which knows the mesh.
+    """
 
     fixed_dofs: np.ndarray
     loads: list[tuple[int, float]]
 
     def __post_init__(self):
-        self.fixed_dofs = np.unique(np.asarray(self.fixed_dofs, dtype=np.int64))
-        if self.fixed_dofs.size == 0:
+        dofs = np.asarray(self.fixed_dofs)
+        if dofs.size == 0:
             raise ParameterError("at least one DOF must be fixed")
+        # a bool, a float or a string is no DOF: int64 would truncate or parse it
+        if not np.issubdtype(dofs.dtype, np.integer):
+            raise ParameterError(f"fixed_dofs must be ints, got {self.fixed_dofs!r}")
+        self.fixed_dofs = np.unique(dofs.astype(np.int64))
         fixed = set(self.fixed_dofs.tolist())
+        if not (isinstance(self.loads, (tuple, list)) and all(
+                isinstance(load, (tuple, list)) and len(load) == 2 for load in self.loads)):
+            raise ParameterError(f"loads must be (dof, value) pairs, got {self.loads!r}")
         for dof, value in self.loads:
             check_int("load DOF", dof, 0)   # the upper bound needs the mesh: force_vector
             if dof in fixed:
@@ -187,7 +198,8 @@ class BoundaryConditions:
 
 @dataclass
 class SolveResult:
-    """Outcome of `run_simp`; both histories hold one entry per iteration.
+    """Outcome of `run_simp`; both histories hold one entry per iteration, so
+    `iterations` is their length.
 
     The density and each compliance are the full domain's, also when the
     loop solved only the top half (twice the half's compliance).
@@ -196,9 +208,12 @@ class SolveResult:
 
     density: DensityField
     compliance_history: list[float]
-    iterations: int
     converged: bool
     change_history: list[float]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.compliance_history)
 
 
 def element_stiffness() -> np.ndarray:
@@ -541,8 +556,7 @@ def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
     history: list[float] = []
     changes: list[float] = []
     converged = False
-    iterations = 0
-    for iterations in range(1, params.max_iters + 1):
+    for _ in range(params.max_iters):
         u = assemble_and_solve(density, params.penal, solve_mesh, bc)
         x = density.values
         energies = _element_energies(x, u, solve_mesh)
@@ -560,7 +574,6 @@ def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
     return SolveResult(
         density=DensityField(mirror(density.values)),
         compliance_history=history,
-        iterations=iterations,
         converged=converged,
         change_history=changes,
     )

@@ -7,16 +7,17 @@ The discriminator minimizes `discriminator_loss`
 and the generator minimizes `generator_loss`, the non-saturating
 -E[log D(G(z, y), y)] of Goodfellow et al. 2014. The middle term, the
 matching-aware term of GAN-CLS (Reed et al. 2016), scores real images paired
-with a wrong condition; it is present exactly when the objective needs
-mismatched scores. The registry maps each objective name to that need:
-`cgan` uses two terms (conditioning happens upstream, in how the scores were
-produced), `crcgan-a` (a random wrong condition y2 for the same image) and
-`crcgan-b` (a second real image whose true condition differs from y) use
-three. The variants differ only in how the training step builds the
-mismatched scores, and `mismatched` is the one rule for when two conditions
-differ. crcgan-a's wrong condition is drawn in `train._mismatch_conditions`,
-uniformly over the condition domain: the class labels below the cardinality,
-or [0, 1]. Every log is `autodiff.log_clamped`, floored at `autodiff.LOG_FLOOR`.
+with a wrong condition; the loss has it exactly when it is given mismatched
+scores. The registry maps each objective name to whether its training step
+builds them: `cgan` does not, so its loss has two terms (conditioning happens
+upstream, in how the scores were produced); `crcgan-a` (a random wrong
+condition y2 for the same image) and `crcgan-b` (a second real image whose
+true condition differs from y) do, so theirs has three. The variants differ
+only in how the training step builds the mismatched scores, and `mismatched`
+is the one rule for when two conditions differ. crcgan-a's wrong condition is
+drawn in `train._mismatch_conditions`, uniformly over the condition domain:
+the class labels below the cardinality, or [0, 1]. Every log is
+`autodiff.log_clamped`, floored at `autodiff.LOG_FLOOR`.
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ OBJECTIVES = {"cgan": False, "crcgan-a": True, "crcgan-b": True}
 def needs_mismatch(objective: str) -> bool:
     try:
         return OBJECTIVES[objective]
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: an unhashable name, such as a list
         raise ParameterError(
-            f"unknown objective '{objective}' (choose from {', '.join(OBJECTIVES)})"
+            f"unknown objective {objective!r} (choose from {', '.join(OBJECTIVES)})"
         ) from None
 
 
@@ -54,12 +55,8 @@ def _scores(scores, name: str, like: Tensor | None = None) -> Tensor:
     return t
 
 
-def discriminator_loss(objective: str, real, fake, mismatched=None) -> Tensor:
-    """D's loss under `objective` from its scores of real, generated and mismatched inputs."""
-    needed = needs_mismatch(objective)
-    if needed != (mismatched is not None):
-        raise ParameterError(f"objective '{objective}' "
-                             f"{'needs' if needed else 'takes no'} mismatched real scores")
+def discriminator_loss(real, fake, mismatched=None) -> Tensor:
+    """D's loss from its scores of real, generated and, when given, mismatched inputs."""
     real = _scores(real, "real")
     fake = _scores(fake, "fake", like=real)
     d_loss = -mean(log_clamped(real))

@@ -29,7 +29,9 @@ of a fresh TrainState) and skips the tensors that no array asks for.
 
 Metrics are one JSON object per line with keys step, iter, d_loss, g_loss,
 diversity, mean_score_real, mean_score_fake, mean_score_mismatch (null when
-unused), wall_ms; a resumed run first drops the records past its checkpoint.
+unused), collapse_warning, wall_ms; a resumed run first drops the records past
+its checkpoint. `collapse_warning` is true when the step's diversity falls
+below COLLAPSE_FACTOR times the median of the COLLAPSE_WINDOW steps before it.
 
 A step's discriminator update returns only floats, so its graphs (three D
 passes for crcgan-a/b) and its fake batch are released before the generator
@@ -45,6 +47,7 @@ import os
 import struct
 import time
 import zlib
+from collections import deque
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -128,7 +131,8 @@ class TrainState:
     adam_d: AdamState
     rng: np.random.Generator
     step: int = 0
-    diversity_history: list = field(default_factory=list)
+    # the trailing collapse window: all the monitor reads and all a checkpoint stores
+    diversity_history: deque = field(default_factory=lambda: deque(maxlen=COLLAPSE_WINDOW))
 
 
 def _data_shape(dataset: Dataset) -> dict:
@@ -149,11 +153,10 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = Generator(config, data, seed=seeds[0])
     disc = Discriminator(config, data, seed=seeds[1])
-    gp, dp = list(gen.params().values()), list(disc.params().values())
     return TrainState(
         config=config, data=data, gen=gen, disc=disc,
-        adam_g=AdamState.for_params(gp, config.lr, config.beta1, config.beta2, config.eps),
-        adam_d=AdamState.for_params(dp, config.lr, config.beta1, config.beta2, config.eps),
+        adam_g=AdamState.for_params(list(gen.params().values())),
+        adam_d=AdamState.for_params(list(disc.params().values())),
         rng=np.random.default_rng(seeds[2]),
     )
 
@@ -217,13 +220,13 @@ def _abort_unless_finite(step: int, *scores) -> None:
         raise TrainingAbort(f"non-finite discriminator scores at step {step}")
 
 
-def _descend(loss, params: list, adam: AdamState) -> float:
+def _descend(loss, params: list, adam: AdamState, cfg: TrainConfig) -> float:
     """Clear the grads of `params`, backpropagate `loss`, and take one Adam step on
-    `params`; the loss as a float."""
+    `params` with `cfg`'s hyperparameters; the loss as a float."""
     for p in params:
         p.zero_grad()
     loss.backward()
-    adam_step(params, adam)
+    adam_step(params, adam, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     return loss.item()
 
 
@@ -239,17 +242,16 @@ def _discriminator_update(state: TrainState, x_real: np.ndarray,
         fake = state.gen.forward(z, conds)
     d_real = state.disc.forward(x_real, conds)
     d_mismatch = None
-    if needs_mismatch(cfg.objective):
-        if cfg.objective == "crcgan-a":
-            y2 = _mismatch_conditions(conds, state.data, state.rng)
-            d_mismatch = state.disc.forward(x_real, y2)
-        else:  # crcgan-b: second real samples whose condition differs from y
-            partners = _mismatch_partners(conds, state.data["kind"], state.rng)
-            d_mismatch = state.disc.forward(x_real[partners], conds)
+    if cfg.objective == "crcgan-a":
+        y2 = _mismatch_conditions(conds, state.data, state.rng)
+        d_mismatch = state.disc.forward(x_real, y2)
+    elif cfg.objective == "crcgan-b":   # second real samples whose condition differs from y
+        partners = _mismatch_partners(conds, state.data["kind"], state.rng)
+        d_mismatch = state.disc.forward(x_real[partners], conds)
     d_fake = state.disc.forward(fake, conds)
     _abort_unless_finite(state.step + 1, d_real, d_fake, d_mismatch)
-    d_loss = _descend(discriminator_loss(cfg.objective, d_real, d_fake, d_mismatch),
-                      list(state.disc.params().values()), state.adam_d)
+    d_loss = _descend(discriminator_loss(d_real, d_fake, d_mismatch),
+                      list(state.disc.params().values()), state.adam_d, cfg)
     return (d_loss, float(d_real.data.mean()), float(d_fake.data.mean()),
             None if d_mismatch is None else float(d_mismatch.data.mean()))
 
@@ -274,13 +276,13 @@ def training_step(state: TrainState, images: np.ndarray,
         d_fake2 = state.disc.forward(fake2, conds)
     _abort_unless_finite(state.step + 1, d_fake2)
     g_loss = _descend(generator_loss(d_fake2), list(state.gen.params().values()),
-                      state.adam_g)
+                      state.adam_g, cfg)
 
     diversity = diversity_metric(fake2.data[:, 0, :, :])
     collapse_warning = False
     history = state.diversity_history
-    if len(history) >= COLLAPSE_WINDOW:
-        trailing = float(np.median(history[-COLLAPSE_WINDOW:]))
+    if len(history) == COLLAPSE_WINDOW:
+        trailing = float(np.median(history))
         if diversity < COLLAPSE_FACTOR * trailing:
             collapse_warning = True
             log.warning("possible mode collapse at step %d: diversity %.3e "
@@ -438,8 +440,7 @@ def write_state(state: TrainState, path) -> None:
         "data": state.data,
         "adam_steps": {"g": state.adam_g.step, "d": state.adam_d.step},
         "rng": state.rng.bit_generator.state,
-        # trailing window only: it is all the collapse monitor ever looks at
-        "diversity_window": state.diversity_history[-COLLAPSE_WINDOW:],
+        "diversity_window": list(state.diversity_history),
     }, _state_tensors(state))
 
 
@@ -487,7 +488,7 @@ def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
             raise FormatError(f"checkpoint step counts {counts} must be ints >= 0")
         state.step, state.adam_g.step, state.adam_d.step = counts
         state.rng.bit_generator.state = header["rng"]
-        state.diversity_history = [float(d) for d in header["diversity_window"]]
+        state.diversity_history.extend(float(d) for d in header["diversity_window"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header lacks training state: {exc}") from None
     return state
@@ -564,8 +565,8 @@ def read_metrics(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 # sampling from a checkpoint
 
-def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
-    """The trained generator stored in a checkpoint, and the config it was trained with.
+def generator_from_checkpoint(path) -> Generator:
+    """The trained generator stored in a checkpoint; its `config` is the run's.
 
     The g.* tensors are read straight into the generator's weights; the other
     tensors are only CRC-checked.
@@ -580,7 +581,7 @@ def generator_from_checkpoint(path) -> tuple[Generator, TrainConfig]:
         return {f"g.{name}": p.data for name, p in gens[0].params().items()}
 
     load_checkpoint(path, weights)
-    return gens[0], gens[0].config
+    return gens[0]
 
 
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ sum in another order.
     augment     augment_dataset of the toy sweep workload's designs
     checkpoint  the final checkpoint's bytes of a 3-step crcgan-a run on
                 8x8 class data
+    metrics     that run's metrics records, less wall_ms
     sample      train.sample from that run's generator
 
 pytest does not collect this file; test_output_digest.py runs its toy stages.
@@ -79,9 +80,12 @@ def training_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         outcome = train.train(config, data.synth_classes(3, 4, 8, seed=0), tmp)
         checkpoint = Path(outcome.checkpoint_path).read_bytes()
-        gen, _ = train.generator_from_checkpoint(outcome.checkpoint_path)
+        records = [{k: v for k, v in r.items() if k != "wall_ms"}
+                   for r in train.read_metrics(outcome.metrics_path)]
+        gen = train.generator_from_checkpoint(outcome.checkpoint_path)
     images = train.sample(gen, 1, 4, seed=0)
     return {"checkpoint": hashlib.sha256(checkpoint).hexdigest(),
+            "metrics": hashlib.sha256(json.dumps(records).encode()).hexdigest(),
             "sample": hashlib.sha256(_f64(images)).hexdigest()}
 
 

@@ -619,28 +619,28 @@ def test_log_clamp_zero_gradient_below_floor():
 
 def test_adam_zero_gradient_keeps_params():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState.for_params([p])
     p.grad = np.zeros(2)
-    adam_step([p], state)
+    adam_step([p], state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     assert np.array_equal(p.data, np.array([1.0, -2.0]))
     assert state.step == 1
 
 
 def test_adam_first_step_is_signed_lr():
     p = Tensor(np.array([0.5]), requires_grad=True)
-    state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-12)
+    state = AdamState.for_params([p])
     p.grad = np.array([3.0])
-    adam_step([p], state)
+    adam_step([p], state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-12)
     assert p.data[0] == pytest.approx(0.5 - 0.1, abs=1e-6)
 
 
 def test_adam_descends_quadratic():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    state = AdamState.for_params([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState.for_params([p])
     values = [abs(p.data[0])]
     for _ in range(10):
         p.grad = 2.0 * p.data
-        adam_step([p], state)
+        adam_step([p], state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         values.append(abs(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -650,11 +650,11 @@ def test_adam_shape_mismatch():
     # parameter, every moment and the step count as they were
     first = Tensor(np.ones((2, 2)), requires_grad=True)
     second = Tensor(np.zeros((2, 2)), requires_grad=True)
-    state = AdamState.for_params([first, second], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState.for_params([first, second])
     first.grad = np.full((2, 2), 3.0)
     second.grad = np.zeros(3)
     with pytest.raises(DimensionError):
-        adam_step([first, second], state)
+        adam_step([first, second], state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     assert state.step == 0
     assert np.array_equal(first.data, np.ones((2, 2)))
     assert np.array_equal(second.data, np.zeros((2, 2)))

@@ -395,6 +395,17 @@ def test_sweep_grid_validates_bounds():
             with pytest.raises(ParameterError, match=name):
                 SweepGrid(**{**axes, name: (bad,)}, mesh=mesh)
     assert len(SweepGrid(volfracs=(np.float32(0.5),), penals=(3,), rmins=(2,), mesh=mesh)) == 1
+    # an array axis raised numpy's "truth value is ambiguous" ValueError, a bare
+    # float a TypeError, and a string was read one character at a time
+    for name in axes:
+        for bad in (np.array([0.5, 0.6]), 0.5, "0.5", None, (), []):
+            with pytest.raises(ParameterError, match=name):
+                SweepGrid(**{**axes, name: bad}, mesh=mesh)
+    assert len(SweepGrid(volfracs=[0.4, 0.5], penals=[3.0], rmins=[1.5], mesh=mesh)) == 2
+    # a tuple mesh failed only inside run_simp, with an AttributeError
+    for bad in ((8, 4), None):
+        with pytest.raises(ParameterError, match="mesh"):
+            SweepGrid(**axes, mesh=bad)
 
 
 def test_full_paper_grid_count_contract():

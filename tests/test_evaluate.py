@@ -64,7 +64,7 @@ def test_conditional_eval_class_model(class_checkpoint):
     assert report.count == 3 and len(report.per_sample) == 3
     assert report.per_sample_compliance is None
     assert "per_sample_compliance" not in report.to_dict()
-    gen, _ = generator_from_checkpoint(class_checkpoint)
+    gen = generator_from_checkpoint(class_checkpoint)
     images = sample(gen, 1, count=3, seed=7)
     measured = [measure_volfrac(postprocess(img)) for img in images]
     assert report.per_sample == measured

@@ -187,8 +187,8 @@ def simp_full_domain_oracle(mesh, params):
     public solve, compliance, sensitivity, filter and OC calls."""
     bc = BoundaryConditions.cantilever(mesh)
     density = DensityField.uniform(mesh, params.volfrac)
-    history, changes, converged, iterations = [], [], False, 0
-    for iterations in range(1, params.max_iters + 1):
+    history, changes, converged = [], [], False
+    for _ in range(params.max_iters):
         u = assemble_and_solve(density, params.penal, mesh, bc)
         history.append(compliance(density, u, params.penal, mesh))
         dc = sensitivities(density, u, params.penal, mesh)
@@ -200,8 +200,8 @@ def simp_full_domain_oracle(mesh, params):
         if change < params.change_tol:
             converged = True
             break
-    return SolveResult(density=density, compliance_history=history, iterations=iterations,
-                       converged=converged, change_history=changes)
+    return SolveResult(density=density, compliance_history=history, converged=converged,
+                       change_history=changes)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +379,23 @@ def test_banded_plan_is_keyed_on_mesh_and_fixed_dofs():
 
 
 def test_bc_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="at least one DOF"):
         BoundaryConditions(fixed_dofs=[], loads=[(3, -1.0)])
     with pytest.raises(ParameterError):
         BoundaryConditions(fixed_dofs=[3], loads=[(3, -1.0)])
+    # int64 truncated 0.5 and 1.7 to DOFs 0 and 1, read True and False as DOFs 1
+    # and 0 and parsed "3"; NaN raised numpy's bare ValueError
+    for bad in ([0.5, 1.7], [True, False], ["3"], [float("nan")], [1, None]):
+        with pytest.raises(ParameterError, match="fixed_dofs"):
+            BoundaryConditions(fixed_dofs=bad, loads=[(7, -1.0)])
+    # a load that is no (dof, value) pair raised a bare TypeError or ValueError,
+    # and "ab" was unpacked into DOF "a"
+    for bad in ([5], [(7,)], [(7, -1.0, 0.0)], ["ab"], 5, None):
+        with pytest.raises(ParameterError, match="loads"):
+            BoundaryConditions(fixed_dofs=[0], loads=bad)
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64):
+        bc = BoundaryConditions(fixed_dofs=np.array([3, 0, 3], dtype=dtype), loads=[(7, -1.0)])
+        assert bc.fixed_dofs.dtype == np.int64 and bc.fixed_dofs.tolist() == [0, 3]
 
 
 def test_load_dof_must_be_an_int():

@@ -212,15 +212,14 @@ def test_generator_condition_sensitivity_after_training_step():
     targets = np.where(conds[:, None, None, None] > 0, 0.9, 0.1) * np.ones((6, 1, 8, 8))
 
     params = gen.params()
-    state = AdamState.for_params(list(params.values()), lr=0.05, beta1=0.9, beta2=0.999,
-                                 eps=1e-8)
+    state = AdamState.for_params(list(params.values()))
     for _ in range(3):
         for p in params.values():
             p.zero_grad()
         out = gen.forward(z, conds)
         diff = out - Tensor(targets)
         mean(diff * diff).backward()
-        adam_step(list(params.values()), state)
+        adam_step(list(params.values()), state, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
 
     z_same = rng.normal(size=(1, 5))
     out0 = gen.forward(z_same, [0.0]).data

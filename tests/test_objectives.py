@@ -24,11 +24,12 @@ from topogan.train import TrainConfig, _mismatch_conditions, init_state
 LOG2 = math.log(2.0)
 
 
-def d_loss_of(objective, real, fake, mismatched=None):
-    """The discriminator loss of `objective` on score lists, as a float."""
+def d_loss_of(real, fake, mismatched=None):
+    """The discriminator loss on score lists, as a float: two terms, or three
+    with mismatched scores."""
     def arr(scores):
         return np.atleast_1d(np.asarray(scores, dtype=float))
-    return discriminator_loss(objective, arr(real), arr(fake),
+    return discriminator_loss(arr(real), arr(fake),
                               None if mismatched is None else arr(mismatched)).item()
 
 
@@ -36,94 +37,85 @@ def d_loss_of(objective, real, fake, mismatched=None):
 # closed forms
 
 def test_gan_symmetry_point():
-    assert d_loss_of("cgan", [0.5] * 4, [0.5] * 4) == pytest.approx(2 * LOG2, abs=1e-12)
+    assert d_loss_of([0.5] * 4, [0.5] * 4) == pytest.approx(2 * LOG2, abs=1e-12)
 
 
 def test_gan_perfect_discriminator():
     eps = 1e-9
-    assert abs(d_loss_of("cgan", [1 - eps], [eps])) < 1e-8
+    assert abs(d_loss_of([1 - eps], [eps])) < 1e-8
 
 
 def test_gan_hand_arithmetic():
-    d_loss = d_loss_of("cgan", [0.9], [0.2])
+    d_loss = d_loss_of([0.9], [0.2])
     assert d_loss == pytest.approx(-(math.log(0.9) + math.log(0.8)), abs=1e-12)
     assert d_loss == pytest.approx(0.3285040669720361, abs=1e-12)
 
 
 def test_cgan_symmetry_point_and_hand_arithmetic():
-    assert d_loss_of("cgan", [0.5], [0.5]) == pytest.approx(2 * LOG2, abs=1e-12)
-    d_loss = d_loss_of("cgan", [0.8], [0.3])
+    assert d_loss_of([0.5], [0.5]) == pytest.approx(2 * LOG2, abs=1e-12)
+    d_loss = d_loss_of([0.8], [0.3])
     assert d_loss == pytest.approx(-(math.log(0.8) + math.log(0.7)), abs=1e-12)
     assert d_loss == pytest.approx(0.5798184952529422, abs=1e-12)
 
 
 def test_crcgan_a_symmetry_point():
-    d_loss = d_loss_of("crcgan-a", [0.5] * 3, [0.5] * 3, [0.5] * 3)
+    d_loss = d_loss_of([0.5] * 3, [0.5] * 3, [0.5] * 3)
     assert d_loss == pytest.approx(3 * LOG2, abs=1e-12)
 
 
 def test_crcgan_a_hand_arithmetic():
-    d_loss = d_loss_of("crcgan-a", [0.9], [0.2], [0.1])
+    d_loss = d_loss_of([0.9], [0.2], [0.1])
     expected = -(math.log(0.9) + math.log(0.9) + math.log(0.8))
     assert d_loss == pytest.approx(expected, abs=1e-12)
     assert d_loss == pytest.approx(0.43386458262986236, abs=1e-12)
 
 
 def test_crcgan_b_symmetry_point_and_hand_arithmetic():
-    assert d_loss_of("crcgan-b", [0.5], [0.5], [0.5]) == pytest.approx(3 * LOG2, abs=1e-12)
-    d_loss = d_loss_of("crcgan-b", [0.95], [0.1], [0.05])
+    assert d_loss_of([0.5], [0.5], [0.5]) == pytest.approx(3 * LOG2, abs=1e-12)
+    d_loss = d_loss_of([0.95], [0.1], [0.05])
     expected = -(math.log(0.95) + math.log(0.95) + math.log(0.9))
     assert d_loss == pytest.approx(expected, abs=1e-12)
     assert d_loss == pytest.approx(0.20794710443292744, abs=1e-12)
 
 
 def test_crcgan_variants_coincide_at_score_level():
+    # crcgan-a and crcgan-b differ only in how they draw the mismatched scores:
+    # their loss is cgan's two terms plus the matching-aware term
     rng = np.random.default_rng(1)
     r, f, m = (rng.uniform(0.05, 0.95, 6) for _ in range(3))
-    assert d_loss_of("crcgan-a", r, f, m) == d_loss_of("crcgan-b", r, f, m)
+    assert d_loss_of(r, f, m) == pytest.approx(
+        d_loss_of(r, f) - np.log(1.0 - m).mean(), abs=1e-12)
 
 
 def test_mismatch_scores_toward_zero_decrease_d_loss():
-    base = d_loss_of("crcgan-a", [0.8] * 3, [0.2] * 3, [0.5] * 3)
-    better = d_loss_of("crcgan-a", [0.8] * 3, [0.2] * 3, [0.1] * 3)
-    best = d_loss_of("crcgan-a", [0.8] * 3, [0.2] * 3, [1e-9] * 3)
+    base = d_loss_of([0.8] * 3, [0.2] * 3, [0.5] * 3)
+    better = d_loss_of([0.8] * 3, [0.2] * 3, [0.1] * 3)
+    best = d_loss_of([0.8] * 3, [0.2] * 3, [1e-9] * 3)
     assert best < better < base
 
 
 # ---------------------------------------------------------------------------
 # caller errors
 
-def test_gan_rejects_mismatched_scores():
-    with pytest.raises(ParameterError):
-        d_loss_of("cgan", [0.5], [0.5], [0.5])
-
-
-def test_crcgan_requires_mismatched_scores():
-    with pytest.raises(ParameterError):
-        d_loss_of("crcgan-a", [0.5], [0.5])
-    with pytest.raises(ParameterError):
-        d_loss_of("crcgan-b", [0.5], [0.5])
-
-
 def test_empty_batch_rejected():
     with pytest.raises(DimensionError):
-        d_loss_of("cgan", [], [])
+        d_loss_of([], [])
     with pytest.raises(DimensionError):
         generator_loss(np.array([]))
 
 
 def test_inconsistent_batch_sizes_rejected():
     with pytest.raises(DimensionError):
-        d_loss_of("cgan", [0.5, 0.5], [0.5])
+        d_loss_of([0.5, 0.5], [0.5])
     with pytest.raises(DimensionError):
-        d_loss_of("crcgan-a", [0.5, 0.5], [0.5, 0.5], [0.5])
+        d_loss_of([0.5, 0.5], [0.5, 0.5], [0.5])
 
 
 def test_scores_outside_unit_interval_rejected():
     for real, fake, mismatched in (([1.5], [0.5], [0.5]), ([0.5], [-0.1], [0.5]),
                                    ([0.5], [0.5], [1.01])):
         with pytest.raises(ParameterError):
-            d_loss_of("crcgan-a", real, fake, mismatched)
+            d_loss_of(real, fake, mismatched)
     with pytest.raises(ParameterError):
         generator_loss(np.array([0.5, 1.5]))
 
@@ -131,11 +123,11 @@ def test_scores_outside_unit_interval_rejected():
 def test_discriminator_loss_rejects_nan_scores():
     nan = float("nan")
     with pytest.raises(ParameterError):
-        d_loss_of("cgan", [nan, 0.5], [0.5, 0.5])
+        d_loss_of([nan, 0.5], [0.5, 0.5])
     for real, fake, mismatched in (([nan], [0.5], [0.5]), ([0.5], [nan], [0.5]),
                                    ([0.5], [0.5], [nan])):
         with pytest.raises(ParameterError):
-            d_loss_of("crcgan-a", real, fake, mismatched)
+            d_loss_of(real, fake, mismatched)
 
 
 def test_generator_loss_rejects_nan_scores():
@@ -152,9 +144,13 @@ def test_objective_registry():
     with pytest.raises(ParameterError):
         needs_mismatch("wgan")
     with pytest.raises(ParameterError):
-        d_loss_of("wgan", [0.5], [0.5])
-    with pytest.raises(ParameterError):
         needs_mismatch("gan")
+    # an unhashable name raised a bare TypeError from the registry lookup
+    for bad in (["cgan"], {"cgan": 1}):
+        with pytest.raises(ParameterError, match="unknown objective"):
+            needs_mismatch(bad)
+        with pytest.raises(ParameterError, match="unknown objective"):
+            TrainConfig(objective=bad, steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +159,13 @@ def test_objective_registry():
 @pytest.mark.parametrize("name", ["cgan", "crcgan-a", "crcgan-b"])
 def test_d_loss_monotonicity(name):
     mis = [0.5] * 4 if needs_mismatch(name) else None
-    base = d_loss_of(name, [0.6] * 4, [0.4] * 4, mis)
-    up_real = d_loss_of(name, [0.7] * 4, [0.4] * 4, mis)
-    up_fake = d_loss_of(name, [0.6] * 4, [0.5] * 4, mis)
+    base = d_loss_of([0.6] * 4, [0.4] * 4, mis)
+    up_real = d_loss_of([0.7] * 4, [0.4] * 4, mis)
+    up_fake = d_loss_of([0.6] * 4, [0.5] * 4, mis)
     assert up_real < base      # better real scores -> lower d_loss
     assert up_fake > base      # higher fake scores -> higher d_loss
     if needs_mismatch(name):
-        up_mis = d_loss_of(name, [0.6] * 4, [0.4] * 4, [0.6] * 4)
+        up_mis = d_loss_of([0.6] * 4, [0.4] * 4, [0.6] * 4)
         assert up_mis > base   # higher mismatched scores -> higher d_loss
 
 
@@ -183,7 +179,7 @@ def test_g_loss_gradient_pushes_fake_scores_up(name):
         generator_loss(d_fake).backward()
         assert np.all(d_fake.grad < 0.0)
         d_fake.zero_grad()
-        discriminator_loss(name, np.full(4, 0.7), d_fake, mismatched).backward()
+        discriminator_loss(np.full(4, 0.7), d_fake, mismatched).backward()
         assert np.all(d_fake.grad > 0.0)
 
 
@@ -210,10 +206,9 @@ def test_losses_finite_on_closed_unit_interval(seed):
         return s
 
     real, fake, mismatched = scores(), scores(), scores()
-    for name in ["crcgan-a", "crcgan-b"]:
-        assert np.isfinite(discriminator_loss(name, real, fake, mismatched).item())
+    assert np.isfinite(discriminator_loss(real, fake, mismatched).item())
     real2, fake2 = scores(), scores()
-    assert np.isfinite(discriminator_loss("cgan", real2, fake2).item())
+    assert np.isfinite(discriminator_loss(real2, fake2).item())
     for f in (fake, fake2):
         assert np.isfinite(generator_loss(f).item())
 

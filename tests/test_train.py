@@ -765,8 +765,8 @@ def test_committed_v4_checkpoint_loads_and_writes_back_byte_identical(tiny_datas
     path = Path(__file__).parent / "data" / "crcgan_a_8x8_v4.ckpt"
     state = load_state(path, tiny_dataset, desk_config(objective="crcgan-a", steps=2))
     assert state.step == 2
-    gen, config = generator_from_checkpoint(path)
-    assert config == state.config
+    gen = generator_from_checkpoint(path)
+    assert gen.config == state.config
     assert all(np.array_equal(p.data, state.gen.params()[name].data)
                for name, p in gen.params().items())
     write_state(state, tmp_path / "again.ckpt")
@@ -852,6 +852,23 @@ def test_interrupt_resume_reproduces_trace(tiny_dataset, tmp_path):
         assert np.array_equal(fa[name], fb[name]), name
 
 
+def test_resume_past_the_collapse_window_ends_in_the_same_state(tiny_dataset, tmp_path):
+    # the history was a list that grew by one entry per step, while a checkpoint
+    # kept its last COLLAPSE_WINDOW entries: a run resumed at step 105 ended
+    # with 105 entries, the uninterrupted one with 110
+    steps = train_module.COLLAPSE_WINDOW + 10
+    cfg = desk_config(objective="crcgan-a", steps=steps)
+    full = train(cfg, tiny_dataset, tmp_path / "full")
+    part = train(desk_config(objective="crcgan-a", steps=steps - 5), tiny_dataset,
+                 tmp_path / "part")
+    resumed = train(cfg, tiny_dataset, tmp_path / "part", resume_from=part.checkpoint_path)
+    history = list(full.state.diversity_history)
+    assert len(history) == train_module.COLLAPSE_WINDOW
+    assert list(resumed.state.diversity_history) == history
+    assert strip_wall(read_metrics(full.metrics_path)) == \
+        strip_wall(read_metrics(resumed.metrics_path))
+
+
 def test_resume_after_crash_matches_uninterrupted_run(tiny_dataset, tmp_path, monkeypatch):
     cfg = desk_config(steps=4, checkpoint_every=2)
     full = train(cfg, tiny_dataset, tmp_path / "full")
@@ -911,8 +928,8 @@ def test_checkpoint_cadence(tiny_dataset, tmp_path):
 
 def test_sample_deterministic_and_bounded(tiny_dataset, tmp_path):
     outcome = train(desk_config(steps=2), tiny_dataset, tmp_path / "run")
-    gen, config = generator_from_checkpoint(outcome.checkpoint_path)
-    assert config == desk_config(steps=2)
+    gen = generator_from_checkpoint(outcome.checkpoint_path)
+    assert gen.config == desk_config(steps=2)
     a = sample(gen, 0, count=5, seed=11)
     b = sample(gen, 0, count=5, seed=11)
     c = sample(gen, 0, count=5, seed=12)
@@ -924,7 +941,7 @@ def test_sample_deterministic_and_bounded(tiny_dataset, tmp_path):
 
 def test_sample_count_zero(tiny_dataset, tmp_path):
     outcome = train(desk_config(steps=1), tiny_dataset, tmp_path / "run")
-    gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
+    gen = generator_from_checkpoint(outcome.checkpoint_path)
     out = sample(gen, 1, count=0, seed=0)
     assert out.shape == (0, 8, 8)
     for bad in (-1, 2.5, np.float64(2), None):
@@ -942,7 +959,7 @@ def test_sample_count_zero(tiny_dataset, tmp_path):
 
 def test_sample_condition_domain_error(tiny_dataset, tmp_path):
     outcome = train(desk_config(steps=1), tiny_dataset, tmp_path / "run")
-    gen, _ = generator_from_checkpoint(outcome.checkpoint_path)
+    gen = generator_from_checkpoint(outcome.checkpoint_path)
     for condition in (5, 1.5, float("nan")):
         for count in (2, 0):
             with pytest.raises(ParameterError):
