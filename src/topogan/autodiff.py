@@ -13,7 +13,7 @@ of them.
 
 A graph holds its nodes, its closures and its leaves, but no op result's
 Tensor, and each closure holds only what its gradient reads: a shape where
-the shape is enough, a mask where a mask is enough (`leaky_relu`, `clamp`,
+the shape is enough, a mask where a mask is enough (`leaky_relu`,
 `log_clamped`). So an op result's array lives as long as the caller keeps
 its Tensor or a closure reads it; a pre-activation that `leaky_relu` has
 turned into a mask dies with its Tensor.
@@ -26,13 +26,16 @@ input, so every copied run is N values long, and the (K, OH*OW*N) product is
 already the next layer's (K, OH, OW, N) input. `_conv_dx` scatters its
 product back with one strided add per kernel tap (col2im), again over
 contiguous rows of N, and also serves as the transposed-conv forward.
-`conv2d_planes` convolves an input concatenated with constant per-sample
-planes without building the planes. `transpose` moves a tensor into or out
-of the layout at a network's boundary.
+`conv2d` takes constant per-sample `planes` too, and convolves its input
+stacked over them without building the planes. `transpose` moves a tensor
+into or out of the layout at a network's boundary.
 
-Layers add their biases inside the op: the conv ops take `bias` (K values, in
-any stored shape) and `linear(x, w, b)` is x @ w + b, each adding into the
-product it already holds, so a layer keeps one activation and not two.
+The twelve ops: `add`, `mul`, `linear`, `reshape`, `transpose`, `concat`,
+`mean`, `leaky_relu`, `sigmoid`, `log_clamped`, `conv2d` and
+`conv_transpose2d`. Layers add their biases inside the op: the conv ops take
+`bias` (K values, in any stored shape) and `linear(x, w, b)` is x @ w + b,
+each adding into the product it already holds, so a layer keeps one
+activation and not two. Without `b`, `linear` is the plain product x @ w.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from numpy.lib.stride_tricks import as_strided
 from .exceptions import DimensionError
 from .fem import check_int
 
-LOG_FLOOR = 1e-12         # log_clamped's floor; nets clamps D's scores to it as well
+LOG_FLOOR = 1e-12         # log_clamped's floor, the one floor under every loss's log
 LEAKY_SLOPE = 0.2         # leaky_relu's negative-side slope, the paper's in both networks
 GRAD_CHECK_STEP = 1e-6    # grad_check's central-difference step
 
@@ -133,10 +136,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -220,32 +219,22 @@ def mul(a, b) -> Tensor:
     ])
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b for x (N, A), w (A, F) and b (F,); b is added into the product."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+def linear(x, w, b=None) -> Tensor:
+    """x @ w, plus b when given, for x (N, A), w (A, F) and b (F,); b is added into the product."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] \
-            or b.data.shape != w.data.shape[1:]:
+            or (b is not None and b.data.shape != w.data.shape[1:]):
         raise DimensionError(
-            f"linear expects x (N, A), w (A, F) and b (F,), got {x.shape}, {w.shape}, {b.shape}")
+            f"linear expects x (N, A), w (A, F) and b (F,) or None, got {x.shape}, {w.shape}, "
+            f"{None if b is None else b.shape}")
     xd, wd = x.data, w.data
     out = xd @ wd
-    out += b.data
-    return Tensor._result(out, [
-        (x, lambda g: g @ wd.T),
-        (w, lambda g: xd.T @ g),
-        (b, lambda g: g.sum(axis=0)),
-    ])
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise DimensionError(f"matmul expects a (N, A) and b (A, F), got {a.shape} and {b.shape}")
-    return Tensor._result(ad @ bd, [
-        (a, lambda g: g @ bd.T),
-        (b, lambda g: ad.T @ g),
-    ])
+    links = [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g)]
+    if b is not None:
+        out += b.data
+        links.append((b, lambda g: g.sum(axis=0)))
+    return Tensor._result(out, links)
 
 
 def reshape(a, *shape) -> Tensor:
@@ -301,14 +290,6 @@ def mean(a) -> Tensor:
     ])
 
 
-def tensor_sum(a) -> Tensor:
-    a = _as_tensor(a)
-    shape = a.data.shape
-    return Tensor._result(np.asarray(a.data.sum()), [
-        (a, lambda g: np.full(shape, g.reshape(()))),
-    ])
-
-
 def leaky_relu(a) -> Tensor:
     """max(a, LEAKY_SLOPE*a); backward rebuilds the slope from a bool mask."""
     a = _as_tensor(a)
@@ -342,14 +323,6 @@ def log_clamped(a) -> Tensor:
     clamped = np.maximum(a.data, LOG_FLOOR)
     return Tensor._result(np.log(clamped), [
         (a, lambda g: np.where(clamped > LOG_FLOOR, g / clamped, 0.0)),
-    ])
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
-    mask = (a.data >= lo) & (a.data <= hi)
-    return Tensor._result(np.clip(a.data, lo, hi), [
-        (a, lambda g: g * mask),
     ])
 
 
@@ -455,44 +428,37 @@ def _biased(out: np.ndarray, bias, links: list) -> Tensor:
     return Tensor._result(out, links)
 
 
-def conv2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
-    """Cross-correlation of (C,H,W,N) with kernels (K,C,kh,kw) -> (K,OH,OW,N), plus bias."""
+def conv2d(x, w, stride: int = 1, padding: int = 0, bias=None, planes=None) -> Tensor:
+    """Cross-correlation of (C,H,W,N) with kernels (K,C+D,kh,kw) -> (K,OH,OW,N), plus bias.
+
+    `planes`, a constant (N,D) array, stacks D planes P under x without
+    building them: the result is conv2d(concat([x, P], axis=0), w), where
+    P[d, :, :, n] is the (H,W) plane filled with planes[n, d]. A constant
+    plane's response is its value times the response of an all-ones image to
+    the plane's taps, zero-padded border included. Without planes D is 0,
+    and no part of the plane path runs.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     _check_geometry(stride, padding)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4D input and kernel")
-    xd, wd, x_shape = x.data, w.data, x.data.shape
-    kh, kw = wd.shape[2], wd.shape[3]
-    out = _conv_fwd(xd, wd, stride, padding)
-    return _biased(out, bias, [
-        (x, lambda g: _conv_dx(g, wd, stride, padding, x_shape)),
-        (w, lambda g: _conv_dw(xd, g, stride, padding, kh, kw)),
-    ])
-
-
-def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
-    """conv2d(concat([x, P], axis=0), w, bias=bias) without building P.
-
-    x is (C,H,W,N), planes is a constant (N,D) array and w is (K,C+D,kh,kw);
-    P[d, :, :, n] is the (H,W) plane filled with planes[n, d]. A constant
-    plane's response is its value times the response of an all-ones image to
-    the plane's taps, zero-padded border included.
-    """
-    x, w = _as_tensor(x), _as_tensor(w)
-    _check_geometry(stride, padding)
-    planes = np.asarray(planes, dtype=np.float64)
-    if x.data.ndim != 4 or w.data.ndim != 4 or planes.ndim != 2:
-        raise DimensionError("conv2d_planes expects 4D input and kernel and 2D planes")
     xd, x_shape = x.data, x.data.shape
     c, h, width, n = x_shape
     k, cw, kh, kw = w.data.shape
-    d = planes.shape[1]
-    if planes.shape[0] != n:
-        raise DimensionError(f"planes batch {planes.shape[0]} != input batch {n}")
-    if c + d != cw:
-        raise DimensionError(f"input channels {c} + planes {d} != kernel channels {cw}")
-    w_x = w.data[:, :c]
+    d = 0
+    if planes is not None:
+        planes = np.asarray(planes, dtype=np.float64)
+        if planes.ndim != 2 or planes.shape[0] != n:
+            raise DimensionError(f"planes must be (N, D) for input batch {n}, got {planes.shape}")
+        d = planes.shape[1]
+        if c + d != cw:
+            raise DimensionError(f"input channels {c} + planes {d} != kernel channels {cw}")
+    w_x = w.data[:, :c] if d else w.data   # _conv_fwd checks C against w's channels
     out = _conv_fwd(xd, w_x, stride, padding)
+    links = [(x, lambda g: _conv_dx(g, w_x, stride, padding, x_shape))]
+    if not d:
+        links.append((w, lambda g: _conv_dw(xd, g, stride, padding, kh, kw)))
+        return _biased(out, bias, links)
     oh, ow = out.shape[1:3]
     ones = _im2col(np.ones((1, h, width, 1)), kh, kw, stride, padding, oh, ow)
     # (K, D, OH*OW): the response of plane d's taps for output channel k
@@ -504,10 +470,8 @@ def conv2d_planes(x, planes, w, stride: int = 1, padding: int = 0, bias=None) ->
         return np.concatenate([_conv_dw(xd, g, stride, padding, kh, kw),
                                (g_planes @ ones.T).reshape(k, d, kh, kw)], axis=1)
 
-    return _biased(out, bias, [
-        (x, lambda g: _conv_dx(g, w_x, stride, padding, x_shape)),
-        (w, grad_w),
-    ])
+    links.append((w, grad_w))
+    return _biased(out, bias, links)
 
 
 def conv_transpose2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:

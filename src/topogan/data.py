@@ -101,6 +101,7 @@ class SweepGrid:
                 raise ParameterError(f"{name} must be a nonempty tuple or list, got {axis!r}")
             for value in axis:
                 check_float(name, value, low, high)
+            object.__setattr__(self, name, tuple(axis))   # hashable, equal to its tuple twin
         if not isinstance(self.mesh, MeshSpec):
             raise ParameterError(f"mesh must be a MeshSpec, got {self.mesh!r}")
 
@@ -149,7 +150,16 @@ class Dataset:
 
     @classmethod
     def from_records(cls, records: np.ndarray, kind: str, cardinality: int = 0) -> "Dataset":
-        """The dataset over an existing TOPD record array, without copying it."""
+        """The dataset over an existing 1-D TOPD record array, without copying it.
+
+        Records of any other dtype, `<f8` conditions for instance, raise
+        ParameterError: `write_dataset` writes the array's bytes as they are.
+        """
+        images = (records.dtype.fields or {}).get("images")
+        if records.ndim != 1 or images is None or len(images[0].shape) != 2 \
+                or records.dtype != _record_dtype(*images[0].shape):
+            raise ParameterError(f"records must be a 1-D array of TOPD records, got "
+                                 f"{records.ndim}-D of dtype {records.dtype}")
         ds = cls.__new__(cls)
         ds._adopt(records, kind, cardinality)
         return ds
@@ -293,14 +303,19 @@ def _record_dtype(height: int, width: int) -> np.dtype:
 @contextmanager
 def atomic_open(path):
     """A binary file written to `<name>.tmp` beside `path`, synced, then renamed
-    over `path`, so a crash never leaves a partial file under that name."""
+    over `path`, so a crash never leaves a partial file under that name. When
+    the body raises, the temporary file is removed and `path` is untouched."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        yield fh
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:   # the write failed: `path` keeps its old bytes, and no .tmp stays
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_dataset(ds: Dataset, path) -> None:
@@ -309,7 +324,7 @@ def write_dataset(ds: Dataset, path) -> None:
             TOPD_MAGIC, TOPD_VERSION, ds.width, ds.height, len(ds),
             0 if ds.kind == KIND_CONTINUOUS else 1, ds.cardinality,
         ))
-        fh.write(ds.records.data)
+        fh.write(np.ascontiguousarray(ds.records).data)   # a strided view is copied
 
 
 def read_dataset(path) -> Dataset:

@@ -151,8 +151,8 @@ class DensityField:
 class BoundaryConditions:
     """Zero-displacement DOFs plus point loads as (dof index, force) pairs.
 
-    `fixed_dofs` takes ints of any int dtype; whether they lie in the mesh is
-    checked at the solve, which knows the mesh.
+    `fixed_dofs` takes ints of any int dtype that fit in int64; whether they
+    lie in the mesh is checked at the solve, which knows the mesh.
     """
 
     fixed_dofs: np.ndarray
@@ -165,7 +165,10 @@ class BoundaryConditions:
         # a bool, a float or a string is no DOF: int64 would truncate or parse it
         if not np.issubdtype(dofs.dtype, np.integer):
             raise ParameterError(f"fixed_dofs must be ints, got {self.fixed_dofs!r}")
-        self.fixed_dofs = np.unique(dofs.astype(np.int64))
+        ints = dofs.astype(np.int64)
+        if dofs.dtype.kind == "u" and (ints < 0).any():   # >= 2**63 wraps negative
+            raise ParameterError(f"fixed_dofs must fit in int64, got {self.fixed_dofs!r}")
+        self.fixed_dofs = np.unique(ints)
         fixed = set(self.fixed_dofs.tolist())
         if not (isinstance(self.loads, (tuple, list)) and all(
                 isinstance(load, (tuple, list)) and len(load) == 2 for load in self.loads)):
@@ -404,6 +407,7 @@ def _compliance(x: np.ndarray, energies: np.ndarray, penal: float) -> float:
 
 
 def _sensitivities(x: np.ndarray, energies: np.ndarray, penal: float) -> np.ndarray:
+    """dc/dx_e = -p x_e^(p-1) u_e^T k0 u_e from the element energies; all entries <= 0."""
     return -penal * x ** (penal - 1.0) * energies
 
 
@@ -415,16 +419,6 @@ def compliance(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpe
     if u.shape != (mesh.n_dofs,):
         raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")
     return _compliance(x, _element_energies(x, u, mesh), penal)
-
-
-def sensitivities(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpec) -> np.ndarray:
-    """dc/dx_e = -p x_e^(p-1) u_e^T k0 u_e, shape (nely, nelx), all entries <= 0."""
-    x = _check_density(density, mesh)
-    check_float("penal", penal, 1.0, math.inf)
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (mesh.n_dofs,):
-        raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")
-    return _sensitivities(x, _element_energies(x, u, mesh), penal)
 
 
 @functools.lru_cache(maxsize=16)

@@ -14,8 +14,10 @@ its own fields). A misshapen input, noise or batch raises DimensionError.
 
 The condition reaches G as its encoded vector, concatenated to the noise.
 D sees it as cond_dim constant planes stacked under the image, so conv1.w
-has 1 + cond_dim input channels; `autodiff.conv2d_planes` applies those
-taps to the encoded vector directly and never builds the planes.
+has 1 + cond_dim input channels; `autodiff.conv2d` takes the encoded vector
+as its `planes`, applies those taps to it directly and never builds the
+planes. D's score is its head's sigmoid, unclamped: the losses floor every
+log at `autodiff.LOG_FLOOR`.
 
 Both networks take and return (N, ...) arrays, but their conv stacks run in
 the (C, H, W, N) layout of `autodiff`. G transposes its dense output,
@@ -120,7 +122,7 @@ def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
 
     M_i = f_i . T maps each sample's feature row through the learned (A,B,C)
     tensor; the output row counts (softly) how close the sample sits to the
-    rest of its batch in each of the B projected spaces. M is one matmul node,
+    rest of its batch in each of the B projected spaces. M is one linear node,
     so the pairwise backward below runs once per call whichever of f and T
     need a gradient. The largest arrays are (B, N, N): the forward sums the
     L1 distances per kernel b one C slice at a time, and the backward
@@ -135,7 +137,7 @@ def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
         )
     n, a = f.data.shape
     _, b, c = T.data.shape
-    m = ad.matmul(f, T.reshape(a, b * c))
+    m = ad.linear(f, T.reshape(a, b * c))
     mt = np.ascontiguousarray(m.data.reshape(n, b, c).transpose(1, 2, 0))  # (B, C, N)
     # L1 distances summed left to right over C, a block of kernels at a time
     dist = np.zeros((b, n, n))
@@ -200,7 +202,7 @@ class Generator:
 
 
 class Discriminator:
-    """Image + condition -> score in (0,1) per sample, shape (N,)."""
+    """Image + condition -> sigmoid score in [0, 1] per sample, shape (N,)."""
 
     def __init__(self, config, data: dict, seed: int):
         self.config, self.data = config, data
@@ -223,7 +225,7 @@ class Discriminator:
             raise DimensionError("image and condition batch sizes differ")
         p = self._params
         h = ad.transpose(x, (1, 2, 3, 0))
-        h = ad.conv2d_planes(h, cond, p["conv1.w"], stride=2, padding=1, bias=p["conv1.b"])
+        h = ad.conv2d(h, p["conv1.w"], stride=2, padding=1, bias=p["conv1.b"], planes=cond)
         h = ad.leaky_relu(h)
         h = ad.conv2d(h, p["conv2.w"], stride=2, padding=1, bias=p["conv2.b"])
         h = ad.leaky_relu(h)
@@ -238,7 +240,5 @@ class Discriminator:
         if self.config.minibatch_discrimination:
             o = minibatch_features(f, p["minibatch.T"])
             f = ad.concat([f, o], axis=1)
-        logit = ad.linear(f, p["head.w"], p["head.b"])
-        score = ad.sigmoid(logit)
-        score = ad.clamp(score, ad.LOG_FLOOR, 1.0 - ad.LOG_FLOOR)
+        score = ad.sigmoid(ad.linear(f, p["head.w"], p["head.b"]))
         return score.reshape(f.data.shape[0])

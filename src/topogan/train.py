@@ -215,7 +215,8 @@ def _mismatch_partners(conds: np.ndarray, kind: str, rng: np.random.Generator) -
 
 
 def _abort_unless_finite(step: int, *scores) -> None:
-    """TrainingAbort if D has diverged; finite scores lie in (0, 1) and give finite losses."""
+    """TrainingAbort if D has diverged, which shows as a NaN score: sigmoid scores
+    otherwise lie in [0, 1], where the losses' log floor keeps every loss finite."""
     if not all(s is None or np.isfinite(s.data).all() for s in scores):
         raise TrainingAbort(f"non-finite discriminator scores at step {step}")
 

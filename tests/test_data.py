@@ -10,6 +10,8 @@ from topogan.data import (
     NOISE_AMPLITUDE,
     Dataset,
     SweepGrid,
+    _record_dtype,
+    atomic_open,
     augment,
     augment_dataset,
     class_target_fraction,
@@ -208,6 +210,44 @@ def test_topd_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_topd_writes_a_strided_view_as_its_contiguous_copy(tmp_path):
+    # a strided record view raised a bare BufferError from the write
+    ds = synth_classes(3, 4, 8, seed=9)
+    view = Dataset.from_records(ds.records[::2], ds.kind, ds.cardinality)
+    copy = Dataset.from_records(ds.records[::2].copy(), ds.kind, ds.cardinality)
+    write_dataset(view, tmp_path / "view.topd")
+    write_dataset(copy, tmp_path / "copy.topd")
+    assert (tmp_path / "view.topd").read_bytes() == (tmp_path / "copy.topd").read_bytes()
+    assert read_dataset(tmp_path / "view.topd").equals(copy)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["copy.topd", "view.topd"]
+
+
+def test_from_records_refuses_a_foreign_record_dtype():
+    # <f8 conditions were accepted, and write_dataset then wrote a file that
+    # read_dataset refused with FormatError
+    records = synth_classes(2, 2, 4, seed=1).records
+    wide = np.dtype([(name, "<f8" if name == "conditions" else records.dtype[name])
+                     for name in records.dtype.names])
+    for bad in (records.astype(wide), records[["conditions", "images"]],
+                records.reshape(2, 2), np.zeros(4)):
+        with pytest.raises(ParameterError, match="TOPD records"):
+            Dataset.from_records(bad, "class", 2)
+    assert Dataset.from_records(records.astype(_record_dtype(4, 4)), "class", 2).equals(
+        Dataset.from_records(records, "class", 2))
+
+
+def test_atomic_open_leaves_the_old_file_when_the_body_raises(tmp_path):
+    # the body's failure left <name>.tmp behind
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError, match="body failed"):
+        with atomic_open(path) as fh:
+            fh.write(b"new, partly")
+            raise ValueError("body failed")
+    assert path.read_bytes() == b"old"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["a.bin"]
+
+
 def test_topd_roundtrip_class_dataset(tmp_path):
     ds = synth_classes(3, 4, 8, seed=9)
     path = tmp_path / "c.topd"
@@ -402,6 +442,10 @@ def test_sweep_grid_validates_bounds():
             with pytest.raises(ParameterError, match=name):
                 SweepGrid(**{**axes, name: bad}, mesh=mesh)
     assert len(SweepGrid(volfracs=[0.4, 0.5], penals=[3.0], rmins=[1.5], mesh=mesh)) == 2
+    # a list axis made the frozen grid's generated __hash__ raise TypeError
+    listed = SweepGrid(volfracs=[0.4], penals=[3.0], rmins=[1.5], mesh=mesh)
+    twin = SweepGrid(volfracs=(0.4,), penals=(3.0,), rmins=(1.5,), mesh=mesh)
+    assert hash(listed) == hash(twin) and listed == twin and listed.volfracs == (0.4,)
     # a tuple mesh failed only inside run_simp, with an AttributeError
     for bad in ((8, 4), None):
         with pytest.raises(ParameterError, match="mesh"):

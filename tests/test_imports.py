@@ -1,8 +1,8 @@
 """Importing topogan loads no scipy subpackage beyond linalg and sparse, no
 topogan module imports a name it never uses, no private helper outlives
-its callers, every exception class is raised, integers and real-valued
-settings each have one rule, and every console script that pyproject.toml
-declares resolves to a callable.
+its callers, no public name serves only the tests, every exception class is
+raised, integers and real-valued settings each have one rule, and every
+console script that pyproject.toml declares resolves to a callable.
 
 scipy.signal, scipy.ndimage and scipy.spatial each pull in much of scipy
 (scipy.stats among it) and once made up most of the package's cold start.
@@ -12,7 +12,10 @@ source with `ast`, so it needs no linter; it catches the imports a deletion
 leaves behind. The dead-helper check reads it the same way: a top-level
 `_name` function or class that no module of the package reads is dead,
 unless bench/layers.py hooks it by name, as it hooks `fem:_pcg`, the tests'
-CG reference. The exception check reads `exceptions.py` the same way: each
+CG reference. The unread-public-name check reads it the same way: a
+top-level public function or class that nothing in `src/` or `bench/` reads
+serves only the tests, unless it is the tests' gradient oracle
+`autodiff.grad_check`. The exception check reads `exceptions.py` the same way: each
 class that no other class derives from must be raised by name in some other
 module, and no module may import a class from it that it does not define.
 The integer-rule check reads the source the same way: `fem.check_int` is the one
@@ -33,6 +36,7 @@ import pytest
 from test_bench_hooks import load_hooks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 PROBE = """
 import importlib, pkgutil, sys
@@ -79,17 +83,23 @@ def test_topogan_modules_import_no_unused_name():
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
-def dead_private_helpers(sources: dict[str, str], hook_targets) -> list[str]:
-    """`module._name` of each top-level private function or class of `sources`
-    (module name -> source) that no module reads and no hook target wraps."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def read_names(trees) -> set[str]:
+    """Every name the `ast` trees read, as a bare name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def dead_private_helpers(sources: dict[str, str], hook_targets) -> list[str]:
+    """`module._name` of each top-level private function or class of `sources`
+    (module name -> source) that no module reads and no hook target wraps."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = read_names(trees.values())
     hooked = {target.partition(".")[0] for target in hook_targets}   # "module:Class.method" too
     return sorted(
         f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
@@ -113,6 +123,41 @@ def test_topogan_has_no_dead_private_helper():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((SRC / "topogan").glob("*.py"))}
     assert dead_private_helpers(sources, load_hooks()) == []
+
+
+def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """`module.name` of each top-level public function or class of `sources`
+    (module name -> source) that no module of `sources` or `readers` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = read_names([*trees.values(), *(ast.parse(source) for source in readers.values())])
+    return sorted(
+        f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read)
+
+
+# the tests' finite-difference oracle: no caller in src/ or bench/ needs it
+TEST_ONLY_PUBLIC_NAMES = ["autodiff.grad_check"]
+
+
+def test_unread_public_name_check_sees_a_test_only_name():
+    # read by name, read as an attribute, read only by a reader, read by no one
+    sources = {
+        "fem": "def solve(K): pass\ndef energies(x): pass\nclass Mesh: pass\n"
+               "def plan(): return Mesh()\ndef _helper(): pass\n",
+        "autodiff": "def total(a): pass\ndef mean(a): pass\n",
+        "evaluate": "from . import fem\nfem.solve(None)\n",
+    }
+    readers = {"workloads": "from topogan import autodiff\nautodiff.mean(0)\nplan()\n"}
+    assert unread_public_names(sources, readers) == ["autodiff.total", "fem.energies"]
+
+
+def test_topogan_has_no_public_name_only_tests_read():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "topogan").glob("*.py"))}
+    readers = {f"bench.{path.stem}": path.read_text(encoding="utf-8")
+               for path in sorted(BENCH.glob("*.py"))}
+    assert unread_public_names(sources, readers) == TEST_ONLY_PUBLIC_NAMES
 
 
 def int_type_checks(sources: dict[str, str]) -> list[str]:

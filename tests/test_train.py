@@ -742,6 +742,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_checkpoint(path, {"step": 2}, {"x": np.zeros(3)})
     assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["a.ckpt"]   # no a.ckpt.tmp
 
 
 def test_dataset_write_is_atomic(tmp_path, monkeypatch, tiny_dataset):
@@ -756,6 +757,7 @@ def test_dataset_write_is_atomic(tmp_path, monkeypatch, tiny_dataset):
     with pytest.raises(OSError):
         write_dataset(synth_classes(2, 3, 8, seed=4), path)
     assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["a.topd"]   # no a.topd.tmp
 
 
 def test_committed_v4_checkpoint_loads_and_writes_back_byte_identical(tiny_dataset,
