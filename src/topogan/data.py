@@ -8,13 +8,16 @@ u8 converged flag, and width*height f32 pixels row-major. Unknown meta
 fields are written as 0. A `Dataset` is these records in one array:
 `read_dataset` returns read-only views of the file's bytes.
 
-`check_conditions` is the one rule for condition values, which the dataset,
-the networks' encoding and sampling all apply: finite; class labels integral
-and in [0, cardinality); continuous values in [0, 1]. A dataset also holds
-only finite record fields and pixels in [0, 1]. Class-conditioned data comes
-from `synth_classes`, whose per-class fill fractions are known exactly.
-Augmentation has one recipe: `augment` moves NOISE_FRACTION of an image's
-pixels, at least one, by up to NOISE_AMPLITUDE.
+A condition domain is its cardinality, from which the kind byte is written
+and with which it must agree: 0 for continuous values, k >= 1 for k class
+labels. `check_conditions` is the one rule for condition values, which the
+dataset, the networks' encoding and sampling all apply: finite; class labels
+integral and in [0, cardinality); continuous values in [0, 1]. A dataset
+also holds only numeric, finite record fields, converged flags of 0 or 1 and
+pixels in [0, 1]. Class-conditioned data comes from `synth_classes`, whose
+per-class fill fractions are known exactly. Augmentation has one recipe:
+`augment` moves NOISE_FRACTION of an image's pixels, at least one, by up to
+NOISE_AMPLITUDE.
 """
 from __future__ import annotations
 
@@ -35,8 +38,6 @@ log = logging.getLogger(__name__)
 
 TOPD_MAGIC = b"TOPD"
 TOPD_VERSION = 1
-KIND_CONTINUOUS = "continuous"
-KIND_CLASS = "class"
 
 GAUSS_KERNEL_SIZE = 5
 GAUSS_SIGMA = 1.0
@@ -44,36 +45,27 @@ NOISE_FRACTION = 0.01
 NOISE_AMPLITUDE = 0.5
 
 
-def condition_dim(kind: str, cardinality: int) -> int:
-    """Width of an encoded condition: one-hot `cardinality` for class, 1 for continuous.
-
-    The one check of a condition kind: a bad kind or cardinality raises
-    ParameterError. Continuous conditions have cardinality 0.
-    """
-    if kind == KIND_CLASS:
-        check_int("cardinality", cardinality, 1)
-        return cardinality
-    if kind == KIND_CONTINUOUS:
-        check_int("cardinality", cardinality, 0)
-        if cardinality:
-            raise ParameterError(f"continuous conditions have cardinality 0, got {cardinality!r}")
-        return 1
-    raise ParameterError(f"unknown condition kind '{kind}'")
+def condition_dim(cardinality: int) -> int:
+    """Width of an encoded condition: one-hot `cardinality` for class labels, 1
+    for continuous values (cardinality 0); a cardinality that is not an int >= 0
+    raises ParameterError."""
+    check_int("cardinality", cardinality, 0)
+    return cardinality or 1
 
 
-def check_conditions(values: np.ndarray, kind: str, cardinality: int) -> int:
-    """`condition_dim`, after checking a batch of condition values of that kind.
+def check_conditions(values: np.ndarray, cardinality: int) -> int:
+    """`condition_dim`, after checking a batch of condition values of that domain.
 
     The one rule for condition values: finite; class labels integral and in
     [0, cardinality); continuous values in [0, 1]. A violation raises
     ParameterError.
     """
-    dim = condition_dim(kind, cardinality)
+    dim = condition_dim(cardinality)
     if not values.size:
         return dim
     if not np.isfinite(values).all():
         raise ParameterError("conditions must be finite")
-    if kind == KIND_CLASS:
+    if cardinality:
         if values.min() < 0 or values.max() >= cardinality:
             raise ParameterError(f"class index outside 0..{cardinality - 1}")
         if (values != np.trunc(values)).any():
@@ -113,8 +105,20 @@ def _field(name: str) -> property:
     return property(lambda self: self.records[name], doc=f"The {name} field of every record.")
 
 
+def _numbers(name: str, values) -> np.ndarray:
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":   # bool, int, uint, float
+        raise ParameterError(f"{name} must be numbers, got {values.dtype} values")
+    return values
+
+
+def _check_flags(flags: np.ndarray) -> None:
+    if not np.isin(flags, (0, 1)).all():
+        raise ParameterError("converged flags must be 0 or 1")
+
+
 class Dataset:
-    """Uniform-size image collection with one condition kind across samples.
+    """Uniform-size image collection with one condition domain across samples.
 
     A dataset is its TOPD record array (`records`, of `_record_dtype(h, w)`);
     `images`, `conditions` and the meta fields are views of its fields, so a
@@ -129,9 +133,9 @@ class Dataset:
     compliance = _field("compliance")
     converged = _field("converged")
 
-    def __init__(self, images, conditions, kind, cardinality=0,
+    def __init__(self, images, conditions, cardinality=0,
                  volfrac=None, penal=None, rmin=None, compliance=None, converged=None):
-        images = np.asarray(images, dtype=np.float32)
+        images = _numbers("images", images)
         if images.ndim != 3:
             raise DimensionError(f"images must be (n, H, W), got shape {images.shape}")
         records = np.zeros(images.shape[0], dtype=_record_dtype(*images.shape[1:]))
@@ -142,14 +146,16 @@ class Dataset:
                              ("converged", converged)):
             if values is None and name != "conditions":
                 continue
-            values = np.asarray(values, dtype=records.dtype[name])
+            values = _numbers(name, values)
             if values.shape != records.shape:
                 raise DimensionError(f"{name} must have one entry per image")
+            if name == "converged":   # before the u1 cast could wrap or truncate a flag
+                _check_flags(values)
             records[name] = values
-        self._adopt(records, kind, cardinality)
+        self._adopt(records, cardinality)
 
     @classmethod
-    def from_records(cls, records: np.ndarray, kind: str, cardinality: int = 0) -> "Dataset":
+    def from_records(cls, records: np.ndarray, cardinality: int = 0) -> "Dataset":
         """The dataset over an existing 1-D TOPD record array, without copying it.
 
         Records of any other dtype, `<f8` conditions for instance, raise
@@ -161,22 +167,22 @@ class Dataset:
             raise ParameterError(f"records must be a 1-D array of TOPD records, got "
                                  f"{records.ndim}-D of dtype {records.dtype}")
         ds = cls.__new__(cls)
-        ds._adopt(records, kind, cardinality)
+        ds._adopt(records, cardinality)
         return ds
 
-    def _adopt(self, records: np.ndarray, kind: str, cardinality: int) -> None:
+    def _adopt(self, records: np.ndarray, cardinality: int) -> None:
         """Take `records` as this dataset's storage and check its contents.
 
         The conditions must pass `check_conditions`, every field must be
-        finite and every pixel must lie in [0, 1].
+        finite, every converged flag 0 or 1 and every pixel in [0, 1].
         """
         self.records = records
-        self.kind = kind
-        check_conditions(self.conditions, kind, cardinality)
+        check_conditions(self.conditions, cardinality)
         self.cardinality = cardinality
         for name in records.dtype.names:
             if not np.isfinite(records[name]).all():
                 raise ParameterError(f"{name} must be finite")
+        _check_flags(self.converged)
         if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ParameterError("pixels must lie in [0, 1]")
 
@@ -193,8 +199,7 @@ class Dataset:
 
     def equals(self, other: "Dataset") -> bool:
         return (
-            self.kind == other.kind
-            and self.cardinality == other.cardinality
+            self.cardinality == other.cardinality
             and self.records.dtype == other.records.dtype
             and np.array_equal(self.records, other.records)
         )
@@ -220,9 +225,8 @@ def sweep_generate(grid: SweepGrid) -> Dataset:
         compliance.append(result.compliance_history[-1])
         converged.append(result.converged)
     volfrac, penal, rmin = zip(*points)
-    return Dataset(images=np.stack(images), conditions=volfrac, kind=KIND_CONTINUOUS,
-                   volfrac=volfrac, penal=penal, rmin=rmin, compliance=compliance,
-                   converged=converged)
+    return Dataset(images=np.stack(images), conditions=volfrac, volfrac=volfrac, penal=penal,
+                   rmin=rmin, compliance=compliance, converged=converged)
 
 
 def augment(image: np.ndarray, seed: int) -> np.ndarray:
@@ -250,7 +254,7 @@ def augment_dataset(ds: Dataset, seed: int = 0) -> Dataset:
     noisy = ds.records.copy()
     for i, image in enumerate(ds.images):
         noisy["images"][i] = augment(image, seed=seed + i)
-    return Dataset.from_records(np.concatenate([ds.records, noisy]), ds.kind, ds.cardinality)
+    return Dataset.from_records(np.concatenate([ds.records, noisy]), ds.cardinality)
 
 
 def gaussian_kernel() -> np.ndarray:
@@ -322,7 +326,7 @@ def write_dataset(ds: Dataset, path) -> None:
     with atomic_open(path) as fh:
         fh.write(_HEADER.pack(
             TOPD_MAGIC, TOPD_VERSION, ds.width, ds.height, len(ds),
-            0 if ds.kind == KIND_CONTINUOUS else 1, ds.cardinality,
+            1 if ds.cardinality else 0, ds.cardinality,
         ))
         fh.write(np.ascontiguousarray(ds.records).data)   # a strided view is copied
 
@@ -337,8 +341,8 @@ def read_dataset(path) -> Dataset:
         raise FormatError(f"bad magic {magic!r}", offset=0)
     if version != TOPD_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    if kind_byte not in (0, 1):
-        raise FormatError(f"unknown condition kind byte {kind_byte}", offset=20)
+    if kind_byte != (1 if cardinality else 0):   # 0: continuous, 1: class
+        raise FormatError(f"kind byte {kind_byte} contradicts cardinality {cardinality}", offset=20)
     try:
         record = _record_dtype(height, width)
     except ValueError:  # numpy caps a record at 2**31 - 1 bytes
@@ -351,8 +355,7 @@ def read_dataset(path) -> Dataset:
         )
     records = np.frombuffer(blob, dtype=record, count=count, offset=_HEADER.size)
     try:
-        return Dataset.from_records(records, KIND_CONTINUOUS if kind_byte == 0 else KIND_CLASS,
-                                    cardinality)
+        return Dataset.from_records(records, cardinality)
     except ParameterError as exc:
         raise FormatError(f"invalid record data: {exc}", offset=_HEADER.size) from None
 
@@ -402,6 +405,5 @@ def synth_classes(class_count: int, per_class: int, size: int, seed: int) -> Dat
             labels[i] = k
             targets[i] = t
             i += 1
-    return Dataset(images=images, conditions=labels, kind=KIND_CLASS,
-                   cardinality=class_count, volfrac=targets)
+    return Dataset(images=images, conditions=labels, cardinality=class_count, volfrac=targets)
 

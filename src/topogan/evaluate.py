@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import KIND_CLASS, class_target_fraction, postprocess
+from .data import class_target_fraction, postprocess
 from .exceptions import DimensionError
 from .fem import (
     X_MIN,
@@ -77,7 +77,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
     check_float("tolerance", tolerance, 0.0, math.inf)
     check_int("seed", seed, 0)
     gen = generator_from_checkpoint(checkpoint_path)
-    if gen.data["kind"] == KIND_CLASS:
+    if gen.data["cardinality"]:
         target = class_target_fraction(int(condition), gen.data["cardinality"])
     else:
         target = float(condition)

@@ -7,7 +7,8 @@ optionally appends batch-similarity features that let it see the whole
 minibatch at once (the standard countermeasure against generator collapse).
 
 Both are built from a run's `train.TrainConfig`, whose network fields they
-read, and the shape of its data, the {height, width, kind, cardinality} dict.
+read, and the shape of its data, the {height, width, cardinality} dict, with
+cardinality 0 for continuous conditions (`data.condition_dim`).
 `generator_shapes` and `discriminator_shapes` give their parameter shapes and
 raise ParameterError for a data shape the nets cannot use (the config checks
 its own fields). A misshapen input, noise or batch raises DimensionError.
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import KIND_CLASS, check_conditions, condition_dim
+from .data import check_conditions, condition_dim
 from .exceptions import DimensionError, ParameterError
 from .fem import check_int
 
@@ -44,14 +45,14 @@ WEIGHT_STD = 0.02
 # N=64, B=32, C=8 on such a Xeon this ran 1.6x faster than a single block
 DIST_BLOCK_VALUES = 1 << 16
 
-def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarray:
+def encode_condition_vector(values, cardinality: int) -> np.ndarray:
     """(N,) raw condition values -> (N, cond_dim) dense encoding (one-hot or scalar).
 
-    Values that fail `data.check_conditions`, or a bad kind, raise ParameterError.
+    Values that fail `data.check_conditions`, or a bad cardinality, raise ParameterError.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    dim = check_conditions(values, kind, cardinality)
-    if kind == KIND_CLASS:
+    dim = check_conditions(values, cardinality)
+    if cardinality:
         out = np.zeros((values.size, dim))
         out[np.arange(values.size), values.astype(np.int64)] = 1.0
         return out
@@ -60,7 +61,7 @@ def encode_condition_vector(values, kind: str, cardinality: int = 0) -> np.ndarr
 
 def _image_dims(data: dict) -> tuple[int, int, int]:
     """(height, width, cond_dim) of a data shape, or ParameterError."""
-    cond_dim = condition_dim(data["kind"], data["cardinality"])
+    cond_dim = condition_dim(data["cardinality"])
     h, w = data["height"], data["width"]
     check_int("height", h, 4)
     check_int("width", w, 4)
@@ -186,8 +187,7 @@ class Generator:
         z = z if isinstance(z, Tensor) else Tensor(z)
         if z.data.ndim != 2 or z.data.shape[1] != z_dim:
             raise DimensionError(f"noise must be (N, {z_dim}), got {z.shape}")
-        cond = Tensor(encode_condition_vector(
-            condition_values, data["kind"], data["cardinality"]))
+        cond = Tensor(encode_condition_vector(condition_values, data["cardinality"]))
         if cond.data.shape[0] != z.data.shape[0]:
             raise DimensionError("noise and condition batch sizes differ")
         p = self._params
@@ -220,7 +220,7 @@ class Discriminator:
             raise DimensionError(
                 f"input must be (N, 1, {data['height']}, {data['width']}), got {x.shape}")
         n = x.data.shape[0]
-        cond = encode_condition_vector(condition_values, data["kind"], data["cardinality"])
+        cond = encode_condition_vector(condition_values, data["cardinality"])
         if cond.shape[0] != n:
             raise DimensionError("image and condition batch sizes differ")
         p = self._params

@@ -14,15 +14,15 @@ upstream, in how the scores were produced); `crcgan-a` (a random wrong
 condition y2 for the same image) and `crcgan-b` (a second real image whose
 true condition differs from y) do, so theirs has three. The variants differ
 only in how the training step builds the mismatched scores, and `mismatched`
-is the one rule for when two conditions differ. crcgan-a's wrong condition is
-drawn in `train._mismatch_conditions`, uniformly over the condition domain:
-the class labels below the cardinality, or [0, 1]. Every log is
-`autodiff.log_clamped`, floored at `autodiff.LOG_FLOOR`.
+is the one rule for when two conditions of a domain, given as its
+cardinality (0: continuous), differ. crcgan-a's wrong condition is drawn in
+`train._mismatch_conditions`, uniformly over that domain: the class labels
+below the cardinality, or [0, 1]. Every log is `autodiff.log_clamped`,
+floored at `autodiff.LOG_FLOOR`.
 """
 from __future__ import annotations
 
 from .autodiff import Tensor, log_clamped, mean
-from .data import KIND_CLASS
 from .exceptions import DimensionError, ParameterError
 
 MISMATCH_MARGIN = 0.05
@@ -71,10 +71,10 @@ def generator_loss(fake) -> Tensor:
     return -mean(log_clamped(_scores(fake, "fake")))
 
 
-def mismatched(y1, y2, kind: str):
-    """Whether conditions y1 and y2 (scalars or arrays) mismatch, elementwise.
+def mismatched(y1, y2, cardinality: int):
+    """Whether conditions y1 and y2 (scalars or arrays) of a domain mismatch, elementwise.
 
-    Class labels mismatch when they differ, continuous values when they lie
-    at least MISMATCH_MARGIN apart, less ROUNDING_ALLOWANCE.
+    Class labels (cardinality >= 1) mismatch when they differ, continuous values
+    (cardinality 0) when they lie at least MISMATCH_MARGIN apart, less ROUNDING_ALLOWANCE.
     """
-    return y1 != y2 if kind == KIND_CLASS else abs(y1 - y2) >= MISMATCH_MARGIN - ROUNDING_ALLOWANCE
+    return y1 != y2 if cardinality else abs(y1 - y2) >= MISMATCH_MARGIN - ROUNDING_ALLOWANCE

@@ -17,9 +17,10 @@ length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
 back, and a u32 CRC32 of every byte before it. The header holds one
 description of the run: "config", the TrainConfig fields (the objective by
 name), and "data", the shape of the training data {height, width, kind,
-cardinality}; both networks are built from these two. It also holds the step,
-the Adam step counts, the rng state, the trailing diversity window, and the
-tensor table [[name, shape], ...] that orders the tensor data. A checkpoint
+cardinality}, whose kind is written from the cardinality and must agree with
+it; both networks are built from these two. It also holds the step, the Adam
+step counts, the rng state, the trailing diversity window, and the tensor
+table [[name, shape], ...] that orders the tensor data. A checkpoint
 is written to a temporary file in its directory and renamed into place, so a
 crash never leaves a partial file under its name. Neither a save nor a load
 holds the whole file: a save writes each tensor from its own buffer, and a
@@ -55,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, adam_step, frozen
-from .data import KIND_CLASS, Dataset, atomic_open, check_conditions
+from .data import Dataset, atomic_open, check_conditions
 from .exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
 from .fem import check_float, check_int
 from .nets import Discriminator, Generator, generator_shapes
@@ -123,8 +124,6 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    config: TrainConfig
-    data: dict              # shape of the training data: height, width, kind, cardinality
     gen: Generator
     disc: Discriminator
     adam_g: AdamState
@@ -134,11 +133,14 @@ class TrainState:
     # the trailing collapse window: all the monitor reads and all a checkpoint stores
     diversity_history: deque = field(default_factory=lambda: deque(maxlen=COLLAPSE_WINDOW))
 
+    # the run's config and the shape of its data (height, width, cardinality)
+    config = property(lambda self: self.gen.config)
+    data = property(lambda self: self.gen.data)
+
 
 def _data_shape(dataset: Dataset) -> dict:
     """The shape of the training data that a checkpoint stores and the nets are built from."""
-    return {"height": dataset.height, "width": dataset.width, "kind": dataset.kind,
-            "cardinality": dataset.cardinality}
+    return {"height": dataset.height, "width": dataset.width, "cardinality": dataset.cardinality}
 
 
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
@@ -146,15 +148,14 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     objective no wrong condition, or on data the networks cannot be built for."""
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
-    if needs_mismatch(config.objective) and dataset.kind == KIND_CLASS \
-            and dataset.cardinality < 2:
+    if needs_mismatch(config.objective) and dataset.cardinality == 1:
         raise ParameterError("mismatch objectives need at least 2 classes")
     data = _data_shape(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     gen = Generator(config, data, seed=seeds[0])
     disc = Discriminator(config, data, seed=seeds[1])
     return TrainState(
-        config=config, data=data, gen=gen, disc=disc,
+        gen=gen, disc=disc,
         adam_g=AdamState.for_params(list(gen.params().values())),
         adam_d=AdamState.for_params(list(disc.params().values())),
         rng=np.random.default_rng(seeds[2]),
@@ -189,24 +190,25 @@ def diversity_metric(images: np.ndarray) -> float:
     return total / (n * (n - 1) / 2 * pixels)
 
 
-def _mismatch_conditions(conds: np.ndarray, data: dict, rng: np.random.Generator) -> np.ndarray:
+def _mismatch_conditions(conds: np.ndarray, cardinality: int,
+                         rng: np.random.Generator) -> np.ndarray:
     """crcgan-a's wrong condition y2 for each of `conds`, drawn with `rng` from the domain."""
-    kind, out = data["kind"], np.empty(conds.size)
+    out = np.empty(conds.size)
     for i, c in enumerate(conds):
         while True:
-            y2 = (int(rng.integers(0, data["cardinality"])) if kind == KIND_CLASS
-                  else rng.random())
-            if mismatched(float(c), y2, kind):
+            y2 = int(rng.integers(0, cardinality)) if cardinality else rng.random()
+            if mismatched(float(c), y2, cardinality):
                 break
         out[i] = y2
     return out
 
 
-def _mismatch_partners(conds: np.ndarray, kind: str, rng: np.random.Generator) -> np.ndarray:
+def _mismatch_partners(conds: np.ndarray, cardinality: int,
+                       rng: np.random.Generator) -> np.ndarray:
     """Index j per sample i whose condition is `mismatched` with i's, drawn within the batch."""
     out = np.empty(conds.size, dtype=np.int64)
     for i, c in enumerate(conds):
-        candidates = np.flatnonzero(mismatched(conds, c, kind))
+        candidates = np.flatnonzero(mismatched(conds, c, cardinality))
         if candidates.size == 0:
             raise ParameterError(
                 "crcgan-b needs each batch to contain differing conditions")
@@ -244,10 +246,10 @@ def _discriminator_update(state: TrainState, x_real: np.ndarray,
     d_real = state.disc.forward(x_real, conds)
     d_mismatch = None
     if cfg.objective == "crcgan-a":
-        y2 = _mismatch_conditions(conds, state.data, state.rng)
+        y2 = _mismatch_conditions(conds, state.data["cardinality"], state.rng)
         d_mismatch = state.disc.forward(x_real, y2)
     elif cfg.objective == "crcgan-b":   # second real samples whose condition differs from y
-        partners = _mismatch_partners(conds, state.data["kind"], state.rng)
+        partners = _mismatch_partners(conds, state.data["cardinality"], state.rng)
         d_mismatch = state.disc.forward(x_real[partners], conds)
     d_fake = state.disc.forward(fake, conds)
     _abort_unless_finite(state.step + 1, d_real, d_fake, d_mismatch)
@@ -438,25 +440,37 @@ def write_state(state: TrainState, path) -> None:
     save_checkpoint(path, {
         "step": state.step,
         "config": asdict(state.config),
-        "data": state.data,
+        "data": _header_data(state.data),
         "adam_steps": {"g": state.adam_g.step, "d": state.adam_d.step},
         "rng": state.rng.bit_generator.state,
         "diversity_window": list(state.diversity_history),
     }, _state_tensors(state))
 
 
+def _header_data(data: dict) -> dict:
+    """A data shape as a header stores it, with the kind written from the cardinality."""
+    return {"height": data["height"], "width": data["width"],
+            "kind": "class" if data["cardinality"] else "continuous",
+            "cardinality": data["cardinality"]}
+
+
 def _stored_run(header: dict) -> tuple[TrainConfig, dict, dict[str, tuple]]:
     """The config and data shape a checkpoint header stores, and its generator's shapes.
 
-    Both networks must be buildable from them, or the header raises FormatError.
+    Both networks must be buildable from them, and the stored data must be what
+    `_header_data` writes, or the header raises FormatError.
     """
     try:
         config = TrainConfig(**{k: tuple(v) if isinstance(v, list) else v
                                 for k, v in header["config"].items()})
-        data = header["data"]
+        stored = header["data"]
+        data = {name: stored[name] for name in ("height", "width", "cardinality")}
         gen_shapes = generator_shapes(config, data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a run: {exc}") from None
+    expected = _header_data(data)
+    if stored != expected:   # a kind that disagrees with the cardinality, or none
+        raise FormatError(f"checkpoint data {stored} should read {expected}")
     return config, data, gen_shapes
 
 
@@ -595,7 +609,7 @@ def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:
     data = gen.data
     check_float("condition", condition, -math.inf, math.inf)
     condition = float(condition)
-    check_conditions(np.array([condition]), data["kind"], data["cardinality"])
+    check_conditions(np.array([condition]), data["cardinality"])
     check_int("count", count, 0)
     check_int("seed", seed, 0)
     if count == 0:

@@ -15,6 +15,11 @@ sum in another order.
                 8x8 class data
     metrics     that run's metrics records, less wall_ms
     sample      train.sample from that run's generator
+    continuous  crcgan-a and crcgan-b, 3 steps each at batch 4, on the
+                augmented 16x8 sweep of 2 volfracs after a TOPD round trip:
+                each run's checkpoint bytes, its metrics less wall_ms, and
+                its conditional_eval report with reanalysis, less the
+                checkpoint path
 
 pytest does not collect this file; test_output_digest.py runs its toy stages.
 """
@@ -39,7 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from topogan import data, fem, train  # noqa: E402
+from topogan import data, evaluate, fem, train  # noqa: E402
 
 REFERENCE_PATH = ROOT / "bench" / "reference.json"
 DESIGN_KEY = re.compile(r"(\d+)x(\d+)/v([\d.]+)/p([\d.]+)/r([\d.]+)")
@@ -72,21 +77,50 @@ def augment_digest() -> str:
     return hashlib.sha256(augmented.records.tobytes()).hexdigest()
 
 
-def training_digests() -> dict[str, str]:
-    config = train.TrainConfig(
-        objective="crcgan-a", steps=3, batch_size=6, seed=0, z_dim=8,
+def _toy_config(objective: str, batch_size: int) -> train.TrainConfig:
+    return train.TrainConfig(
+        objective=objective, steps=3, batch_size=batch_size, seed=0, z_dim=8,
         gen_channels=(8, 4), disc_channels=(4, 8), feature_dim=8,
         minibatch_kernels=4, minibatch_dim=2)
+
+
+def _metrics_bytes(path) -> bytes:
+    records = [{k: v for k, v in r.items() if k != "wall_ms"} for r in train.read_metrics(path)]
+    return json.dumps(records).encode()
+
+
+def training_digests() -> dict[str, str]:
+    config = _toy_config("crcgan-a", batch_size=6)
     with tempfile.TemporaryDirectory() as tmp:
         outcome = train.train(config, data.synth_classes(3, 4, 8, seed=0), tmp)
         checkpoint = Path(outcome.checkpoint_path).read_bytes()
-        records = [{k: v for k, v in r.items() if k != "wall_ms"}
-                   for r in train.read_metrics(outcome.metrics_path)]
+        metrics = _metrics_bytes(outcome.metrics_path)
         gen = train.generator_from_checkpoint(outcome.checkpoint_path)
     images = train.sample(gen, 1, 4, seed=0)
     return {"checkpoint": hashlib.sha256(checkpoint).hexdigest(),
-            "metrics": hashlib.sha256(json.dumps(records).encode()).hexdigest(),
+            "metrics": hashlib.sha256(metrics).hexdigest(),
             "sample": hashlib.sha256(_f64(images)).hexdigest()}
+
+
+def continuous_digest() -> str:
+    grid = data.SweepGrid(volfracs=(0.4, 0.5), penals=(3.0,), rmins=(1.5,),
+                          mesh=fem.MeshSpec(16, 8))
+    sha = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.topd"
+        data.write_dataset(data.augment_dataset(data.sweep_generate(grid), seed=0), path)
+        dataset = data.read_dataset(path)
+        for objective in ("crcgan-a", "crcgan-b"):
+            outcome = train.train(_toy_config(objective, batch_size=4), dataset,
+                                  Path(tmp) / objective)
+            report = evaluate.conditional_eval(outcome.checkpoint_path, 0.45, count=2,
+                                               tolerance=0.05, seed=0,
+                                               reanalyze_compliance=True).to_dict()
+            del report["checkpoint"]
+            sha.update(Path(outcome.checkpoint_path).read_bytes())
+            sha.update(_metrics_bytes(outcome.metrics_path))
+            sha.update(json.dumps(report).encode())
+    return sha.hexdigest()
 
 
 def digests(full: bool) -> dict[str, str]:
@@ -95,6 +129,7 @@ def digests(full: bool) -> dict[str, str]:
     out["simp-toy"] = simp_digest("toy")
     out["augment"] = augment_digest()
     out.update(training_digests())
+    out["continuous"] = continuous_digest()
     return out
 
 

@@ -220,28 +220,26 @@ def test_conv_transpose2d_oracle_and_adjoint_identities(k, stride, padding):
 # ---------------------------------------------------------------------------
 # conv2d's planes: an input stacked over constant condition planes
 
-def condition_channels(values, kind, cardinality, h, w):
+def condition_channels(values, cardinality, h, w):
     """The oracle's planes: the encoded condition broadcast to (N, D, h, w)."""
-    vec = encode_condition_vector(values, kind, cardinality)
+    vec = encode_condition_vector(values, cardinality)
     return np.broadcast_to(vec[:, :, None, None], (vec.shape[0], vec.shape[1], h, w)).copy()
 
 
 def test_conv2d_planes_matches_concat_oracle():
-    ch = condition_channels([1, 0], "class", 2, 4, 4)
+    ch = condition_channels([1, 0], 2, 4, 4)
     assert ch.shape == (2, 2, 4, 4)
     assert np.all(ch[0, 1] == 1.0) and np.all(ch[0, 0] == 0.0)
     assert np.all(ch[1, 0] == 1.0) and np.all(ch[1, 1] == 0.0)
 
     rng = np.random.default_rng(30)
     h, width = 6, 8
-    for values, kind, cardinality in [([2, 0, 1], "class", 3), ([0.3, 0.9, 0.0], "continuous", 0),
-                                      ([1], "class", 3), ([0.6], "continuous", 0)]:
+    for values, cardinality in [([2, 0, 1], 3), ([0.3, 0.9, 0.0], 0), ([1], 3), ([0.6], 0)]:
         n = len(values)
-        planes = encode_condition_vector(values, kind, cardinality)
+        planes = encode_condition_vector(values, cardinality)
         x = rng.normal(size=(n, 1, h, width))
         w = rng.normal(size=(5, 1 + planes.shape[1], 4, 4))
-        stacked = np.concatenate([x, condition_channels(values, kind, cardinality, h, width)],
-                                 axis=1)
+        stacked = np.concatenate([x, condition_channels(values, cardinality, h, width)], axis=1)
         for stride in (1, 2):
             for padding in (0, 1, 2):
                 out = nchw(conv2d, Tensor(x), Tensor(w), stride, padding, planes=planes).data
@@ -268,9 +266,8 @@ def test_conv2d_rejects_mismatched_channels_and_planes():
 def test_gradcheck_conv2d_planes():
     rng = np.random.default_rng(31)
     bias_rng = np.random.default_rng(131)   # keeps rng's draws those of the bias-free cases
-    for values, kind, cardinality, stride, padding in [([2, 0], "class", 3, 2, 1),
-                                                       ([0.2, 0.7], "continuous", 0, 1, 2)]:
-        planes = encode_condition_vector(values, kind, cardinality)
+    for values, cardinality, stride, padding in [([2, 0], 3, 2, 1), ([0.2, 0.7], 0, 1, 2)]:
+        planes = encode_condition_vector(values, cardinality)
         x = Tensor(rng.normal(size=(2, 1, 6, 4)), requires_grad=True)
         w = Tensor(rng.normal(0, 0.5, size=(3, 1 + planes.shape[1], 4, 4)), requires_grad=True)
         r = Tensor(rng.normal(size=nchw(conv2d, x, w, stride, padding, planes=planes).shape))

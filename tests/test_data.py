@@ -163,7 +163,7 @@ def test_augment_dataset_doubles():
     n = len(ds)
     assert len(out) == 2 * n
     assert np.array_equal(out.images[:n], ds.images)
-    assert (out.kind, out.cardinality) == (ds.kind, ds.cardinality)
+    assert out.cardinality == ds.cardinality
     # each noisy copy keeps its source's condition and meta
     for name in ("conditions", "volfrac", "penal", "rmin", "compliance", "converged"):
         assert np.array_equal(getattr(out, name)[n:], getattr(ds, name)), name
@@ -188,7 +188,6 @@ def small_dataset():
     return Dataset(
         images=rng.uniform(0, 1, size=(2, 4, 5)).astype(np.float32),
         conditions=[0.4, 0.6],
-        kind="continuous",
         volfrac=[0.4, 0.6],
         penal=[3.0, 3.0],
         rmin=[1.5, 2.0],
@@ -213,8 +212,8 @@ def test_topd_roundtrip_bit_exact(tmp_path):
 def test_topd_writes_a_strided_view_as_its_contiguous_copy(tmp_path):
     # a strided record view raised a bare BufferError from the write
     ds = synth_classes(3, 4, 8, seed=9)
-    view = Dataset.from_records(ds.records[::2], ds.kind, ds.cardinality)
-    copy = Dataset.from_records(ds.records[::2].copy(), ds.kind, ds.cardinality)
+    view = Dataset.from_records(ds.records[::2], ds.cardinality)
+    copy = Dataset.from_records(ds.records[::2].copy(), ds.cardinality)
     write_dataset(view, tmp_path / "view.topd")
     write_dataset(copy, tmp_path / "copy.topd")
     assert (tmp_path / "view.topd").read_bytes() == (tmp_path / "copy.topd").read_bytes()
@@ -231,9 +230,9 @@ def test_from_records_refuses_a_foreign_record_dtype():
     for bad in (records.astype(wide), records[["conditions", "images"]],
                 records.reshape(2, 2), np.zeros(4)):
         with pytest.raises(ParameterError, match="TOPD records"):
-            Dataset.from_records(bad, "class", 2)
-    assert Dataset.from_records(records.astype(_record_dtype(4, 4)), "class", 2).equals(
-        Dataset.from_records(records, "class", 2))
+            Dataset.from_records(bad, 2)
+    assert Dataset.from_records(records.astype(_record_dtype(4, 4)), 2).equals(
+        Dataset.from_records(records, 2))
 
 
 def test_atomic_open_leaves_the_old_file_when_the_body_raises(tmp_path):
@@ -254,8 +253,8 @@ def test_topd_roundtrip_class_dataset(tmp_path):
     write_dataset(ds, path)
     back = read_dataset(path)
     assert back.equals(ds)
-    assert back.kind == "class"
     assert back.cardinality == 3
+    assert path.read_bytes()[20] == 1          # kind byte: class
 
 
 def test_topd_bad_magic(tmp_path):
@@ -317,14 +316,25 @@ def test_topd_rejects_out_of_range_records(tmp_path):
 
 
 def test_topd_continuous_with_a_cardinality_is_format_error(tmp_path):
+    # the kind byte and the cardinality disagree: the error names the kind
+    # byte's offset, not the records' (25)
     path = tmp_path / "k.topd"
     write_dataset(small_dataset(), path)
     blob = bytearray(path.read_bytes())
     assert blob[20] == 0                       # kind byte: continuous
     struct.pack_into("<I", blob, 21, 5)        # class cardinality
     path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="cardinality"):
+    with pytest.raises(FormatError, match="cardinality") as err:
         read_dataset(path)
+    assert err.value.offset == 20
+    # and the reverse: kind byte class, cardinality 0
+    write_dataset(small_dataset(), path)
+    blob = bytearray(path.read_bytes())
+    blob[20] = 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="cardinality 0") as err:
+        read_dataset(path)
+    assert err.value.offset == 20
 
 
 def test_topd_bad_version(tmp_path):
@@ -394,7 +404,7 @@ def test_sweep_single_point_volume():
     ds = sweep_generate(grid)
     assert len(ds) == 1
     assert abs(float(ds.images[0].mean()) - 0.5) <= 1e-3
-    assert ds.kind == "continuous"
+    assert ds.cardinality == 0
     assert ds.conditions[0] == pytest.approx(0.5)
     assert ds.compliance[0] > 0
 
@@ -466,11 +476,10 @@ def test_full_paper_grid_count_contract():
 
 def test_condition_types_validate():
     image = np.zeros((1, 4, 4))
-    for conditions, kind, cardinality in (([1.5], "continuous", 0), ([3], "class", 3),
-                                          ([1.5], "class", 3), ([np.nan], "class", 3)):
+    for conditions, cardinality in (([1.5], 0), ([3], 3), ([1.5], 3), ([np.nan], 3)):
         with pytest.raises(ParameterError):
-            Dataset(image, conditions, kind=kind, cardinality=cardinality)
-    assert Dataset(image, [2], kind="class", cardinality=3).conditions[0] == 2
+            Dataset(image, conditions, cardinality=cardinality)
+    assert Dataset(image, [2], cardinality=3).conditions[0] == 2
 
 
 @pytest.mark.parametrize("field", ["images", "conditions", "volfrac", "penal", "rmin",
@@ -480,25 +489,53 @@ def test_dataset_rejects_nan_record_fields(field):
     fields = {name: np.array(getattr(ds, name)) for name in ds.records.dtype.names}
     fields[field].flat[1] = np.nan
     with pytest.raises(ParameterError):
-        Dataset(kind=ds.kind, **fields)
+        Dataset(**fields)
 
 
 def test_dataset_rejects_a_cardinality_that_is_not_an_int():
     # each was cast to int before the check: 2.7 became 2 classes, 0.4 became 0
     image = np.zeros((1, 4, 4))
-    for conditions, kind, cardinality in (([1], "class", 2.7), ([1], "class", 2.0),
-                                          ([0.5], "continuous", 0.4), ([0], "class", True),
-                                          ([0.5], "continuous", False)):
+    for conditions, cardinality in (([1], 2.7), ([1], 2.0), ([0.5], 0.4), ([0], True),
+                                    ([0.5], False), ([0.5], -1)):
         with pytest.raises(ParameterError):
-            Dataset(image, conditions, kind=kind, cardinality=cardinality)
+            Dataset(image, conditions, cardinality=cardinality)
         with pytest.raises(ParameterError):
-            Dataset.from_records(Dataset(image, conditions, kind=kind,
-                                         cardinality=int(cardinality)).records,
-                                 kind, cardinality)
+            Dataset.from_records(Dataset(image, conditions,
+                                         cardinality=max(int(cardinality), 0)).records,
+                                 cardinality)
 
 
 def test_continuous_conditions_have_cardinality_zero():
+    # cardinality 0, the default, is the continuous domain; a cardinality of 5
+    # makes 0.5 a class label, which is not an integer
     image = np.zeros((1, 4, 4))
-    with pytest.raises(ParameterError):
-        Dataset(image, [0.5], kind="continuous", cardinality=5)
-    assert Dataset(image, [0.5], kind="continuous", cardinality=0).cardinality == 0
+    with pytest.raises(ParameterError, match="integers"):
+        Dataset(image, [0.5], cardinality=5)
+    assert Dataset(image, [0.5]).cardinality == 0
+
+
+def test_dataset_record_fields_must_be_numbers_and_flags_0_or_1(tmp_path):
+    # 0.5 was stored as flag 0 and 2 as flag 2, -1 and 256 raised a bare
+    # OverflowError, and a string a bare ValueError
+    image = np.zeros((1, 4, 4))
+    for flags in ([0.5], [2], [-1], [256], [np.nan]):
+        with pytest.raises(ParameterError, match="converged"):
+            Dataset(image, [0.5], converged=flags)
+    for field in ("images", "conditions", "volfrac", "penal", "rmin", "compliance",
+                  "converged"):
+        fields = {"images": image, "conditions": [0.5]}
+        fields[field] = [[["x"] * 4] * 4] if field == "images" else ["x"]
+        with pytest.raises(ParameterError, match=field):
+            Dataset(**fields)
+    assert list(Dataset(np.zeros((3, 4, 4)), [0.5] * 3, converged=[True, 0, 1.0]).converged) \
+        == [1, 0, 1]
+    # a file's flag byte other than 0 or 1 is a format error
+    path = tmp_path / "f.topd"
+    write_dataset(small_dataset(), path)
+    blob = bytearray(path.read_bytes())
+    flag = struct.calcsize("<4sIIIIBI") + 20   # the first record's converged byte
+    assert blob[flag] == 1
+    blob[flag] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="converged"):
+        read_dataset(path)

@@ -32,7 +32,7 @@ def class_checkpoint(tmp_path_factory):
 @pytest.fixture(scope="module")
 def continuous_checkpoint(tmp_path_factory):
     images = synth_classes(2, 15, 8, seed=4).images
-    ds = Dataset(images, images.mean(axis=(1, 2)), kind="continuous")
+    ds = Dataset(images, images.mean(axis=(1, 2)))
     return train(tiny_config("crcgan-b"), ds, tmp_path_factory.mktemp("cont")).checkpoint_path
 
 

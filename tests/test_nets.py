@@ -20,13 +20,13 @@ from topogan.train import TrainConfig
 
 
 def tiny_run(height=8, width=8, cardinality=2, **over):
-    """(config, data) of a run with tiny nets on `height` x `width` class images."""
+    """(config, data) of a run with tiny nets on `height` x `width` images of
+    `cardinality` classes (0: continuous conditions)."""
     base = dict(objective="cgan", steps=1, z_dim=5, gen_channels=(4, 3),
                 disc_channels=(3, 4), feature_dim=6, minibatch_discrimination=True,
                 minibatch_kernels=4, minibatch_dim=3)
     base.update(over)
-    return TrainConfig(**base), {"height": height, "width": width, "kind": "class",
-                                 "cardinality": cardinality}
+    return TrainConfig(**base), {"height": height, "width": width, "cardinality": cardinality}
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +141,19 @@ def test_minibatch_permutation_property(seed, n):
 # condition encoding
 
 def test_one_hot_encoding():
-    enc = encode_condition_vector([0, 2, 1], "class", 3)
+    enc = encode_condition_vector([0, 2, 1], 3)
     assert np.array_equal(enc, np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float))
     for bad in ([1.5], [np.nan], [3], [-1]):   # NaN must fail before any int cast
         with pytest.raises(ParameterError):
-            encode_condition_vector(bad, "class", 3)
+            encode_condition_vector(bad, 3)
 
 
 def test_continuous_encoding():
-    enc = encode_condition_vector([0.3, 0.8], "continuous")
+    enc = encode_condition_vector([0.3, 0.8], 0)
     assert np.array_equal(enc, np.array([[0.3], [0.8]]))
     for bad in ([1.2], [np.nan]):
         with pytest.raises(ParameterError):
-            encode_condition_vector(bad, "continuous")
+            encode_condition_vector(bad, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +184,10 @@ def test_generator_spec_validation():
         generator_shapes(*tiny_run(height=-4, z_dim=4))
     with pytest.raises(ParameterError):
         generator_shapes(*tiny_run(z_dim=0))
-    with pytest.raises(ParameterError):
-        generator_shapes(*tiny_run(z_dim=4, cardinality=0))
+    for cardinality in (-1, 2.0, True):   # cardinality 0 is the continuous domain
+        with pytest.raises(ParameterError):
+            generator_shapes(*tiny_run(z_dim=4, cardinality=cardinality))
+    assert generator_shapes(*tiny_run(z_dim=4, cardinality=0))["dense.w"] == (5, 16)
 
 
 def test_discriminator_shapes_validation():
@@ -305,7 +307,7 @@ def test_networks_match_nchw_loop_oracles():
     p = {k: v.data for k, v in gen.params().items()}
     z = rng.normal(size=(3, 5))
     conds = np.array([1, 0, 1], dtype=float)
-    h = leaky(np.concatenate([z, encode_condition_vector(conds, "class", 2)], axis=1)
+    h = leaky(np.concatenate([z, encode_condition_vector(conds, 2)], axis=1)
               @ p["dense.w"] + p["dense.b"]).reshape(3, 4, 2, 3)
     h = leaky(conv_transpose_oracle(h, p["up1.w"], 2, 1) + p["up1.b"])
     expected = 1.0 / (1.0 + np.exp(-(conv_transpose_oracle(h, p["up2.w"], 2, 1) + p["up2.b"])))
@@ -316,7 +318,7 @@ def test_networks_match_nchw_loop_oracles():
     disc = randomized(Discriminator(*tiny_run(width=12), seed=0), 2)
     p = {k: v.data for k, v in disc.params().items()}
     x = rng.uniform(0, 1, size=(3, 1, 8, 12))
-    planes = np.broadcast_to(encode_condition_vector(conds, "class", 2)[:, :, None, None],
+    planes = np.broadcast_to(encode_condition_vector(conds, 2)[:, :, None, None],
                              (3, 2, 8, 12))
     h = leaky(conv_oracle(np.concatenate([x, planes], axis=1), p["conv1.w"], 2, 1)
               + p["conv1.b"])

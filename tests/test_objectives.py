@@ -220,19 +220,18 @@ def test_float32_volfrac_grid_pairs_mismatch():
     # a 0.05 grid stored as TOPD "<f4": 0.35f - 0.30f is 0.04999998
     grid = np.round(np.arange(0.30, 0.701, 0.05), 2).astype(np.float32)
     for values in (grid, grid.astype(np.float64)):
-        assert mismatched(values[:-1], values[1:], "continuous").all()
+        assert mismatched(values[:-1], values[1:], 0).all()
     close = np.round(np.arange(0.30, 0.701, 0.04), 2)
     for values in (close.astype(np.float32), close):
-        assert not mismatched(values[:-1], values[1:], "continuous").any()
+        assert not mismatched(values[:-1], values[1:], 0).any()
 
 
 # ---------------------------------------------------------------------------
 # crcgan-a's wrong-condition draw, from the condition domain
 
-def crcgan_a_state(conditions, kind, cardinality=0):
+def crcgan_a_state(conditions, cardinality=0):
     """A tiny crcgan-a state on 8x8 data with these conditions."""
-    ds = Dataset(np.zeros((len(conditions), 8, 8)), conditions, kind=kind,
-                 cardinality=cardinality)
+    ds = Dataset(np.zeros((len(conditions), 8, 8)), conditions, cardinality=cardinality)
     config = TrainConfig(objective="crcgan-a", steps=1, batch_size=2, z_dim=4,
                          gen_channels=(4, 4), disc_channels=(4, 4), feature_dim=4,
                          minibatch_kernels=2, minibatch_dim=2)
@@ -241,11 +240,11 @@ def crcgan_a_state(conditions, kind, cardinality=0):
 
 def draws(state, y1, count, rng):
     """`count` wrong conditions for condition y1, drawn as a crcgan-a step draws them."""
-    return _mismatch_conditions(np.full(count, float(y1)), state.data, rng)
+    return _mismatch_conditions(np.full(count, float(y1)), state.data["cardinality"], rng)
 
 
 def test_mismatch_class_uniform_chi_squared():
-    state = crcgan_a_state(np.arange(10), "class", cardinality=10)
+    state = crcgan_a_state(np.arange(10), cardinality=10)
     rng = np.random.default_rng(123)
     n = 10_000
     counts = np.bincount(draws(state, 3, n, rng).astype(int), minlength=10)
@@ -259,12 +258,12 @@ def test_mismatch_class_uniform_chi_squared():
 
 def test_mismatch_cardinality_one_raises():
     with pytest.raises(ParameterError):
-        crcgan_a_state([0, 0], "class", cardinality=1)
+        crcgan_a_state([0, 0], cardinality=1)
 
 
 def test_mismatch_continuous_margin():
     # the draw covers [0, 1], not the data's range [0.3, 0.8]
-    state = crcgan_a_state([0.3, 0.8], "continuous")
+    state = crcgan_a_state([0.3, 0.8])
     n = 10_000
     y2 = draws(state, 0.5, n, np.random.default_rng(7))
     assert ((0.0 <= y2) & (y2 <= 1.0)).all()
@@ -280,7 +279,7 @@ def test_mismatch_continuous_margin():
 
 
 def test_mismatch_deterministic_given_seed():
-    state = crcgan_a_state(np.arange(5), "class", cardinality=5)
+    state = crcgan_a_state(np.arange(5), cardinality=5)
     draws1 = draws(state, 2, 1, np.random.default_rng(9))
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
     a = draws(state, 2, 20, rng1)

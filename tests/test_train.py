@@ -219,7 +219,7 @@ def test_dataset_smaller_than_one_batch_trains(tmp_path):
 
 @pytest.mark.parametrize("objective", ["cgan", "crcgan-a"])
 def test_empty_dataset_is_parameter_error(objective):
-    ds = Dataset(np.zeros((0, 8, 8)), [], kind="class", cardinality=2)
+    ds = Dataset(np.zeros((0, 8, 8)), [], cardinality=2)
     with pytest.raises(ParameterError, match="empty"):
         init_state(desk_config(objective=objective), ds)
 
@@ -344,7 +344,7 @@ def test_metrics_mismatch_group_presence(tiny_dataset):
 def test_cgan_trains_on_continuous_data_at_one_condition(tiny_dataset):
     # cgan draws no wrong condition; crcgan-a draws its own from [0, 1], so
     # neither needs the data to hold a second condition
-    ds = Dataset(tiny_dataset.images, np.ones(len(tiny_dataset)), kind="continuous")
+    ds = Dataset(tiny_dataset.images, np.ones(len(tiny_dataset)))
     for objective in ("cgan", "crcgan-a"):
         state = init_state(desk_config(objective=objective, steps=1), ds)
         rec = training_step(state, ds.images[:10], ds.conditions[:10])
@@ -357,8 +357,7 @@ def test_crcgan_a_trains_on_narrow_continuous_sweeps(tiny_dataset, conditions):
     # the data's own range holds no wrong condition for 0.35, nor for 0.98 once
     # capped at 1 (all-1.0 data: test_cgan_trains_on_continuous_data_at_one_condition):
     # the draw must come from the whole domain [0, 1]
-    ds = Dataset(tiny_dataset.images, np.resize(conditions, len(tiny_dataset)),
-                 kind="continuous")
+    ds = Dataset(tiny_dataset.images, np.resize(conditions, len(tiny_dataset)))
     state = init_state(desk_config(objective="crcgan-a", steps=1), ds)
     rec = training_step(state, ds.images[:10], ds.conditions[:10])
     assert rec["step"] == 1 and np.isfinite(rec["d_loss"]) and np.isfinite(rec["g_loss"])
@@ -368,7 +367,7 @@ def test_crcgan_a_trains_on_narrow_continuous_sweeps(tiny_dataset, conditions):
 @pytest.mark.parametrize("objective", ["crcgan-a", "crcgan-b"])
 def test_mismatch_objectives_on_one_class_fail_in_init_state(objective):
     # no wrong condition exists: the run fails before its first step
-    ds = Dataset(np.zeros((4, 8, 8)), [0, 0, 0, 0], kind="class", cardinality=1)
+    ds = Dataset(np.zeros((4, 8, 8)), [0, 0, 0, 0], cardinality=1)
     with pytest.raises(ParameterError, match="at least 2 classes"):
         init_state(desk_config(objective=objective, steps=1), ds)
 
@@ -394,8 +393,7 @@ def test_training_stream_is_pinned(tiny_dataset, tmp_path, objective, kind, d_lo
                                    score_mismatch):
     conditions = {"continuous": np.linspace(0.2, 0.8, len(tiny_dataset)),
                   "volfracs": np.resize([0.30, 0.35, 0.40], len(tiny_dataset))}
-    ds = tiny_dataset if kind == "class" else Dataset(
-        tiny_dataset.images, conditions[kind], kind="continuous")
+    ds = tiny_dataset if kind == "class" else Dataset(tiny_dataset.images, conditions[kind])
     last = read_metrics(train(desk_config(objective=objective), ds, tmp_path).metrics_path)[-1]
     assert last["step"] == 3
     assert last["d_loss"] == pytest.approx(d_loss, rel=LOSS_RTOL, abs=0)
@@ -594,6 +592,8 @@ def test_checkpoint_header_without_a_run_is_format_error(tmp_path, tiny_dataset,
     for data in (None, [8, 8, "class", 2], {k: v for k, v in good.items() if k != "width"},
                  {**good, "height": "8"}, {**good, "height": 6}, {**good, "height": -4},
                  {**good, "width": 0}, {**good, "kind": "colour"},
+                 # the kind disagrees with the cardinality, or is missing
+                 {**good, "kind": "continuous"}, {k: v for k, v in good.items() if k != "kind"},
                  {**good, "cardinality": -1},
                  # 8.0 == 8 in Python: only a type check tells these from ints
                  {**good, "height": 8.0}, {**good, "cardinality": 2.0},
@@ -686,7 +686,7 @@ def test_load_state_rejects_bad_step_counts(tmp_path, tiny_dataset, state_checkp
 def pipeline_state(tmp_path_factory):
     """The pipeline workload's networks (crcgan-b, default widths, 32x32
     continuous data), initialised, and their checkpoint."""
-    ds = Dataset(np.full((2, 32, 32), 0.5), [0.4, 0.6], kind="continuous")
+    ds = Dataset(np.full((2, 32, 32), 0.5), [0.4, 0.6])
     config = TrainConfig(objective="crcgan-b", steps=1, batch_size=16)
     state = init_state(config, ds)
     path = tmp_path_factory.mktemp("pipeline") / "p.ckpt"
