@@ -229,15 +229,21 @@ def sweep_generate(grid: SweepGrid) -> Dataset:
                    rmin=rmin, compliance=compliance, converged=converged)
 
 
+def check_image(image) -> np.ndarray:
+    """`image` as a float64 array; DimensionError unless it is 2-D and nonempty."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2 or image.size == 0:
+        raise DimensionError(f"expected a nonempty 2D image, got shape {image.shape}")
+    return image
+
+
 def augment(image: np.ndarray, seed: int) -> np.ndarray:
     """A noisy copy of an (h, w) image: NOISE_FRACTION of its pixels (at least
     one), chosen uniformly, move by U(-NOISE_AMPLITUDE, +NOISE_AMPLITUDE) and
     are clipped to [0, 1]."""
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    image = np.array(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise DimensionError(f"expected a 2D image, got shape {image.shape}")
+    image = check_image(np.array(image, dtype=np.float64))   # a copy: noise is added in place
     h, w = image.shape
     count = min(max(1, int(round(NOISE_FRACTION * h * w))), image.size)
     flat_idx = rng.choice(image.size, size=count, replace=False)
@@ -270,9 +276,7 @@ def postprocess(image: np.ndarray) -> np.ndarray:
     """Threshold at 0.5 (>= 0.5 becomes 1), then 5x5 Gaussian blur, with the
     border padded by numpy's 'symmetric' mode (scipy's 'reflect': the edge
     pixel is repeated)."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise DimensionError(f"expected a 2D image, got shape {image.shape}")
+    image = check_image(image)
     if image.shape[0] < GAUSS_KERNEL_SIZE or image.shape[1] < GAUSS_KERNEL_SIZE:
         raise DimensionError(
             f"image {image.shape} smaller than the {GAUSS_KERNEL_SIZE}x{GAUSS_KERNEL_SIZE} kernel"
@@ -323,6 +327,8 @@ def atomic_open(path):
 
 
 def write_dataset(ds: Dataset, path) -> None:
+    if ds.cardinality > 2**32 - 1:   # the largest value of the header's u32 field
+        raise ParameterError(f"cardinality {ds.cardinality} does not fit TOPD's u32 field")
     with atomic_open(path) as fh:
         fh.write(_HEADER.pack(
             TOPD_MAGIC, TOPD_VERSION, ds.width, ds.height, len(ds),

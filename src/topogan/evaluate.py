@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import class_target_fraction, postprocess
-from .exceptions import DimensionError
+from .data import check_image, class_target_fraction, postprocess
 from .fem import (
     X_MIN,
     BoundaryConditions,
@@ -34,10 +33,7 @@ REANALYSIS_PENAL = 3.0
 
 def measure_volfrac(image: np.ndarray) -> float:
     """Volume fraction of an image: the mean pixel value."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise DimensionError(f"expected a 2D image, got shape {image.shape}")
-    return float(image.mean())
+    return float(check_image(image).mean())
 
 
 @dataclass
@@ -104,9 +100,7 @@ def conditional_eval(checkpoint_path, condition, count: int, tolerance: float,
 
 def reanalyze(image: np.ndarray) -> float:
     """Compliance of an image treated as a density field on a matching cantilever mesh."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise DimensionError(f"expected a 2D image, got shape {image.shape}")
+    image = check_image(image)
     nely, nelx = image.shape
     mesh = MeshSpec(nelx=nelx, nely=nely)
     density = DensityField(np.clip(image, X_MIN, 1.0))

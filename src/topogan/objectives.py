@@ -8,17 +8,10 @@ and the generator minimizes `generator_loss`, the non-saturating
 -E[log D(G(z, y), y)] of Goodfellow et al. 2014. The middle term, the
 matching-aware term of GAN-CLS (Reed et al. 2016), scores real images paired
 with a wrong condition; the loss has it exactly when it is given mismatched
-scores. The registry maps each objective name to whether its training step
-builds them: `cgan` does not, so its loss has two terms (conditioning happens
-upstream, in how the scores were produced); `crcgan-a` (a random wrong
-condition y2 for the same image) and `crcgan-b` (a second real image whose
-true condition differs from y) do, so theirs has three. The variants differ
-only in how the training step builds the mismatched scores, and `mismatched`
-is the one rule for when two conditions of a domain, given as its
-cardinality (0: continuous), differ. crcgan-a's wrong condition is drawn in
-`train._mismatch_conditions`, uniformly over that domain: the class labels
-below the cardinality, or [0, 1]. Every log is `autodiff.log_clamped`,
-floored at `autodiff.LOG_FLOOR`.
+scores. The objectives differ only in the mismatched pair that the training
+step draws, if any (`train.OBJECTIVES`), and `mismatched` is the one rule for
+when two conditions of a domain, given as its cardinality (0: continuous),
+differ. Every log is `autodiff.log_clamped`, floored at `autodiff.LOG_FLOOR`.
 """
 from __future__ import annotations
 
@@ -29,18 +22,6 @@ MISMATCH_MARGIN = 0.05
 # float32 rounding, far below any grid spacing: TOPD stores conditions as "<f4",
 # where 0.35 - 0.30 is 0.04999998
 ROUNDING_ALLOWANCE = 1e-6
-
-# objective name -> whether its loss needs mismatched real scores
-OBJECTIVES = {"cgan": False, "crcgan-a": True, "crcgan-b": True}
-
-
-def needs_mismatch(objective: str) -> bool:
-    try:
-        return OBJECTIVES[objective]
-    except (KeyError, TypeError):   # TypeError: an unhashable name, such as a list
-        raise ParameterError(
-            f"unknown objective {objective!r} (choose from {', '.join(OBJECTIVES)})"
-        ) from None
 
 
 def _scores(scores, name: str, like: Tensor | None = None) -> Tensor:

@@ -5,12 +5,14 @@ order is a fresh seeded shuffle per iteration, derived from (seed, iteration)
 so that a resumed run replays the identical order. All other randomness
 (noise, mismatch draws) comes from one generator whose state rides along in
 the checkpoint, making interrupt/resume bit-identical.
-crcgan-a draws its wrong condition y2 uniformly from the condition domain of
+`OBJECTIVES` maps each objective to its draw of the (images, conditions) pair
+that D scores as mismatched, or to None (cgan). crcgan-a's draw pairs the real
+images with wrong conditions y2, uniform over the domain of
 `data.check_conditions`: a class label in [0, cardinality), or a continuous
 value in [0, 1]. It redraws until y2 is `objectives.mismatched` with y, which
 always ends: every y has passed `check_conditions`, so at least half of the
 labels (given the 2 that `init_state` requires) or 9/10 of [0, 1] are wrong
-conditions for it. crcgan-b draws a partner within the batch.
+conditions for it. crcgan-b's draw pairs y with a partner's image in the batch.
 
 Checkpoint binary (little-endian): magic "CRCG", u32 version=4, u32 header
 length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
@@ -60,7 +62,7 @@ from .data import Dataset, atomic_open, check_conditions
 from .exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
 from .fem import check_float, check_int
 from .nets import Discriminator, Generator, generator_shapes
-from .objectives import discriminator_loss, generator_loss, mismatched, needs_mismatch
+from .objectives import discriminator_loss, generator_loss, mismatched
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +98,9 @@ class TrainConfig:
     checkpoint_every: int = 0             # 0: final checkpoint only
 
     def __post_init__(self):
-        needs_mismatch(self.objective)
+        if not isinstance(self.objective, str) or self.objective not in OBJECTIVES:
+            raise ParameterError(f"unknown objective {self.objective!r} "
+                                 f"(choose from {', '.join(OBJECTIVES)})")
         # batch_size >= 2: each step measures its fake batch's diversity
         for name, minimum in (("steps", 0), ("batch_size", 2), ("seed", 0), ("z_dim", 1),
                               ("feature_dim", 1), ("checkpoint_every", 0)):
@@ -148,7 +152,7 @@ def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     objective no wrong condition, or on data the networks cannot be built for."""
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
-    if needs_mismatch(config.objective) and dataset.cardinality == 1:
+    if OBJECTIVES[config.objective] and dataset.cardinality == 1:
         raise ParameterError("mismatch objectives need at least 2 classes")
     data = _data_shape(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
@@ -190,9 +194,10 @@ def diversity_metric(images: np.ndarray) -> float:
     return total / (n * (n - 1) / 2 * pixels)
 
 
-def _mismatch_conditions(conds: np.ndarray, cardinality: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """crcgan-a's wrong condition y2 for each of `conds`, drawn with `rng` from the domain."""
+def _mismatch_conditions(x_real: np.ndarray, conds: np.ndarray, cardinality: int,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """crcgan-a's mismatched pair: the real images with a wrong condition y2 for
+    each of `conds`, drawn with `rng` from the domain."""
     out = np.empty(conds.size)
     for i, c in enumerate(conds):
         while True:
@@ -200,20 +205,31 @@ def _mismatch_conditions(conds: np.ndarray, cardinality: int,
             if mismatched(float(c), y2, cardinality):
                 break
         out[i] = y2
-    return out
+    return x_real, out
 
 
-def _mismatch_partners(conds: np.ndarray, cardinality: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Index j per sample i whose condition is `mismatched` with i's, drawn within the batch."""
-    out = np.empty(conds.size, dtype=np.int64)
+def _mismatch_partners(x_real: np.ndarray, conds: np.ndarray, cardinality: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """crcgan-b's mismatched pair: for each sample i, the real image of a partner j
+    drawn within the batch among those whose condition is `mismatched` with i's,
+    with i's condition."""
+    partners = np.empty(conds.size, dtype=np.int64)
     for i, c in enumerate(conds):
         candidates = np.flatnonzero(mismatched(conds, c, cardinality))
         if candidates.size == 0:
             raise ParameterError(
                 "crcgan-b needs each batch to contain differing conditions")
-        out[i] = candidates[rng.integers(0, candidates.size)]
-    return out
+        partners[i] = candidates[rng.integers(0, candidates.size)]
+    return x_real[partners], conds
+
+
+# objective -> its draw of the mismatched pair, or None. Each entry looks its draw up
+# when called, so a wrapper set on the module attribute (bench/layers.py) sees it.
+OBJECTIVES = {
+    "cgan": None,
+    "crcgan-a": lambda *args: _mismatch_conditions(*args),
+    "crcgan-b": lambda *args: _mismatch_partners(*args),
+}
 
 
 def _abort_unless_finite(step: int, *scores) -> None:
@@ -244,13 +260,10 @@ def _discriminator_update(state: TrainState, x_real: np.ndarray,
     with frozen(state.gen.params().values()):
         fake = state.gen.forward(z, conds)
     d_real = state.disc.forward(x_real, conds)
-    d_mismatch = None
-    if cfg.objective == "crcgan-a":
-        y2 = _mismatch_conditions(conds, state.data["cardinality"], state.rng)
-        d_mismatch = state.disc.forward(x_real, y2)
-    elif cfg.objective == "crcgan-b":   # second real samples whose condition differs from y
-        partners = _mismatch_partners(conds, state.data["cardinality"], state.rng)
-        d_mismatch = state.disc.forward(x_real[partners], conds)
+    draw, d_mismatch = OBJECTIVES[cfg.objective], None
+    if draw is not None:
+        d_mismatch = state.disc.forward(*draw(x_real, conds, state.data["cardinality"],
+                                              state.rng))
     d_fake = state.disc.forward(fake, conds)
     _abort_unless_finite(state.step + 1, d_real, d_fake, d_mismatch)
     d_loss = _descend(discriminator_loss(d_real, d_fake, d_mismatch),
@@ -345,18 +358,20 @@ def _check_shapes(shapes: dict[str, tuple], table: dict[str, tuple]) -> None:
             raise FormatError(f"checkpoint tensor {name} is missing or misshapen")
 
 
-def load_checkpoint(path, targets: Callable[[dict, dict[str, tuple]], dict] | None = None
-                    ) -> tuple[dict, dict[str, np.ndarray]]:
-    """(header, tensors) of a checkpoint; a malformed file raises FormatError.
+def load_checkpoint(path, targets: Callable[[dict, dict[str, tuple]], tuple] | None = None
+                    ) -> tuple[dict, object]:
+    """(header, result) of a checkpoint; a malformed file raises FormatError.
 
     The file is never held whole. A first pass streams the CRC through one
     reused buffer of `_CKPT_CHUNK` bytes; only then are the prefix, the header
     and the tensor table read and checked. With no `targets`, every tensor is
-    read into a new array. Otherwise `targets(header, shapes)` is called once
-    the table has passed its checks, with `shapes` the table's {name: shape}.
-    It returns existing C-contiguous float64 arrays by name; those tensors are
-    read straight into them and the others are skipped. A target that the
-    table lacks, or holds in another shape, raises FormatError.
+    read into a new array, and the result is those arrays by name. Otherwise
+    `targets(header, shapes)` is called once the table has passed its checks,
+    with `shapes` the table's {name: shape}. It returns (result, arrays), where
+    `arrays` names existing C-contiguous float64 arrays, such as the weights of
+    the object `result`; those tensors are read straight into them and the
+    others are skipped. A target that the table lacks, or holds in another
+    shape, raises FormatError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -411,14 +426,15 @@ def load_checkpoint(path, targets: Callable[[dict, dict[str, tuple]], dict] | No
         if offset != end:
             raise FormatError("bytes left after the last tensor", offset=offset)
         if targets is None:
-            tensors = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
+            result = tensors = {name: np.empty(shape, dtype="<f8")
+                                for name, shape in shapes.items()}
         else:
-            tensors = targets(header, shapes)
+            result, tensors = targets(header, shapes)
             _check_shapes({name: array.shape for name, array in tensors.items()}, shapes)
         for name, array in tensors.items():
             fh.seek(offsets[name])
             _read_exact(fh, array)
-    return header, tensors
+    return header, result
 
 
 def _state_tensors(state: TrainState) -> dict[str, np.ndarray]:
@@ -481,9 +497,9 @@ def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
     is built, and every tensor is read straight into the arrays that
     `init_state` made.
     """
-    shape, states = _data_shape(dataset), []
+    shape = _data_shape(dataset)
 
-    def state_arrays(header: dict, shapes: dict) -> dict[str, np.ndarray]:
+    def state_arrays(header: dict, shapes: dict) -> tuple[TrainState, dict]:
         stored, data, _ = _stored_run(header)
         stored = replace(stored, **{f: getattr(config, f) for f in _BUDGET_FIELDS})
         if stored != config:
@@ -492,11 +508,10 @@ def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
                 f"(stored {stored}, requested {config})")
         if shape != data:
             raise ParameterError(f"dataset shape {shape} does not match the checkpoint's {data}")
-        states.append(init_state(config, dataset))
-        return _state_tensors(states[0])
+        state = init_state(config, dataset)
+        return state, _state_tensors(state)
 
-    header, _ = load_checkpoint(path, state_arrays)
-    state = states[0]
+    header, state = load_checkpoint(path, state_arrays)
     try:
         counts = (header["step"], header["adam_steps"]["g"], header["adam_steps"]["d"])
         if not all(type(n) is int and n >= 0 for n in counts):   # a bool is no count
@@ -586,17 +601,14 @@ def generator_from_checkpoint(path) -> Generator:
     The g.* tensors are read straight into the generator's weights; the other
     tensors are only CRC-checked.
     """
-    gens = []
-
-    def weights(header: dict, shapes: dict) -> dict[str, np.ndarray]:
+    def weights(header: dict, shapes: dict) -> tuple[Generator, dict]:
         config, data, gen_shapes = _stored_run(header)
         # before any weight is drawn: the header alone sets the generator's size
         _check_shapes({f"g.{name}": shape for name, shape in gen_shapes.items()}, shapes)
-        gens.append(Generator(config, data, seed=0))
-        return {f"g.{name}": p.data for name, p in gens[0].params().items()}
+        gen = Generator(config, data, seed=0)
+        return gen, {f"g.{name}": p.data for name, p in gen.params().items()}
 
-    load_checkpoint(path, weights)
-    return gens[0]
+    return load_checkpoint(path, weights)[1]
 
 
 def sample(gen: Generator, condition, count: int, seed: int) -> np.ndarray:

@@ -20,12 +20,16 @@ sum in another order.
                 each run's checkpoint bytes, its metrics less wall_ms, and
                 its conditional_eval report with reanalysis, less the
                 checkpoint path
+    cgan        a 3-step cgan run with minibatch discrimination off, on the
+                checkpoint stage's data: its checkpoint bytes, its metrics
+                less wall_ms, and a sample from its generator
 
 pytest does not collect this file; test_output_digest.py runs its toy stages.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -102,6 +106,19 @@ def training_digests() -> dict[str, str]:
             "sample": hashlib.sha256(_f64(images)).hexdigest()}
 
 
+def cgan_digest() -> str:
+    config = dataclasses.replace(_toy_config("cgan", batch_size=6),
+                                 minibatch_discrimination=False)
+    sha = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        outcome = train.train(config, data.synth_classes(3, 4, 8, seed=0), tmp)
+        sha.update(Path(outcome.checkpoint_path).read_bytes())
+        sha.update(_metrics_bytes(outcome.metrics_path))
+        gen = train.generator_from_checkpoint(outcome.checkpoint_path)
+    sha.update(_f64(train.sample(gen, 1, 4, seed=0)))
+    return sha.hexdigest()
+
+
 def continuous_digest() -> str:
     grid = data.SweepGrid(volfracs=(0.4, 0.5), penals=(3.0,), rmins=(1.5,),
                           mesh=fem.MeshSpec(16, 8))
@@ -130,6 +147,7 @@ def digests(full: bool) -> dict[str, str]:
     out["augment"] = augment_digest()
     out.update(training_digests())
     out["continuous"] = continuous_digest()
+    out["cgan"] = cgan_digest()
     return out
 
 

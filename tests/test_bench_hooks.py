@@ -71,3 +71,5 @@ def test_bench_checkpoint_metrics_are_measured(tmp_path):
     assert layers["train.checkpoint_loads_per_eval"]["value"] == 1.0
     assert layers["train.load_checkpoint_ms"]["value"] > 0
     assert layers["train.save_checkpoint_ms"]["value"] > 0
+    # a draw called past its module attribute would read 0 here
+    assert layers["objectives.mismatch_draw_ms"]["value"] > 0

@@ -257,6 +257,20 @@ def test_topd_roundtrip_class_dataset(tmp_path):
     assert path.read_bytes()[20] == 1          # kind byte: class
 
 
+def test_write_dataset_refuses_a_cardinality_beyond_u32(tmp_path):
+    # TOPD stores the cardinality as a u32: 2**32 - 1 round-trips, and a larger
+    # one is refused before any file is made
+    path = tmp_path / "big.topd"
+    largest = Dataset(np.zeros((2, 4, 4)), [0, 1], cardinality=2**32 - 1)
+    write_dataset(largest, path)
+    assert read_dataset(path).equals(largest)
+    path.unlink()
+    for cardinality in (2**32, 2**33):
+        with pytest.raises(ParameterError, match=f"cardinality {cardinality}"):
+            write_dataset(Dataset(np.zeros((2, 4, 4)), [0, 1], cardinality=cardinality), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_topd_bad_magic(tmp_path):
     path = tmp_path / "bad.topd"
     write_dataset(small_dataset(), path)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from topogan.data import Dataset, class_target_fraction, postprocess, synth_classes
+from topogan.data import Dataset, augment, class_target_fraction, postprocess, synth_classes
 from topogan.evaluate import conditional_eval, measure_volfrac, reanalyze
 from topogan.exceptions import DimensionError, ParameterError
 from topogan.fem import (
@@ -55,6 +55,15 @@ def test_reanalyze_matches_fem_compliance_on_uniform_field():
         assert reanalyze(np.full((4, 6), value)) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(DimensionError):
         reanalyze(np.zeros(6))
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 6, 6), (0, 5)])
+@pytest.mark.parametrize("image_fn", [lambda image: augment(image, seed=0), postprocess,
+                                      measure_volfrac, reanalyze],
+                         ids=["augment", "postprocess", "measure_volfrac", "reanalyze"])
+def test_image_functions_refuse_an_image_that_is_not_2d_and_nonempty(image_fn, shape):
+    with pytest.raises(DimensionError):
+        image_fn(np.zeros(shape))
 
 
 def test_conditional_eval_class_model(class_checkpoint):

@@ -23,7 +23,10 @@ rule for an integer a caller sets, so a `type(x) is int` test may stand only
 in the two checkpoint parsers, which raise FormatError. The float-rule check
 reads it the same way: `fem.check_float` is the one rule for a real-valued
 setting, so a comparison against `np.inf` or `math.inf` (the mark of a
-hand-written "finite and in range" check) may stand only inside it.
+hand-written "finite and in range" check) may stand only inside it. The
+objective check reads it the same way: `train.OBJECTIVES` is the one table of
+objectives, so a string constant equal to an objective's name may stand only
+in it.
 """
 import ast
 import importlib
@@ -237,6 +240,44 @@ def test_topogan_has_one_float_rule():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((SRC / "topogan").glob("*.py"))}
     assert [owner for owner in inf_comparisons(sources) if owner != "fem.check_float"] == []
+
+
+OBJECTIVE_NAMES = ("cgan", "crcgan-a", "crcgan-b")
+
+
+def objective_name_sites(sources: dict[str, str]) -> list[str]:
+    """`module.name` of the top-level function, class or assigned name around each
+    string constant equal to an objective's name in `sources` (module name ->
+    source), or `module` for one outside any."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            targets = (top.targets if isinstance(top, ast.Assign)
+                       else [top.target] if isinstance(top, ast.AnnAssign) else [])
+            name = getattr(top, "name", None) or next(
+                (t.id for t in targets if isinstance(t, ast.Name)), None)
+            owner = f"{module}.{name}" if name else module
+            found += [owner for node in ast.walk(top) if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str) and node.value in OBJECTIVE_NAMES]
+    return sorted(found)
+
+
+def test_objective_name_finder_sees_each_form():
+    sources = {
+        "train": 'OBJECTIVES = {"cgan": None, "crcgan-a": draw}\n'
+                 'def step(cfg):\n    if cfg.objective == "crcgan-b":\n        pass\n'
+                 'class Config:\n    objective: str = "cgan"\n',
+        "objectives": 'NAMES: tuple = ("cgan",)\nlabel = "crcgan-a/b"\nprint("crcgan-a")\n',
+    }
+    assert objective_name_sites(sources) == [
+        "objectives", "objectives.NAMES", "train.Config", "train.OBJECTIVES",
+        "train.OBJECTIVES", "train.step"]
+
+
+def test_topogan_names_each_objective_only_in_its_table():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "topogan").glob("*.py"))}
+    assert objective_name_sites(sources) == ["train.OBJECTIVES"] * len(OBJECTIVE_NAMES)
 
 
 EXCEPTIONS = ["ConstraintError", "DimensionError", "FormatError", "ParameterError",
