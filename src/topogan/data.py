@@ -230,10 +230,13 @@ def sweep_generate(grid: SweepGrid) -> Dataset:
 
 
 def check_image(image) -> np.ndarray:
-    """`image` as a float64 array; DimensionError unless it is 2-D and nonempty."""
+    """`image` as a float64 array; DimensionError unless it is 2-D and nonempty,
+    ParameterError unless every pixel is finite."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.size == 0:
         raise DimensionError(f"expected a nonempty 2D image, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise ParameterError("image pixels must be finite")
     return image
 
 

@@ -276,6 +276,8 @@ def training_step(state: TrainState, images: np.ndarray,
                   conditions: np.ndarray) -> dict:
     """One discriminator update followed by one generator update (fresh noise)."""
     cfg = state.config
+    if images.ndim != 3:
+        raise DimensionError(f"images must be (batch, H, W), got shape {images.shape}")
     if images.shape[0] != cfg.batch_size:
         raise DimensionError(
             f"batch size {images.shape[0]} != configured {cfg.batch_size}")

@@ -57,13 +57,25 @@ def test_reanalyze_matches_fem_compliance_on_uniform_field():
         reanalyze(np.zeros(6))
 
 
+IMAGE_FUNCTIONS = pytest.mark.parametrize(
+    "image_fn", [lambda image: augment(image, seed=0), postprocess, measure_volfrac, reanalyze],
+    ids=["augment", "postprocess", "measure_volfrac", "reanalyze"])
+
+
 @pytest.mark.parametrize("shape", [(6,), (2, 6, 6), (0, 5)])
-@pytest.mark.parametrize("image_fn", [lambda image: augment(image, seed=0), postprocess,
-                                      measure_volfrac, reanalyze],
-                         ids=["augment", "postprocess", "measure_volfrac", "reanalyze"])
+@IMAGE_FUNCTIONS
 def test_image_functions_refuse_an_image_that_is_not_2d_and_nonempty(image_fn, shape):
     with pytest.raises(DimensionError):
         image_fn(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@IMAGE_FUNCTIONS
+def test_image_functions_refuse_a_non_finite_pixel(image_fn, bad):
+    image = np.full((8, 8), 0.5)
+    image[3, 4] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        image_fn(image)
 
 
 def test_conditional_eval_class_model(class_checkpoint):

@@ -1,13 +1,19 @@
-"""Importing topogan loads no scipy subpackage beyond linalg and sparse, no
-topogan module imports a name it never uses, no private helper outlives
-its callers, no public name serves only the tests, every exception class is
-raised, integers and real-valued settings each have one rule, and every
-console script that pyproject.toml declares resolves to a callable.
+"""Importing topogan, training, sampling and evaluating load no scipy
+subpackage, FEM loads only scipy.linalg and scipy.sparse, no topogan module
+imports a name it never uses, no private helper outlives its callers, no
+public name serves only the tests, every exception class is raised, integers
+and real-valued settings each have one rule, and every console script that
+pyproject.toml declares resolves to a callable.
 
 scipy.signal, scipy.ndimage and scipy.spatial each pull in much of scipy
-(scipy.stats among it) and once made up most of the package's cold start.
-The check runs in a fresh interpreter, so modules that other tests imported
-do not count, and it measures no time. The unused-import check reads the
+(scipy.stats among it) and once made up most of the package's cold start;
+scipy.linalg and scipy.sparse together still cost about half of it, so `fem`
+imports them only at its first solve and its first filter. The scipy checks
+follow one fresh interpreter through the stages: every topogan module
+imported, then a tiny train, checkpoint reads, sampling and an evaluation
+without re-analysis, then one re-analysis (a solve), then a short SIMP run
+(solves and filters). Modules that other tests imported do not count, and
+no time is measured. The unused-import check reads the
 source with `ast`, so it needs no linter; it catches the imports a deletion
 leaves behind. The dead-helper check reads it the same way: a top-level
 `_name` function or class that no module of the package reads is dead,
@@ -41,24 +47,65 @@ from test_bench_hooks import load_hooks
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
 
+# prints the loaded module names after each stage, one line per stage
 PROBE = """
-import importlib, pkgutil, sys
+import importlib, pkgutil, sys, tempfile
+import numpy as np
 import topogan
 for info in pkgutil.iter_modules(topogan.__path__):
     importlib.import_module("topogan." + info.name)
-print(" ".join(sorted(sys.modules)))
+from topogan import data, evaluate, fem, train
+
+def stage():
+    print(" ".join(sorted(sys.modules)), flush=True)
+
+stage()
+ds = data.synth_classes(2, 15, 8, seed=3)
+config = train.TrainConfig(objective="crcgan-a", batch_size=10, steps=2, seed=5, z_dim=6,
+                           gen_channels=(6, 4), disc_channels=(4, 6), feature_dim=8,
+                           minibatch_kernels=4, minibatch_dim=3)
+with tempfile.TemporaryDirectory() as out:
+    ckpt = train.train(config, ds, out).checkpoint_path
+    train.load_state(ckpt, ds, config)
+    train.sample(train.generator_from_checkpoint(ckpt), 1, count=3, seed=7)
+    evaluate.conditional_eval(ckpt, 1, count=3, tolerance=0.1, seed=7)
+stage()
+evaluate.reanalyze(np.full((4, 6), 0.5))
+stage()
+fem.run_simp(fem.MeshSpec(6, 4), fem.SimpParams(volfrac=0.5, max_iters=2))
+stage()
 """
 
 
-def test_topogan_imports_only_scipy_linalg_and_sparse():
-    loaded = subprocess.run(
+def public_scipy(loaded: list[str]) -> set[str]:
+    """The public scipy subpackages among the module names `loaded`."""
+    subs = {name.split(".")[1] for name in loaded if name.startswith("scipy.")}
+    return {sub for sub in subs if not sub.startswith("_")} - {"version"}
+
+
+@pytest.fixture(scope="module")
+def loaded_by_stage() -> list[list[str]]:
+    lines = subprocess.run(
         [sys.executable, "-c", PROBE], env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True,
-    ).stdout.split()
+    ).stdout.splitlines()
+    assert len(lines) == 4
+    return [line.split() for line in lines]
+
+
+def test_importing_topogan_loads_no_scipy_subpackage(loaded_by_stage):
+    loaded = loaded_by_stage[0]
     assert "topogan.fem" in loaded and "topogan.evaluate" in loaded
-    public = {name.split(".")[1] for name in loaded if name.startswith("scipy.")}
-    public = {sub for sub in public if not sub.startswith("_")} - {"version"}
-    assert public == {"linalg", "sparse"}
+    assert public_scipy(loaded) == set()
+
+
+def test_training_sampling_and_evaluating_load_no_scipy_subpackage(loaded_by_stage):
+    assert public_scipy(loaded_by_stage[1]) == set()
+
+
+def test_a_solve_loads_scipy_linalg_and_a_filter_scipy_sparse(loaded_by_stage):
+    assert public_scipy(loaded_by_stage[2]) == {"linalg"}
+    assert public_scipy(loaded_by_stage[3]) == {"linalg", "sparse"}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -333,6 +333,14 @@ def test_training_step_requires_full_batch(tiny_dataset):
         training_step(state, tiny_dataset.images[:7], tiny_dataset.conditions[:7])
 
 
+@pytest.mark.parametrize("pick", [np.s_[:10, 0], np.s_[:10, None]], ids=["2d", "4d"])
+def test_training_step_requires_a_batch_of_2d_images(tiny_dataset, pick):
+    state = init_state(desk_config(steps=1), tiny_dataset)
+    with pytest.raises(DimensionError, match=r"\(batch, H, W\)"):
+        training_step(state, tiny_dataset.images[pick], tiny_dataset.conditions[:10])
+    assert state.step == 0
+
+
 def test_metrics_mismatch_group_presence(tiny_dataset):
     for objective, present in (("crcgan-a", True), ("cgan", False)):
         cfg = desk_config(objective=objective, steps=1)
