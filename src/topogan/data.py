@@ -12,12 +12,13 @@ A condition domain is its cardinality, from which the kind byte is written
 and with which it must agree: 0 for continuous values, k >= 1 for k class
 labels. `check_conditions` is the one rule for condition values, which the
 dataset, the networks' encoding and sampling all apply: finite; class labels
-integral and in [0, cardinality); continuous values in [0, 1]. A dataset
-also holds only numeric, finite record fields, converged flags of 0 or 1 and
-pixels in [0, 1]. Class-conditioned data comes from `synth_classes`, whose
-per-class fill fractions are known exactly. Augmentation has one recipe:
-`augment` moves NOISE_FRACTION of an image's pixels, at least one, by up to
-NOISE_AMPLITUDE.
+integral and in [0, cardinality); continuous values in [0, 1]. `mismatched`
+is the one rule for when two conditions of a domain differ, which the
+objectives' draws in `train` apply. A dataset also holds only numeric, finite
+record fields, converged flags of 0 or 1 and pixels in [0, 1].
+Class-conditioned data comes from `synth_classes`, whose per-class fill
+fractions are known exactly. Augmentation has one recipe: `augment` moves
+NOISE_FRACTION of an image's pixels, at least one, by up to NOISE_AMPLITUDE.
 """
 from __future__ import annotations
 
@@ -43,6 +44,10 @@ GAUSS_KERNEL_SIZE = 5
 GAUSS_SIGMA = 1.0
 NOISE_FRACTION = 0.01
 NOISE_AMPLITUDE = 0.5
+MISMATCH_MARGIN = 0.05
+# float32 rounding, far below any grid spacing: TOPD stores conditions as "<f4",
+# where 0.35 - 0.30 is 0.04999998
+ROUNDING_ALLOWANCE = 1e-6
 
 
 def condition_dim(cardinality: int) -> int:
@@ -73,6 +78,15 @@ def check_conditions(values: np.ndarray, cardinality: int) -> int:
     elif values.min() < 0.0 or values.max() > 1.0:
         raise ParameterError("continuous conditions must lie in [0, 1]")
     return dim
+
+
+def mismatched(y1, y2, cardinality: int):
+    """Whether conditions y1 and y2 (scalars or arrays) of a domain mismatch, elementwise.
+
+    Class labels (cardinality >= 1) mismatch when they differ, continuous values
+    (cardinality 0) when they lie at least MISMATCH_MARGIN apart, less ROUNDING_ALLOWANCE.
+    """
+    return y1 != y2 if cardinality else abs(y1 - y2) >= MISMATCH_MARGIN - ROUNDING_ALLOWANCE
 
 
 @dataclass(frozen=True)

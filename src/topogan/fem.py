@@ -272,7 +272,8 @@ def _pcg(K, f: np.ndarray, tol: float) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients on the reduced system.
 
     Not on the solve path: the tests' CG reference, kept here under the
-    `fem:_pcg` name that bench/layers.py hooks until ROADMAP item 7(b).
+    `fem:_pcg` name that bench/layers.py hooks until the benchmark hooks the
+    banded solve (ROADMAP item 3).
 
     Stops on the true residual ||f - K u|| / ||f|| <= tol. The CG recurrence
     residual drifts from the true one on high-contrast designs, so when the
@@ -401,11 +402,14 @@ def assemble_and_solve(
     return u
 
 
-def _element_energies(x: np.ndarray, u: np.ndarray, mesh: MeshSpec) -> np.ndarray:
-    """u_e^T k0 u_e per element, shape (nely, nelx)."""
+def _element_energies(u: np.ndarray, mesh: MeshSpec) -> np.ndarray:
+    """u_e^T k0 u_e per element, shape (nely, nelx), each >= 0."""
     ke, edof = _mesh_arrays(mesh)
     ue = u[edof]
-    return np.einsum("ij,ij->i", ue @ ke, ue).reshape(mesh.nely, mesh.nelx)
+    energies = np.einsum("ij,ij->i", ue @ ke, ue)
+    # k0 is positive semi-definite: a negative energy (a rigid-body motion's) is rounding
+    np.maximum(energies, 0.0, out=energies)
+    return energies.reshape(mesh.nely, mesh.nelx)
 
 
 def _compliance(x: np.ndarray, energies: np.ndarray, penal: float) -> float:
@@ -424,7 +428,7 @@ def compliance(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpe
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_dofs,):
         raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")
-    return _compliance(x, _element_energies(x, u, mesh), penal)
+    return _compliance(x, _element_energies(u, mesh), penal)
 
 
 @functools.lru_cache(maxsize=16)
@@ -560,7 +564,7 @@ def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
     for _ in range(params.max_iters):
         u = assemble_and_solve(density, params.penal, solve_mesh, bc)
         x = density.values
-        energies = _element_energies(x, u, solve_mesh)
+        energies = _element_energies(u, solve_mesh)
         history.append(scale * _compliance(x, energies, params.penal))
         dc = _sensitivities(x, energies, params.penal)
         dcf = filter_sensitivities(DensityField(mirror(x)), mirror(dc), params.rmin,

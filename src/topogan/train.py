@@ -6,13 +6,21 @@ so that a resumed run replays the identical order. All other randomness
 (noise, mismatch draws) comes from one generator whose state rides along in
 the checkpoint, making interrupt/resume bit-identical.
 `OBJECTIVES` maps each objective to its draw of the (images, conditions) pair
-that D scores as mismatched, or to None (cgan). crcgan-a's draw pairs the real
-images with wrong conditions y2, uniform over the domain of
-`data.check_conditions`: a class label in [0, cardinality), or a continuous
-value in [0, 1]. It redraws until y2 is `objectives.mismatched` with y, which
-always ends: every y has passed `check_conditions`, so at least half of the
-labels (given the 2 that `init_state` requires) or 9/10 of [0, 1] are wrong
-conditions for it. crcgan-b's draw pairs y with a partner's image in the batch.
+that D scores as mismatched, or to None (cgan). D minimizes `discriminator_loss`
+
+    -E[log D(x, y)] - E[log(1 - D(x, y2))] - E[log(1 - D(G(z, y), y))]
+
+whose middle term, the matching-aware term of GAN-CLS (Reed et al. 2016),
+scores that pair and is there exactly when the objective draws one. G
+minimizes `generator_loss`, the non-saturating -E[log D(G(z, y), y)] of
+Goodfellow et al. 2014. Every log is `autodiff.log_clamped`, floored at
+`autodiff.LOG_FLOOR`. crcgan-a's draw pairs the real images with wrong
+conditions y2, uniform over the domain of `data.check_conditions`: a class
+label in [0, cardinality), or a continuous value in [0, 1]. It redraws until
+y2 is `data.mismatched` with y, which always ends: every y has passed
+`check_conditions`, so at least half of the labels (given the 2 that
+`init_state` requires) or 9/10 of [0, 1] are wrong conditions for it.
+crcgan-b's draw pairs y with a partner's image in the batch.
 
 Checkpoint binary (little-endian): magic "CRCG", u32 version=4, u32 header
 length, that many bytes of UTF-8 JSON header, the f64 tensor data back to
@@ -57,12 +65,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, adam_step, frozen
-from .data import Dataset, atomic_open, check_conditions
+from .autodiff import AdamState, Tensor, adam_step, frozen, log_clamped, mean
+from .data import Dataset, atomic_open, check_conditions, mismatched
 from .exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
 from .fem import check_float, check_int
 from .nets import Discriminator, Generator, generator_shapes
-from .objectives import discriminator_loss, generator_loss, mismatched
 
 log = logging.getLogger(__name__)
 
@@ -232,6 +239,34 @@ OBJECTIVES = {
 }
 
 
+def _scores(scores, name: str, like: Tensor | None = None) -> Tensor:
+    """`scores` as a Tensor: a nonempty batch in [0, 1], as large as `like`."""
+    t = scores if isinstance(scores, Tensor) else Tensor(scores)
+    if t.data.size == 0:
+        raise DimensionError(f"{name}: empty score batch")
+    if not (t.data.min() >= 0.0 and t.data.max() <= 1.0):   # NaN fails both
+        raise ParameterError(f"{name}: scores must lie in [0, 1]")
+    if like is not None and t.data.shape != like.data.shape:
+        raise DimensionError("score groups must share the batch size")
+    return t
+
+
+def discriminator_loss(real, fake, mismatched=None) -> Tensor:
+    """D's loss from its scores of real, generated and, when given, mismatched inputs."""
+    real = _scores(real, "real")
+    fake = _scores(fake, "fake", like=real)
+    d_loss = -mean(log_clamped(real))
+    if mismatched is not None:
+        mismatched = _scores(mismatched, "mismatched", like=real)
+        d_loss = d_loss - mean(log_clamped(1.0 - mismatched))
+    return d_loss - mean(log_clamped(1.0 - fake))
+
+
+def generator_loss(fake) -> Tensor:
+    """G's non-saturating loss from D's scores of its images; the same for every objective."""
+    return -mean(log_clamped(_scores(fake, "fake")))
+
+
 def _abort_unless_finite(step: int, *scores) -> None:
     """TrainingAbort if D has diverged, which shows as a NaN score: sigmoid scores
     otherwise lie in [0, 1], where the losses' log floor keeps every loss finite."""
@@ -281,6 +316,8 @@ def training_step(state: TrainState, images: np.ndarray,
     if images.shape[0] != cfg.batch_size:
         raise DimensionError(
             f"batch size {images.shape[0]} != configured {cfg.batch_size}")
+    if np.shape(conditions) != (cfg.batch_size,):   # before any draw from state.rng
+        raise DimensionError(f"conditions must be ({cfg.batch_size},), got {np.shape(conditions)}")
     t0 = time.monotonic()
     x_real = np.asarray(images, dtype=np.float64)[:, None, :, :]
     conds = np.asarray(conditions, dtype=np.float64)

@@ -32,7 +32,11 @@ setting, so a comparison against `np.inf` or `math.inf` (the mark of a
 hand-written "finite and in range" check) may stand only inside it. The
 objective check reads it the same way: `train.OBJECTIVES` is the one table of
 objectives, so a string constant equal to an objective's name may stand only
-in it.
+in it. The unread-parameter check reads it the same way: a parameter of a
+top-level function or method that its body never reads (`self` and `cls`
+aside) is dead. Nested functions are exempt, as they take the signature of
+the caller that calls them back, as `load_state`'s `state_arrays` takes
+`load_checkpoint`'s.
 """
 import ast
 import importlib
@@ -325,6 +329,49 @@ def test_topogan_names_each_objective_only_in_its_table():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((SRC / "topogan").glob("*.py"))}
     assert objective_name_sites(sources) == ["train.OBJECTIVES"] * len(OBJECTIVE_NAMES)
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """`module.name(param)` of each parameter of a top-level function or method
+    of `sources` (module name -> source) that its body never reads; `self` and
+    `cls` aside."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        functions = [(top.name, top) for top in tree.body if isinstance(top, ast.FunctionDef)]
+        functions += [(f"{top.name}.{node.name}", node) for top in tree.body
+                      if isinstance(top, ast.ClassDef)
+                      for node in top.body if isinstance(node, ast.FunctionDef)]
+        for name, node in functions:
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, [args.vararg, args.kwarg])]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{module}.{name}({a.arg})" for a in params
+                      if a.arg not in read and a.arg not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_unread_parameter_check_sees_a_leftover_parameter():
+    # read, read only by a closure, only assigned, a method's, a nested callback's
+    sources = {
+        "fem": "def energies(x, u, mesh):\n    return u @ mesh\n"
+               "def solve(K, *, tol, **opts):\n    tol = 1\n"
+               "    def step(r):\n        return K @ r\n    return step\n",
+        "train": "class State:\n    def load(self, path, strict=True):\n        return path\n"
+                 "    @classmethod\n    def fresh(cls):\n        return cls()\n"
+                 "def load(path):\n    def arrays(header, shapes):\n        return header\n"
+                 "    return arrays(path, None)\n",
+    }
+    assert unread_parameters(sources) == [
+        "fem.energies(x)", "fem.solve(opts)", "fem.solve(tol)", "train.State.load(strict)"]
+
+
+def test_topogan_reads_every_parameter_it_takes():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "topogan").glob("*.py"))}
+    assert unread_parameters(sources) == []
 
 
 EXCEPTIONS = ["ConstraintError", "DimensionError", "FormatError", "ParameterError",

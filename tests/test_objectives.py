@@ -8,16 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from topogan.autodiff import Tensor
-from topogan.data import Dataset
+from topogan.data import MISMATCH_MARGIN, ROUNDING_ALLOWANCE, Dataset, mismatched
 from topogan.exceptions import DimensionError, ParameterError
-from topogan.objectives import (
-    MISMATCH_MARGIN,
-    ROUNDING_ALLOWANCE,
+from topogan.train import (
+    OBJECTIVES,
+    TrainConfig,
     discriminator_loss,
     generator_loss,
-    mismatched,
+    init_state,
 )
-from topogan.train import OBJECTIVES, TrainConfig, init_state
 
 LOG2 = math.log(2.0)
 

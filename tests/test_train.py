@@ -341,6 +341,18 @@ def test_training_step_requires_a_batch_of_2d_images(tiny_dataset, pick):
     assert state.step == 0
 
 
+@pytest.mark.parametrize("pick", [np.s_[:10, None], np.s_[:9]], ids=["2d", "short"])
+@pytest.mark.parametrize("objective", ["cgan", "crcgan-a", "crcgan-b"])
+def test_training_step_requires_one_condition_per_image(tiny_dataset, objective, pick):
+    # refused before the step draws its noise: the run's rng stream is untouched
+    state = init_state(desk_config(objective=objective, steps=1), tiny_dataset)
+    rng_state = state.rng.bit_generator.state
+    with pytest.raises(DimensionError, match=r"conditions must be \(10,\)"):
+        training_step(state, tiny_dataset.images[:10], tiny_dataset.conditions[pick])
+    assert state.step == 0
+    assert state.rng.bit_generator.state == rng_state
+
+
 def test_metrics_mismatch_group_presence(tiny_dataset):
     for objective, present in (("crcgan-a", True), ("cgan", False)):
         cfg = desk_config(objective=objective, steps=1)
