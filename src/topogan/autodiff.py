@@ -5,11 +5,14 @@ whose inputs need a gradient gets a `_Node`, apart from its data, that links
 to each such input with a closure routing the upstream gradient. An input is
 linked through its own node, or, when it is a leaf, as the Tensor itself,
 whose .grad backward fills. Calling backward() on a scalar traverses the
-graph in reverse topological order. Repeated backward calls without zeroing
-accumulate into existing gradients. Inside `frozen(params)` a graph gets no
-links to those parameters, so a forward pass whose parameter gradients are
-never read (a network used as a fixed function, or inference) computes none
-of them.
+graph in reverse topological order. A graph serves one backward: as each node
+routes its gradient, backward drops the node's links, and with them its
+closures and what they saved, so a second backward that reaches the node
+raises ParameterError before any .grad changes. Building the graph again and
+backpropagating it accumulates into the leaves' existing gradients. Inside
+`frozen(params)` a graph gets no links to those parameters, so a forward pass
+whose parameter gradients are never read (a network used as a fixed function,
+or inference) computes none of them.
 
 A graph holds its nodes, its closures and its leaves, but no op result's
 Tensor, and each closure holds only what its gradient reads: a shape where
@@ -21,11 +24,14 @@ turned into a mask dies with its Tensor.
 The conv ops take and return activations in one layout, (C, H, W, N), with
 the batch axis innermost; kernels are (K, C, kh, kw). Each convolution kernel
 (`_conv_fwd`, `_conv_dx`, `_conv_dw`) is one GEMM over an im2col patch
-matrix: im2col copies a (c, kh, kw, oh, ow, n) strided view of the padded
-input, so every copied run is N values long, and the (K, OH*OW*N) product is
-already the next layer's (K, OH, OW, N) input. `_conv_dx` scatters its
-product back with one strided add per kernel tap (col2im), again over
-contiguous rows of N, and also serves as the transposed-conv forward.
+matrix. im2col fills the (C*kh*kw, OH*OW*N) patch matrix straight from the
+unpadded input: each kernel tap copies the window of outputs whose input
+lies inside the image and zeroes the rest, so every copied run is N values
+long, and the (K, OH*OW*N) product is already the next layer's (K, OH, OW, N)
+input. `_conv_dx` scatters its product back with one strided add per kernel
+tap (col2im), each adding the tap's valid window straight into the unpadded
+result, again over contiguous rows of N; it also serves as the
+transposed-conv forward.
 `conv2d` takes constant per-sample `planes` too, and convolves its input
 stacked over them without building the planes. `transpose` moves a tensor
 into or out of the layout at a network's boundary.
@@ -43,14 +49,19 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, ParameterError
 from .fem import check_int
 
 LOG_FLOOR = 1e-12         # log_clamped's floor, the one floor under every loss's log
 LEAKY_SLOPE = 0.2         # leaky_relu's negative-side slope, the paper's in both networks
 GRAD_CHECK_STEP = 1e-6    # grad_check's central-difference step
+# float64 values in one block of adam_step, so that a block of the parameter,
+# its gradient, its two moments and the two scratch buffers (6 x 256 KiB =
+# 1.5 MiB) stay in a 2 MiB L2 cache across the update's 14 ufuncs; on G's
+# 0.6 M values (default widths, 28x28) on such a Xeon this ran 1.3x faster
+# than one block per parameter
+ADAM_BLOCK_VALUES = 1 << 15
 
 
 class _Node:
@@ -109,24 +120,31 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             if isinstance(node, _Node):
+                if node.links is None:
+                    raise ParameterError(
+                        "backward reached a graph node an earlier backward has used; "
+                        "rebuild the graph")
                 for parent, _ in node.links:
                     if id(parent) not in seen:
                         stack.append((parent, False))
-        # route gradients through a scratch map; only leaves accumulate .grad
+        # route gradients through a scratch map; only leaves accumulate .grad.
+        # Every place in `order` is reachable from the root, so each has its
+        # gradient by the time it comes up. A node's links die once it has
+        # routed that gradient, and with them every array its closures saved.
         scratch: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         for node in reversed(order):
-            g = scratch.pop(id(node), None)
-            if g is None:
-                continue
+            g = scratch.pop(id(node))
             if isinstance(node, Tensor):
                 node._accumulate(g)
                 continue
-            for parent, fn in node.links:
+            links, node.links = node.links, None
+            for parent, fn in links:
                 pg = fn(g)
                 if id(parent) in scratch:
                     scratch[id(parent)] = scratch[id(parent)] + pg
                 else:
                     scratch[id(parent)] = pg
+            del links, fn, pg, g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -353,19 +371,42 @@ def _conv_out_size(h: int, kh: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
+def _tap_windows(k: int, size: int, out: int, stride: int, padding: int) -> list:
+    """Per tap offset i < k along one axis: (lo, hi, run), where the outputs o in
+    [lo, hi) read input o*stride + i - padding inside [0, size) and `run`
+    slices those inputs; where the whole tap falls in the padding, lo == hi
+    and `run` starts where it stops, so it is empty too."""
+    windows = []
+    for i in range(k):
+        lo = min(out, max(0, -((i - padding) // stride)))
+        hi = max(lo, min(out, (size - 1 + padding - i) // stride + 1))
+        start = lo * stride + i - padding
+        windows.append((lo, hi, slice(start, start + (hi - lo) * stride, stride)))
+    return windows
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
             oh: int, ow: int) -> np.ndarray:
-    """(C*kh*kw, OH*OW*N) patch matrix of the zero-padded (C,H,W,N) input.
+    """(C*kh*kw, OH*OW*N) patch matrix of the (C,H,W,N) input, zero-padded.
 
-    The copy out of the strided (c, kh, kw, oh, ow, n) view moves contiguous
+    No padded copy of x is made: each tap's rows and columns that read the
+    padding are zeroed, and its valid window is copied from x in contiguous
     runs of N values.
     """
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    c, _, _, n = xp.shape
-    sc, sh, sw, sn = xp.strides
-    view = as_strided(xp, (c, kh, kw, oh, ow, n),
-                      (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
-    return view.reshape(c * kh * kw, oh * ow * n)
+    c, h, width, n = x.shape
+    cols = np.empty((c, kh, kw, oh, ow, n))
+    rows = _tap_windows(kh, h, oh, stride, padding)
+    columns = _tap_windows(kw, width, ow, stride, padding)
+    for i, (lo, hi, _) in enumerate(rows):
+        cols[:, i, :, :lo] = 0.0
+        cols[:, i, :, hi:] = 0.0
+    for j, (lo, hi, _) in enumerate(columns):
+        cols[:, :, j, :, :lo] = 0.0
+        cols[:, :, j, :, hi:] = 0.0
+    for i, (ylo, yhi, ys) in enumerate(rows):
+        for j, (xlo, xhi, xs) in enumerate(columns):
+            cols[:, i, j, ylo:yhi, xlo:xhi] = x[:, ys, xs]
+    return cols.reshape(c * kh * kw, oh * ow * n)
 
 
 def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, padding: int, *,
@@ -390,13 +431,15 @@ def _conv_dx(dout: np.ndarray, w: np.ndarray, stride: int, padding: int,
     # (kh*kw*C, K) @ (K, OH*OW*N): every tap's contribution in one product
     cols = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, k) @ dout.reshape(k, -1)
     cols = cols.reshape(kh, kw, c, oh, ow, n)
-    # col2im: add each tap's (C, OH, OW, N) block into the padded input grid,
-    # in contiguous rows of N
-    dxp = np.zeros((c, h + 2 * padding, width + 2 * padding, n))
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[i, j]
-    return dxp[:, padding:padding + h, padding:padding + width]
+    # col2im: add each tap's valid window of its (C, OH, OW, N) block into the
+    # input grid, in contiguous rows of N; what a tap reads of the padding is
+    # never added anywhere
+    dx = np.zeros((c, h, width, n))
+    columns = _tap_windows(kw, width, ow, stride, padding)
+    for i, (ylo, yhi, ys) in enumerate(_tap_windows(kh, h, oh, stride, padding)):
+        for j, (xlo, xhi, xs) in enumerate(columns):
+            dx[:, ys, xs] += cols[i, j, :, ylo:yhi, xlo:xhi]
+    return dx
 
 
 def _conv_dw(x: np.ndarray, dout: np.ndarray, stride: int, padding: int,
@@ -528,26 +571,59 @@ class AdamState:
                          v=[np.zeros_like(p.data) for p in params])
 
 
+def _adam_update(p, g, m, v, t1, t2, lr, beta1, beta2, bc1, bc2, eps) -> None:
+    """Adam's update of one block in place, its temporaries in t1 and t2.
+
+    The ufuncs run in the order of m = beta1*m + (1-beta1)*g, v = beta2*v +
+    (1-beta2)*g*g and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so every value
+    comes out as that expression gives it.
+    """
+    m *= beta1
+    np.multiply(1.0 - beta1, g, out=t1)
+    m += t1
+    v *= beta2
+    np.multiply(1.0 - beta2, g, out=t1)
+    t1 *= g
+    v += t1
+    np.divide(m, bc1, out=t1)
+    np.multiply(lr, t1, out=t1)
+    np.divide(v, bc2, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += eps
+    t1 /= t2
+    np.subtract(p, t1, out=p)
+
+
 def adam_step(params: list[Tensor], state: AdamState, lr: float, beta1: float,
               beta2: float, eps: float) -> None:
-    """Standard bias-corrected Adam update from each `p.grad`, in place on the parameters."""
+    """Standard bias-corrected Adam update from each `p.grad`, in place on the parameters.
+
+    A parameter without a gradient is updated as if its gradient were zero.
+    Each parameter is updated in blocks of ADAM_BLOCK_VALUES values through
+    two scratch buffers shared by all of them, so no temporary is as large as
+    a parameter; one whose data or moments are not C-contiguous is updated
+    as one block.
+    """
     if len(params) != len(state.m):
         raise DimensionError("adam_step: params and state lengths differ")
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    grads = [np.broadcast_to(0.0, p.data.shape) if p.grad is None else p.grad for p in params]
     for p, g in zip(params, grads):
         if g.shape != p.data.shape:
             raise DimensionError(
                 f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape}"
             )
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    hyper = (lr, beta1, beta2, 1.0 - beta1**state.step, 1.0 - beta2**state.step, eps)
+    scratch = np.empty((2, min(ADAM_BLOCK_VALUES, max((p.data.size for p in params), default=0))))
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            _adam_update(p.data, g, m, v, np.empty_like(p.data), np.empty_like(p.data), *hyper)
+            continue
+        flat = [a.reshape(-1) for a in (p.data, g, m, v)]
+        for lo in range(0, p.data.size, ADAM_BLOCK_VALUES):
+            block = [a[lo:lo + ADAM_BLOCK_VALUES] for a in flat]
+            size = block[0].size
+            _adam_update(*block, scratch[0, :size], scratch[1, :size], *hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +662,13 @@ def grad_check(fn, params: dict[str, Tensor]) -> GradCheckReport:
     for name, p in params.items():
         for idx in np.ndindex(p.data.shape):
             orig = p.data[idx]
-            p.data[idx] = orig + h
-            f_plus = fn().item()
-            p.data[idx] = orig - h
-            f_minus = fn().item()
-            p.data[idx] = orig
+            try:
+                p.data[idx] = orig + h
+                f_plus = fn().item()
+                p.data[idx] = orig - h
+                f_minus = fn().item()
+            finally:
+                p.data[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = analytic[name][idx]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)

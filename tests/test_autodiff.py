@@ -1,11 +1,16 @@
 """Autodiff primitive tests: forward oracles and finite-difference gradients."""
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import given, settings, strategies as st
 
+from topogan import autodiff
 from topogan.autodiff import (
+    _conv_dx,
+    _im2col,
     AdamState,
     Tensor,
     adam_step,
@@ -87,6 +92,41 @@ def conv_transpose_oracle(x, w, stride, padding):
     return out
 
 
+def padded_im2col(x, kh, kw, stride, padding, oh, ow):
+    """im2col as a copy of a strided (c, kh, kw, oh, ow, n) view of the padded input."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    c, _, _, n = xp.shape
+    sc, sh, sw, sn = xp.strides
+    view = as_strided(xp, (c, kh, kw, oh, ow, n),
+                      (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+    return view.reshape(c * kh * kw, oh * ow * n)
+
+
+def padded_conv_dx(dout, w, stride, padding, x_shape):
+    """_conv_dx with col2im adding each whole tap block into a padded grid, then cropping."""
+    c, h, width, n = x_shape
+    k, _, kh, kw = w.shape
+    _, oh, ow, _ = dout.shape
+    cols = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, k) @ dout.reshape(k, -1)
+    cols = cols.reshape(kh, kw, c, oh, ow, n)
+    dxp = np.zeros((c, h + 2 * padding, width + 2 * padding, n))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[i, j]
+    return dxp[:, padding:padding + h, padding:padding + width]
+
+
+# (h, w, kh, kw, stride, padding): strides 1-3 and paddings 0..kh on two
+# images; on the 1x2 image with kh = 3, padding 3 and stride 3, taps 1 and 2
+# read only the padding
+KERNEL_GEOMETRIES = [
+    (h, w, kh, kw, stride, padding)
+    for h, w in ((5, 4), (1, 2)) for kh, kw in ((3, 2), (4, 4))
+    for stride in (1, 2, 3) for padding in range(kh + 1)
+    if h + 2 * padding >= kh and w + 2 * padding >= kw
+]
+
+
 # ---------------------------------------------------------------------------
 # conv2d forward
 
@@ -121,6 +161,55 @@ def test_conv_rejects_non_integral_output():
     w = Tensor(np.zeros((1, 1, 2, 2)))
     with pytest.raises(DimensionError):
         nchw(conv2d, x, w, stride=2, padding=0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_im2col_equals_the_padded_reference(n):
+    rng = np.random.default_rng(16)
+    whole_taps_in_padding = 0
+    for h, w, kh, kw, stride, padding in KERNEL_GEOMETRIES:
+        x = rng.normal(size=(2, h, w, n))     # no zero, so a zero row is padding
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
+        cols = _im2col(x, kh, kw, stride, padding, oh, ow)
+        assert np.array_equal(cols, padded_im2col(x, kh, kw, stride, padding, oh, ow)), \
+            (h, w, kh, kw, stride, padding)
+        whole_taps_in_padding += int((cols == 0).all(axis=1).sum())
+    assert whole_taps_in_padding > 0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_col2im_equals_the_padded_reference(n):
+    # the same sums in the same tap order: bit-identical, not merely close
+    rng = np.random.default_rng(17)
+    for h, w, kh, kw, stride, padding in KERNEL_GEOMETRIES:
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
+        dout = rng.normal(size=(3, oh, ow, n))
+        kernel = rng.normal(size=(3, 2, kh, kw))
+        dx = _conv_dx(dout, kernel, stride, padding, (2, h, w, n))
+        assert dx.flags.c_contiguous
+        assert np.array_equal(dx, padded_conv_dx(dout, kernel, stride, padding, (2, h, w, n))), \
+            (h, w, kh, kw, stride, padding)
+
+
+def test_conv2d_forward_allocates_no_padded_copy():
+    # the patch matrix and the product are the forward's only large arrays;
+    # with a padded copy of x (8 x 18 x 18 x 16 values) beside the patch
+    # matrix, the peak was 1.28 times their sum
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(8, 16, 16, 16))
+    w = rng.normal(size=(4, 8, 4, 4))
+    patches = 8 * 4 * 4 * 8 * 8 * 16 * 8      # bytes of the (C*kh*kw, OH*OW*N) matrix
+    output = 4 * 8 * 8 * 16 * 8
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, stride=2, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, 8, 8, 16)
+    assert peak <= 1.1 * (patches + output), f"peak {peak} bytes"
 
 
 # each conv op with valid shapes, given only stride and padding; conv2d both
@@ -488,11 +577,11 @@ def test_conv_transpose2d_gradients_do_not_depend_on_which_inputs_need_them():
     r = Tensor(rng.normal(size=(3, 6, 6, 4)))
 
     def grads(x_grad, w_grad, passes=1):
+        # a graph serves one backward, so each pass builds it again
         x = Tensor(xd, requires_grad=x_grad)
         w = Tensor(wd, requires_grad=w_grad)
-        loss = mean(conv_transpose2d(x, w, stride=2, padding=1) * r)
         for _ in range(passes):
-            loss.backward()
+            mean(conv_transpose2d(x, w, stride=2, padding=1) * r).backward()
         return x.grad, w.grad
 
     gx, gw = grads(True, True)
@@ -500,6 +589,28 @@ def test_conv_transpose2d_gradients_do_not_depend_on_which_inputs_need_them():
     assert np.array_equal(grads(False, True)[1], gw)
     gx2, gw2 = grads(True, True, passes=2)
     assert np.array_equal(gx2, 2 * gx) and np.array_equal(gw2, 2 * gw)
+
+
+def test_a_second_backward_on_one_graph_raises_before_any_grad_changes():
+    # the first backward drops each node's links as it routes them; a second
+    # one over the same graph, or over a graph that shares a used node, must
+    # refuse during its traversal, before any leaf accumulates
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(2, 6, 6, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+    v = Tensor(rng.normal(size=(4,)), requires_grad=True)
+    h = leaky_relu(conv2d(x, w, padding=1))
+    loss = mean(h)
+    loss.backward()
+    before = {name: t.grad.copy() for name, t in (("x", x), ("w", w))}
+    # v's path to the new root is fresh: only the traversal keeps v.grad None
+    shared = mean(linear(Tensor(np.ones((1, 4))), v.reshape(4, 1)) + mean(h))
+    for graph in (loss, shared):
+        with pytest.raises(ParameterError, match="rebuild the graph"):
+            graph.backward()
+        assert v.grad is None
+        for name, t in (("x", x), ("w", w)):
+            assert np.array_equal(t.grad, before[name])
 
 
 def test_gradcheck_activations():
@@ -605,6 +716,28 @@ def test_gradcheck_three_layer_network():
 # ---------------------------------------------------------------------------
 # log clamp behavior
 
+@pytest.mark.parametrize("failing_call", [2, 3])
+def test_grad_check_restores_the_parameter_when_fn_raises(failing_call):
+    # call 1 is the analytic pass; calls 2 and 3 are the first value's f(p+h)
+    # and f(p-h), each made with that value perturbed
+    rng = np.random.default_rng(19)
+    params = {"a": Tensor(rng.normal(size=(2, 3)), requires_grad=True),
+              "b": Tensor(rng.normal(size=3), requires_grad=True)}
+    before = {name: t.data.copy() for name, t in params.items()}
+    calls = []
+
+    def fn():
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise RuntimeError("fn failed")
+        return mean(linear(params["a"], params["b"].reshape(3, 1)))
+
+    with pytest.raises(RuntimeError, match="fn failed"):
+        grad_check(fn, params)
+    for name, t in params.items():
+        assert np.array_equal(t.data, before[name])
+
+
 def test_log_clamp_finite_at_zero():
     x = Tensor(np.array([0.0, 1e-15, 0.5, 1.0]))
     out = log_clamped(x)
@@ -648,6 +781,38 @@ def test_adam_descends_quadratic():
         adam_step([p], state, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         values.append(abs(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_adam_blocks_give_the_whole_array_expression_bit_for_bit(monkeypatch):
+    # blocks of 5 values: a 4x3 parameter spans three blocks, the last one
+    # short; a transposed (not C-contiguous) parameter is one block; a
+    # parameter without a gradient moves as under a zero gradient
+    monkeypatch.setattr(autodiff, "ADAM_BLOCK_VALUES", 5)
+    rng = np.random.default_rng(20)
+    params = [Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+              Tensor(rng.normal(size=(3, 4)).T, requires_grad=True),
+              Tensor(rng.normal(size=2), requires_grad=True),
+              Tensor(rng.normal(size=7), requires_grad=True)]
+    state = AdamState.for_params(params)
+    data = [p.data.copy() for p in params]
+    m = [np.zeros_like(d) for d in data]
+    v = [np.zeros_like(d) for d in data]
+    lr, beta1, beta2, eps = 0.01, 0.5, 0.999, 1e-8
+    for step in range(1, 4):
+        grads = [rng.normal(size=d.shape) for d in data[:3]] + [np.zeros(7)]
+        for p, g in zip(params[:3], grads):
+            p.grad = g
+        bc1, bc2 = 1.0 - beta1**step, 1.0 - beta2**step
+        for d, g, mi, vi in zip(data, grads, m, v):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * g * g
+            d -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+        adam_step(params, state, lr, beta1, beta2, eps)
+        for p, d, mi, vi, ms, vs in zip(params, data, m, v, state.m, state.v):
+            assert np.array_equal(p.data, d)
+            assert np.array_equal(ms, mi) and np.array_equal(vs, vi)
 
 
 def test_adam_shape_mismatch():
