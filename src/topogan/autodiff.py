@@ -523,12 +523,15 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tens
     Output spatial size is (H-1)*stride - 2*padding + kh. Both gradients read
     the patch matrix of the upstream gradient g: when x and w both need one,
     the x link builds it and hands it to the w link, which drops it after use.
+    The forward and the w link both read x as a (Cin, H*W*N) matrix, so an x
+    that is not C-contiguous (the generator's transposed dense output) is
+    copied once here, not reshaped into a fresh copy by each.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     _check_geometry(stride, padding)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv_transpose2d expects 4D input and kernel")
-    xd, wd = x.data, w.data
+    xd, wd = np.ascontiguousarray(x.data), w.data
     cin, h, width, n = xd.shape
     cin_w, cout, kh, kw = wd.shape
     if cin != cin_w:

@@ -475,16 +475,86 @@ def filter_sensitivities(
     return num / (x * hsum)
 
 
+# The bracket search of `oc_update`: at most OC_BRACKET_STEPS Newton steps, each
+# aimed a relative OC_OVERSHOOT past the multiplier it predicts, so that once
+# the prediction is that close the next volume falls on the other side. The
+# bisection stops at a relative width of 1e-6, so a bracket no wider than
+# 4 * OC_OVERSHOOT leaves it a midpoint or two to evaluate at most, and the
+# search stops there.
+OC_BRACKET_STEPS = 8
+OC_OVERSHOOT = 1e-7
+
+
+def _volume(lam: float, x: np.ndarray, neg_dc: np.ndarray, lower: np.ndarray,
+            upper: np.ndarray, out: np.ndarray) -> float:
+    """Mean of clip(x * sqrt(-dc / lam), lower, upper), evaluated into `out`.
+
+    Plain ufunc calls (the clamp as maximum then minimum, the mean as a
+    pairwise add.reduce over the size) round exactly as np.clip and
+    ndarray.mean do but skip their Python-level wrappers.
+    """
+    np.divide(neg_dc, lam, out=out)
+    np.sqrt(out, out=out)
+    np.multiply(x, out, out=out)
+    np.maximum(out, lower, out=out)
+    np.minimum(out, upper, out=out)
+    return float(np.add.reduce(out, axis=None) / out.size)
+
+
+def _oc_bracket(x: np.ndarray, neg_dc: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                out: np.ndarray, volfrac: float, above: float, below: float) -> tuple[float, float]:
+    """Narrow (above, below), where volume(above) > volfrac >= volume(below),
+    by exact volume evaluations; return the narrowed pair.
+
+    The first multiplier is the unclipped closed form (mean(x sqrt(-dc)) /
+    volfrac)^2. Each next one is a Newton step in t = lam^-1/2, in which an
+    element the clamp leaves free grows linearly: the slope is the sum of the
+    free elements over the size. A multiplier outside the bracket, or a step
+    without a slope, is replaced by the bracket's geometric midpoint.
+    """
+    root = float(np.add.reduce(x * np.sqrt(neg_dc), axis=None)) / x.size / volfrac
+    lam = root * root   # not root**2, which raises OverflowError past 1e154
+    for _ in range(OC_BRACKET_STEPS):
+        if not above < lam < below:
+            lam = math.sqrt(above * below)
+        vol = _volume(lam, x, neg_dc, lower, upper, out)
+        if vol > volfrac:
+            above = lam
+        else:
+            below = lam
+        if below <= above * (1.0 + 4.0 * OC_OVERSHOOT):
+            break
+        free = (out > lower) & (out < upper)
+        slope = float(np.dot(free.ravel(), out.ravel())) / out.size
+        ratio = 1.0 + (volfrac - vol) / slope if slope > 0.0 else 0.0
+        overshoot = 1.0 + OC_OVERSHOOT if vol > volfrac else 1.0 - OC_OVERSHOOT
+        # no step gives NaN, which fails the bracket test at the top of the loop
+        lam = lam / (ratio * ratio) * overshoot if ratio > 0.0 else math.nan
+    return above, below
+
+
 def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> DensityField:
     """Optimality-criteria step: x * sqrt(-dc/lambda) clamped to bounds and move limit.
 
     The multiplier is bisected over [1e-9, 1e9] until the relative bracket
     width drops below 1e-6; the updated mean density meets the target volume
-    fraction to 1e-4 or a ConstraintError is raised. Each bisection step
-    evaluates the volume in one reused buffer with plain ufunc calls (the
-    clamp as maximum then minimum, the mean as a pairwise add.reduce over the
-    size), which round exactly as np.clip and ndarray.mean do but skip their
-    Python-level wrappers.
+    fraction to 1e-4 or a ConstraintError is raised. The volume is evaluated
+    by `_volume` in one reused buffer.
+
+    The bisection path is the plain one, step by step, but most steps are
+    decided without an evaluation. volume(lambda) is non-increasing in lambda
+    also in floating point: divide, sqrt, multiply by x >= 0, maximum and
+    minimum are each correctly rounded and monotone in their operand (an
+    element with x < 0 clamps to a constant), and the pairwise add.reduce,
+    whose summation order depends only on the buffer, adds non-increasing
+    terms. So once one multiplier `above` is known to give a volume above the
+    target and one `below` a volume at or below it, every midpoint outside
+    (above, below) has its answer. `_oc_bracket` narrows that pair by a few
+    exact evaluations first, and the bisection evaluates only the midpoints
+    inside it. That needs the end volumes on either side of the target and
+    not NaN (a NaN from x = 0 times an overflowed sqrt, say, breaks the
+    order): otherwise every midpoint is evaluated. Nothing depends on an
+    earlier call.
     """
     x = density.values
     dc = np.asarray(dc, dtype=np.float64)
@@ -497,34 +567,30 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
     upper = np.minimum(1.0, x + params.move)
     neg_dc = np.negative(dc)
     xnew = np.empty_like(x)
-
-    def volume(lmid: float) -> float:
-        """Mean of clip(x * sqrt(-dc / lmid)), evaluated into `xnew`."""
-        np.divide(neg_dc, lmid, out=xnew)
-        np.sqrt(xnew, out=xnew)
-        np.multiply(x, xnew, out=xnew)
-        np.maximum(xnew, lower, out=xnew)
-        np.minimum(xnew, upper, out=xnew)
-        return float(np.add.reduce(xnew, axis=None) / xnew.size)
+    volfrac = params.volfrac
 
     l1, l2 = 1e-9, 1e9
-    vol_hi = volume(l1)   # small multiplier -> densities pushed up
-    vol_lo = volume(l2)
-    if params.volfrac > vol_hi + 1e-4 or params.volfrac < vol_lo - 1e-4:
+    vol_hi = _volume(l1, x, neg_dc, lower, upper, xnew)   # small multiplier -> densities pushed up
+    vol_lo = _volume(l2, x, neg_dc, lower, upper, xnew)
+    if volfrac > vol_hi + 1e-4 or volfrac < vol_lo - 1e-4:
         raise ConstraintError(
-            f"volume fraction {params.volfrac} unreachable within move limit "
+            f"volume fraction {volfrac} unreachable within move limit "
             f"(attainable range [{vol_lo:.6f}, {vol_hi:.6f}])"
         )
+    above, below = 0.0, math.inf   # no midpoint decided
+    if vol_hi > volfrac >= vol_lo:   # False for a NaN
+        above, below = _oc_bracket(x, neg_dc, lower, upper, xnew, volfrac, l1, l2)
     while (l2 - l1) / (l1 + l2) > 1e-6:
         lmid = 0.5 * (l1 + l2)
-        if volume(lmid) > params.volfrac:
+        if lmid <= above or (lmid < below
+                             and _volume(lmid, x, neg_dc, lower, upper, xnew) > volfrac):
             l1 = lmid
         else:
             l2 = lmid
-    vol = volume(0.5 * (l1 + l2))
-    if not abs(vol - params.volfrac) <= 1e-4:
+    vol = _volume(0.5 * (l1 + l2), x, neg_dc, lower, upper, xnew)
+    if not abs(vol - volfrac) <= 1e-4:
         raise ConstraintError(
-            f"bisection ended with volume {vol:.6f}, target {params.volfrac}"
+            f"bisection ended with volume {vol:.6f}, target {volfrac}"
         )
     return DensityField(xnew)
 

@@ -118,6 +118,28 @@ def _init_params(shapes: dict[str, tuple[int, ...]], seed) -> dict[str, Tensor]:
             for name, shape in shapes.items()}
 
 
+class _Network:
+    """What both networks share: the run's config and data shape, and the
+    parameters of the shapes that the class's `_shapes` gives for them."""
+
+    def __init__(self, config, data: dict, seed: int):
+        self.config, self.data = config, data
+        self._params = _init_params(self._shapes(config, data), seed)
+
+    @classmethod
+    def _undrawn(cls, config, data: dict):
+        """A network whose parameters are left uninitialised (np.empty), for a
+        checkpoint load that overwrites every one of them: no weight is drawn."""
+        net = cls.__new__(cls)
+        net.config, net.data = config, data
+        net._params = {name: Tensor(np.empty(shape), requires_grad=True)
+                       for name, shape in cls._shapes(config, data).items()}
+        return net
+
+    def params(self) -> dict[str, Tensor]:
+        return self._params
+
+
 def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
     """Batch-similarity features o(i)_b = sum_{j != i} exp(-||M_i,b - M_j,b||_1).
 
@@ -172,15 +194,10 @@ def minibatch_features(f: Tensor, T: Tensor) -> Tensor:
     return Tensor._result(out, [(m, backward_m)])
 
 
-class Generator:
+class Generator(_Network):
     """Noise + condition -> image in [0,1], shape (N, 1, H, W)."""
 
-    def __init__(self, config, data: dict, seed: int):
-        self.config, self.data = config, data
-        self._params = _init_params(generator_shapes(config, data), seed)
-
-    def params(self) -> dict[str, Tensor]:
-        return self._params
+    _shapes = staticmethod(generator_shapes)
 
     def forward(self, z, condition_values) -> Tensor:
         z_dim, data = self.config.z_dim, self.data
@@ -201,15 +218,10 @@ class Generator:
         return ad.transpose(ad.sigmoid(h), (3, 0, 1, 2))
 
 
-class Discriminator:
+class Discriminator(_Network):
     """Image + condition -> sigmoid score in [0, 1] per sample, shape (N,)."""
 
-    def __init__(self, config, data: dict, seed: int):
-        self.config, self.data = config, data
-        self._params = _init_params(discriminator_shapes(config, data), seed)
-
-    def params(self) -> dict[str, Tensor]:
-        return self._params
+    _shapes = staticmethod(discriminator_shapes)
 
     def features(self, x, condition_values) -> Tensor:
         """Per-sample dense features (before any batch mixing), shape (N, A)."""

@@ -157,14 +157,23 @@ def _data_shape(dataset: Dataset) -> dict:
 def init_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     """A fresh run; ParameterError on empty data, on data that leaves a mismatch
     objective no wrong condition, or on data the networks cannot be built for."""
+    return _new_state(config, dataset, draw=True)
+
+
+def _new_state(config: TrainConfig, dataset: Dataset, draw: bool) -> TrainState:
+    """`init_state`'s state, checked as it says; with draw=False the network
+    weights are left undrawn, for `load_state` to overwrite."""
     if len(dataset) == 0:
         raise ParameterError("cannot train on an empty dataset")
     if OBJECTIVES[config.objective] and dataset.cardinality == 1:
         raise ParameterError("mismatch objectives need at least 2 classes")
     data = _data_shape(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
-    gen = Generator(config, data, seed=seeds[0])
-    disc = Discriminator(config, data, seed=seeds[1])
+    if draw:
+        gen = Generator(config, data, seed=seeds[0])
+        disc = Discriminator(config, data, seed=seeds[1])
+    else:
+        gen, disc = Generator._undrawn(config, data), Discriminator._undrawn(config, data)
     return TrainState(
         gen=gen, disc=disc,
         adam_g=AdamState.for_params(list(gen.params().values())),
@@ -533,8 +542,8 @@ def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
     """Restore a TrainState; `config` may differ from the stored one in its budget only.
 
     The stored run is checked against `config` and `dataset` before the state
-    is built, and every tensor is read straight into the arrays that
-    `init_state` made.
+    is built, and every tensor is read straight into the arrays of a state
+    built as `init_state` builds one, but with no weight drawn.
     """
     shape = _data_shape(dataset)
 
@@ -547,7 +556,7 @@ def load_state(path, dataset: Dataset, config: TrainConfig) -> TrainState:
                 f"(stored {stored}, requested {config})")
         if shape != data:
             raise ParameterError(f"dataset shape {shape} does not match the checkpoint's {data}")
-        state = init_state(config, dataset)
+        state = _new_state(config, dataset, draw=False)
         return state, _state_tensors(state)
 
     header, state = load_checkpoint(path, state_arrays)
@@ -637,14 +646,14 @@ def read_metrics(path) -> list[dict]:
 def generator_from_checkpoint(path) -> Generator:
     """The trained generator stored in a checkpoint; its `config` is the run's.
 
-    The g.* tensors are read straight into the generator's weights; the other
-    tensors are only CRC-checked.
+    The g.* tensors are read straight into the generator's weights, which are
+    built undrawn; the other tensors are only CRC-checked.
     """
     def weights(header: dict, shapes: dict) -> tuple[Generator, dict]:
         config, data, gen_shapes = _stored_run(header)
-        # before any weight is drawn: the header alone sets the generator's size
+        # before the generator is built: the header alone sets its size
         _check_shapes({f"g.{name}": shape for name, shape in gen_shapes.items()}, shapes)
-        gen = Generator(config, data, seed=0)
+        gen = Generator._undrawn(config, data)
         return gen, {f"g.{name}": p.data for name, p in gen.params().items()}
 
     return load_checkpoint(path, weights)[1]

@@ -591,6 +591,35 @@ def test_conv_transpose2d_gradients_do_not_depend_on_which_inputs_need_them():
     assert np.array_equal(gx2, 2 * gx) and np.array_equal(gw2, 2 * gw)
 
 
+def test_conv_transpose2d_copies_a_strided_input_once(monkeypatch):
+    # the generator hands up1 a transposed view: the forward and the w link
+    # read one C-contiguous copy of it, and nothing else reshapes a copy
+    rng = np.random.default_rng(13)
+    xd = rng.normal(size=(4, 3, 3, 2)).transpose(3, 1, 2, 0)   # (2, 3, 3, 4), strided
+    wd = rng.normal(size=(2, 3, 4, 4))
+    r = Tensor(rng.normal(size=(3, 6, 6, 4)))
+    seen = []
+    for name, x_at in (("_conv_dx", 0), ("_conv_dw", 1)):   # where each takes x
+        kernel = getattr(autodiff, name)
+
+        def recording(*args, _kernel=kernel, _x_at=x_at, **kwargs):
+            seen.append((args[_x_at].flags.c_contiguous, args[_x_at].ctypes.data))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(autodiff, name, recording)
+
+    def run(data):
+        x, w = Tensor(data, requires_grad=True), Tensor(wd, requires_grad=True)
+        out = conv_transpose2d(x, w, stride=2, padding=1)
+        mean(out * r).backward()
+        return out.data, x.grad, w.grad
+
+    strided = run(xd)
+    assert [flag for flag, _ in seen] == [True, True] and seen[0][1] == seen[1][1]
+    contiguous = run(np.ascontiguousarray(xd))
+    assert all(np.array_equal(a, b) for a, b in zip(strided, contiguous))
+
+
 def test_a_second_backward_on_one_graph_raises_before_any_grad_changes():
     # the first backward drops each node's links as it routes them; a second
     # one over the same graph, or over a graph that shares a used node, must

@@ -686,6 +686,8 @@ def test_oc_nan_volume_is_constraint_error():
 def assert_oc_matches_oracle(x, dc, params):
     try:
         expected = oc_update_oracle(x, dc, params)
+        if np.isnan(expected.mean()):   # `oc_update` refuses the NaN volume the oracle's > passes
+            raise ConstraintError("NaN volume")
     except ConstraintError:
         with pytest.raises(ConstraintError):
             oc_update(DensityField(x), dc, params)
@@ -693,18 +695,23 @@ def assert_oc_matches_oracle(x, dc, params):
     assert np.array_equal(oc_update(DensityField(x), dc, params).values, expected)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    nely=st.integers(1, 12),
-    nelx=st.integers(1, 12),
+    nely=st.integers(1, 40),
+    nelx=st.integers(1, 40),
     seed=st.integers(0, 10_000),
     zero_share=st.floats(0.0, 0.5),
+    bound_share=st.floats(0.0, 0.9),
     reach=st.floats(-0.1, 1.1),
     move=st.floats(0.01, 0.5),
 )
-def test_oc_matches_clip_mean_oracle_bit_for_bit(nely, nelx, seed, zero_share, reach, move):
+def test_oc_matches_clip_mean_oracle_bit_for_bit(nely, nelx, seed, zero_share, bound_share,
+                                                 reach, move):
     rng = np.random.default_rng(seed)
     x = rng.uniform(X_MIN, 1.0, size=(nely, nelx))
+    # densities at a bound, as in a converged design: their moves saturate together
+    at_bound = rng.random((nely, nelx)) < bound_share
+    x[at_bound] = rng.choice([X_MIN, 1.0], size=int(at_bound.sum()))
     dc = -rng.exponential(rng.uniform(1e-3, 10.0), size=(nely, nelx))
     dc[rng.random((nely, nelx)) < zero_share] = 0.0
     # the target volume at `reach` between the move limits' extremes, and at
@@ -724,8 +731,128 @@ def test_oc_matches_oracle_on_simp_iterates(monkeypatch):
         return oc_update(density, dc, params)
 
     monkeypatch.setattr(fem, "oc_update", checked)
-    run_simp(MeshSpec(60, 20), SimpParams(volfrac=0.5, penal=3.0, rmin=1.5, max_iters=12))
-    assert len(calls) == 12
+    for nelx, nely, volfrac, rmin, max_iters in (
+            (60, 20, 0.5, 1.5, 12),     # the sweep workload's mesh
+            (16, 6, 0.4, 1.5, 200),     # a whole run, to its converged design
+            (32, 32, 0.35, 2.5, 12)):   # the pipeline workload's mesh
+        calls.clear()
+        result = run_simp(MeshSpec(nelx, nely),
+                          SimpParams(volfrac=volfrac, penal=3.0, rmin=rmin, max_iters=max_iters))
+        assert len(calls) == result.iterations
+        assert result.converged if max_iters == 200 else len(calls) == max_iters
+
+
+def oc_arrays(x, dc, move):
+    """The arrays `oc_update` evaluates its volume from, in `fem._volume`'s argument order."""
+    return x, np.negative(dc), np.maximum(X_MIN, x - move), np.minimum(1.0, x + move)
+
+
+def test_oc_all_zero_sensitivities_give_the_lower_bounds():
+    # x * sqrt(0 / lambda) is 0 for every multiplier: the volume is the lower
+    # bounds' mean at both ends, which the target reaches within 1e-4
+    x = np.full((2, 3), 0.5)
+    out = oc_update(DensityField(x), np.zeros((2, 3)), SimpParams(volfrac=0.3))
+    assert np.array_equal(out.values, np.full((2, 3), 0.3))
+    assert_oc_matches_oracle(x, np.zeros((2, 3)), SimpParams(volfrac=0.3))
+    assert_oc_matches_oracle(np.full((4, 4), 0.5), np.zeros((4, 4)), SimpParams(volfrac=0.30005))
+    with pytest.raises(ConstraintError):
+        oc_update(DensityField(x), np.zeros((2, 3)), SimpParams(volfrac=0.5))
+
+
+def test_oc_nan_volumes_decide_no_step():
+    # a NaN density makes every volume NaN. x = 0 under a sensitivity whose
+    # ratio to a multiplier below about 0.56 overflows gives NaN (0 * inf)
+    # there only, where "volume > volfrac" is False though it is True further
+    # up: the order is broken. With a NaN volume at either end, every midpoint
+    # is evaluated as in the plain bisection
+    rng = np.random.default_rng(30)
+    x = rng.uniform(0.2, 0.8, size=(6, 10))
+    dc = -rng.uniform(0.1, 2.0, size=(6, 10))
+    nan_x = x.copy()
+    nan_x[3, 4] = np.nan
+    with pytest.raises(ConstraintError):
+        oc_update(DensityField(nan_x), dc, SimpParams(volfrac=0.5))
+    zero_x, huge_dc = x.copy(), dc.copy()
+    zero_x[0, :3], huge_dc[0, :3] = 0.0, -1e308
+    # an infinite density under a subnormal sensitivity gives NaN (inf * 0
+    # after 5e-320 / lambda underflows) for every multiplier above about 10
+    inf_x, tiny_dc = x.copy(), dc.copy()
+    inf_x[5, 9], tiny_dc[5, 9] = np.inf, -5e-320
+    with np.errstate(over="ignore", invalid="ignore"):   # the overflow and inf * 0
+        for x_, dc_, nan_end in ((zero_x, huge_dc, 1e-9), (inf_x, tiny_dc, 1e9)):
+            arrays = oc_arrays(x_, dc_, 0.2)
+            assert np.isnan(fem._volume(nan_end, *arrays, np.empty_like(x)))
+            assert not np.isnan(fem._volume(1.0, *arrays, np.empty_like(x)))
+            for volfrac in (0.3, 0.45, 0.5, 0.55, 0.58, 0.7):
+                assert_oc_matches_oracle(x_, dc_, SimpParams(volfrac=volfrac))
+
+
+@pytest.mark.parametrize("volfrac", [0.5, 0.49, 0.51, 0.40005, 0.59995, 0.45, 0.55])
+def test_oc_flat_volume_plateau_from_saturated_moves(volfrac):
+    # half the elements want to grow a millionfold more than the rest: for
+    # lambda in about [2.8, 5e5] every element sits at its move limit (0.3 or
+    # 0.7), so the volume is flat at 0.5 there and no Newton step has a slope
+    x = np.full((4, 6), 0.5)
+    dc = np.where(np.arange(24).reshape(4, 6) % 2, -1.0, -1e6)
+    assert_oc_matches_oracle(x, dc, SimpParams(volfrac=volfrac, move=0.2))
+    # plateaus at three levels, from three groups of sensitivities
+    dc3 = np.where(np.arange(24).reshape(4, 6) % 3 == 0, -1e-4, dc)
+    assert_oc_matches_oracle(x, dc3, SimpParams(volfrac=volfrac, move=0.2))
+
+
+@pytest.mark.parametrize("end", [1e-9, 1e9])
+def test_oc_volfrac_exactly_at_an_end_volume(end):
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.2, 0.8, size=(5, 7))
+    dc = -rng.uniform(1e-3, 5.0, size=(5, 7))
+    at_end = fem._volume(end, *oc_arrays(x, dc, 0.2), np.empty_like(x))
+    for volfrac in (at_end, np.nextafter(at_end, 0.0), np.nextafter(at_end, 1.0)):
+        assert_oc_matches_oracle(x, dc, SimpParams(volfrac=float(volfrac), move=0.2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oc_volume_is_non_increasing_in_the_multiplier(seed):
+    # the premise that lets oc_update decide a bisection step unevaluated:
+    # checked on a log grid and on a run of adjacent floats around the
+    # multiplier where the volume crosses 0.45
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(X_MIN, 1.0, size=(7, 9))
+    x[rng.random((7, 9)) < 0.3] = X_MIN
+    dc = -rng.exponential(rng.uniform(1e-3, 10.0), size=(7, 9))
+    dc[rng.random((7, 9)) < 0.1] = 0.0
+    arrays, out = oc_arrays(x, dc, 0.2), np.empty_like(x)
+    lo, hi = 1e-9, 1e9
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fem._volume(mid, *arrays, out) > 0.45 else (lo, mid)
+    run = [lo * (1.0 - 1e-13)]
+    while run[-1] < hi * (1.0 + 1e-13):
+        run.append(np.nextafter(run[-1], np.inf))
+    for lams in (run, sorted([*np.logspace(-9, 9, 2001), *run])):
+        vols = [fem._volume(lam, *arrays, out) for lam in lams]
+        assert all(a >= b for a, b in zip(vols, vols[1:]))
+        assert len(set(vols)) > 10   # the run of adjacent floats moves the volume too
+
+
+def test_oc_evaluates_the_volume_about_ten_times_per_update(monkeypatch):
+    # the plain bisection evaluates 52 volumes per update; the bracket leaves
+    # all but one or two of its midpoints decided
+    volume, counts = fem._volume, []
+
+    def counted(*args):
+        counts[-1] += 1
+        return volume(*args)
+
+    def update(density, dc, params):
+        counts.append(0)
+        return oc_update(density, dc, params)
+
+    monkeypatch.setattr(fem, "_volume", counted)
+    monkeypatch.setattr(fem, "oc_update", update)
+    for volfrac in (0.4, 0.6):
+        run_simp(MeshSpec(60, 20), SimpParams(volfrac=volfrac, rmin=1.5, max_iters=40))
+    assert len(counts) == 80
+    assert np.median(counts) <= 12 and max(counts) <= 16, sorted(counts)
 
 
 @settings(max_examples=30, deadline=None)

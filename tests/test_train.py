@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topogan import train as train_module
+from topogan import nets as nets_module, train as train_module
 from topogan.data import Dataset, synth_classes, write_dataset
 from topogan.exceptions import DimensionError, FormatError, ParameterError, TrainingAbort
 from topogan.nets import Discriminator, Generator
@@ -823,6 +823,29 @@ def test_state_roundtrip_resumes_identically(tiny_dataset, tmp_path):
     rec_b = training_step(restored, tiny_dataset.images[:10], tiny_dataset.conditions[:10])
     assert rec_a["d_loss"] == rec_b["d_loss"]
     assert rec_a["g_loss"] == rec_b["g_loss"]
+
+
+def test_checkpoint_loads_draw_no_weights(tiny_dataset, tmp_path, monkeypatch):
+    cfg = desk_config(objective="crcgan-a", steps=2)
+    state = init_state(cfg, tiny_dataset)
+    training_step(state, tiny_dataset.images[:10], tiny_dataset.conditions[:10])
+    path = tmp_path / "s.ckpt"
+    write_state(state, path)
+
+    def no_init(shapes, seed):
+        raise AssertionError("a load drew weights that it then overwrites")
+
+    monkeypatch.setattr(nets_module, "_init_params", no_init)
+    restored = load_state(path, tiny_dataset, cfg)
+    gen = generator_from_checkpoint(path)
+    for net, loaded in ((state.gen, restored.gen), (state.disc, restored.disc), (state.gen, gen)):
+        assert type(loaded) is type(net) and loaded.config == net.config
+        assert loaded.params().keys() == net.params().keys()
+        assert all(np.array_equal(p.data, loaded.params()[name].data)
+                   and loaded.params()[name].requires_grad
+                   for name, p in net.params().items())
+    with pytest.raises(AssertionError, match="drew weights"):
+        init_state(cfg, tiny_dataset)   # the patch does reach a fresh run
 
 
 # ---------------------------------------------------------------------------
