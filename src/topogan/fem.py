@@ -9,12 +9,16 @@ keeps K(x) nonsingular. Node ids run column-major with y down
 
 The solve follows top88 (Andreassen et al. 2011) and has one path: the index
 vectors of the assembly are built once per mesh and fixed-DOF set, and
-K(free, free) is assembled straight into LAPACK upper band storage and solved
-by a banded Cholesky factorization. Column-major node numbering bounds the
-half-bandwidth of the reduced matrix by 2*nely + 5 whatever the fixed DOFs.
-`_pcg`, a Jacobi-preconditioned CG, is no part of that path: it is the
-reference the tests compare against, and it stays here under the name the
-benchmark's per-layer hook wraps until that hook moves to the banded solve.
+K(free, free) is assembled straight into LAPACK lower band storage, by one
+bincount of an outer product of x^p and the element stiffnesses, and solved
+by `_banded_solve`, which calls LAPACK's banded Cholesky `dpbsv` directly.
+Column-major node numbering bounds the half-bandwidth of the reduced matrix
+by 2*nely + 5 whatever the fixed DOFs. The factorization is most of a solve,
+and `_banded_solve` holds nothing else, so it is the function a per-layer
+hook of the solve should wrap. `_pcg`, a Jacobi-preconditioned CG, is no part
+of that path: it is the reference the tests compare against, and it stays
+here under the name the benchmark's per-layer hook wraps until that hook
+moves to `_banded_solve`.
 
 The sensitivity filter is also top88's: a sparse matrix H with one row per
 element, H_ei = max(0, rmin - dist(e, i)), and its row sums, built once per
@@ -38,7 +42,7 @@ later.
 
 Because every module imports `fem` for those rules, scipy is imported only in
 the two functions that call it: `scipy.linalg` at the first solve in
-`assemble_and_solve` and `scipy.sparse` when `_filter_matrix` first builds a
+`_banded_solve` and `scipy.sparse` when `_filter_matrix` first builds a
 filter. Loading both took 0.2-0.3 s of a 0.45-0.5 s cold start (scipy
 1.17 on a 2-core x86 host), and a process that only trains, samples or
 reads a checkpoint never needs them.
@@ -257,23 +261,54 @@ def element_dof_map(mesh: MeshSpec) -> np.ndarray:
     ]).astype(np.int64)
 
 
+def _check_density_values(x: np.ndarray) -> np.ndarray:
+    """ParameterError unless every density of `x` is finite and non-negative.
+
+    Two reductions and no temporary: x.min() is NaN where x holds a NaN and
+    negative where it holds -inf, and x.max() is inf where it holds +inf.
+    """
+    if not (x.min() >= 0.0 and math.isfinite(x.max())):
+        raise ParameterError("densities must be finite and non-negative")
+    return x
+
+
 def _check_density(density: DensityField, mesh: MeshSpec) -> np.ndarray:
     x = density.values
     if x.shape != (mesh.nely, mesh.nelx):
         raise DimensionError(
             f"density shape {x.shape} does not match mesh ({mesh.nely}, {mesh.nelx})"
         )
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise ParameterError("densities must be finite and non-negative")
-    return x
+    return _check_density_values(x)
+
+
+# A band entry of K sums at most four element terms ke_ab * x_e^p, and every
+# |ke_ab| is below 1 (the largest is 0.495), so a stiffness x^p of at most a
+# quarter of the largest float keeps every entry finite.
+_MAX_STIFFNESS = float(np.finfo(np.float64).max) / 4.0
+
+
+def _check_stiffness(x: np.ndarray, penal: float) -> None:
+    """`check_float`'s rule for `penal`, then ParameterError for a density
+    field whose stiffness x^penal exceeds _MAX_STIFFNESS. One reduction: the
+    power of x.max() is taken on Python floats, whose overflow raises
+    OverflowError where numpy's would warn and give inf."""
+    check_float("penal", penal, 1.0, math.inf)
+    try:
+        ok = float(x.max()) ** float(penal) <= _MAX_STIFFNESS
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ParameterError(
+            f"density {float(x.max()):g} at penal {penal:g} overflows the stiffness x^penal")
 
 
 def _pcg(K, f: np.ndarray, tol: float) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients on the reduced system.
 
     Not on the solve path: the tests' CG reference, kept here under the
-    `fem:_pcg` name that bench/layers.py hooks until the benchmark hooks the
-    banded solve (ROADMAP item 3).
+    `fem:_pcg` name that bench/layers.py hooks until the benchmark hooks
+    `_banded_solve`, the `dpbsv` call on lower band storage that every solve
+    runs (ROADMAP item 3).
 
     Stops on the true residual ||f - K u|| / ||f|| <= tol. The CG recurrence
     residual drifts from the true one on high-contrast designs, so when the
@@ -330,21 +365,27 @@ def _mesh_arrays(mesh: MeshSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _BandPlan:
-    """Scatter of the element stiffnesses into band storage of K(free, free).
+    """Scatter of the element stiffnesses into lower band storage of K(free, free).
 
-    Entry k of the kept upper triangle adds `ke_value[k] * x[element[k]]^p` to
-    flat position `band_index[k]` of the (bandwidth + 1, free.size) array that
-    `solveh_banded` reads: row bandwidth + i - j, column j holds K_red[i, j].
-    The array is laid out column-major, as LAPACK reads it, so the solve
-    factors it in place instead of first making a transposed copy: that copy
-    cost as much as half the factorization and page-faulted on every call.
+    The (bandwidth + 1, free.size) array that `dpbsv` reads with lower=1
+    holds K_red[j, i] at row j - i, column i, for j >= i. It is laid out
+    column-major, as LAPACK reads it, so the solve factors it in place
+    instead of first making a transposed copy: that copy cost as much as half
+    the factorization and page-faulted on every call.
+
+    `band_index` is an (n_elements, 36) table, flattened element by element:
+    column k is pair k of `ke_pair`, the 36 element-stiffness pairs (a, b)
+    with g[a] <= g[b] in the element's global DOF order g. That order is the
+    same for every element (`element_dof_map`'s layout), so one 36-value row
+    of stiffnesses serves them all. Entry (e, k) is the flat band position
+    that `x_e^p * ke_pair[k]` adds to, or the one trailing slot past the band
+    when the pair touches a fixed DOF; the slot is dropped after the sum.
     """
 
     free: np.ndarray
     bandwidth: int
     band_index: np.ndarray
-    element: np.ndarray
-    ke_value: np.ndarray
+    ke_pair: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -359,14 +400,35 @@ def _band_plan(mesh: MeshSpec, fixed_dofs: bytes) -> _BandPlan:
     free = np.setdiff1d(np.arange(mesh.n_dofs), fixed)
     reduced = np.full(mesh.n_dofs, -1, dtype=np.int64)
     reduced[free] = np.arange(free.size)
-    red = reduced[edof]
-    rows, cols = red[:, :, None], red[:, None, :]
-    element, a, b = np.nonzero((rows >= 0) & (rows <= cols))
-    i, j = red[element, a], red[element, b]
-    bandwidth = int((j - i).max(initial=0))
+    rank = np.argsort(edof[0])   # the local DOFs in global order, the same for every element
+    a, b = np.triu_indices(8)
+    a, b = rank[a], rank[b]
+    # reduced is increasing on the free DOFs, so i <= j where both are free
+    i, j = reduced[edof[:, a]], reduced[edof[:, b]]
+    kept = (i >= 0) & (j >= 0)
+    bandwidth = int((j - i)[kept].max(initial=0))
+    size = (bandwidth + 1) * free.size
     return _BandPlan(free=free, bandwidth=bandwidth,
-                     band_index=j * (bandwidth + 1) + (bandwidth + i - j),
-                     element=element, ke_value=ke[a, b])
+                     band_index=np.where(kept, i * (bandwidth + 1) + (j - i), size).ravel(),
+                     ke_pair=ke[a, b])
+
+
+def _banded_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve K u = rhs by banded Cholesky, K given in `_BandPlan`'s lower band
+    storage; `band` and `rhs` are overwritten.
+
+    LAPACK's `dpbsv` is called directly: scipy's `solveh_banded` around it
+    adds a batching wrapper, a routine lookup and two finiteness passes on
+    every call, and the caller refuses a density that is not finite or whose
+    stiffness overflows before it builds the band.
+    Raises SingularSystemError when K is not positive definite.
+    """
+    from scipy.linalg.lapack import dpbsv
+    _, u, info = dpbsv(band, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info:
+        raise SingularSystemError(
+            f"banded Cholesky failed (dpbsv info {info}): K(free, free) is not positive definite")
+    return u
 
 
 def assemble_and_solve(
@@ -377,28 +439,23 @@ def assemble_and_solve(
 ) -> np.ndarray:
     """Solve K(x) U = F for the full displacement vector.
 
-    K(free, free) is assembled in band storage from a plan cached per mesh
-    and fixed-DOF set and solved by banded Cholesky.
+    K(free, free) is assembled in lower band storage by one bincount of the
+    element stiffnesses, from a plan cached per mesh and fixed-DOF set, and
+    solved by `_banded_solve`.
     Raises SingularSystemError when the reduced system is not positive definite.
     """
     x = _check_density(density, mesh)
-    check_float("penal", penal, 1.0, math.inf)
+    _check_stiffness(x, penal)
     plan = _band_plan(mesh, bc.fixed_dofs.tobytes())
     free = plan.free
     if free.size == 0:
         return np.zeros(mesh.n_dofs)
-    f_red = bc.force_vector(mesh)[free]
-    weights = plan.ke_value * (x.ravel() ** penal)[plan.element]
-    band = np.bincount(plan.band_index, weights=weights,
-                       minlength=(plan.bandwidth + 1) * free.size)
-    from scipy.linalg import LinAlgError, solveh_banded
-    try:
-        u_red = solveh_banded(band.reshape(plan.bandwidth + 1, free.size, order="F"), f_red,
-                              overwrite_ab=True)
-    except LinAlgError as exc:
-        raise SingularSystemError(f"banded Cholesky failed: {exc}") from exc
+    size = (plan.bandwidth + 1) * free.size
+    weights = (x.ravel() ** penal)[:, None] * plan.ke_pair   # (n_elements, 36), as band_index
+    band = np.bincount(plan.band_index, weights=weights.ravel(), minlength=size + 1)
     u = np.zeros(mesh.n_dofs)
-    u[free] = u_red
+    u[free] = _banded_solve(band[:size].reshape(plan.bandwidth + 1, free.size, order="F"),
+                            bc.force_vector(mesh)[free])
     return u
 
 
@@ -424,7 +481,7 @@ def _sensitivities(x: np.ndarray, energies: np.ndarray, penal: float) -> np.ndar
 def compliance(density: DensityField, u: np.ndarray, penal: float, mesh: MeshSpec) -> float:
     """c(x) = sum_e x_e^p u_e^T k0 u_e."""
     x = _check_density(density, mesh)
-    check_float("penal", penal, 1.0, math.inf)
+    _check_stiffness(x, penal)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_dofs,):
         raise DimensionError(f"displacement shape {u.shape}, expected ({mesh.n_dofs},)")
@@ -539,28 +596,29 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
     The multiplier is bisected over [1e-9, 1e9] until the relative bracket
     width drops below 1e-6; the updated mean density meets the target volume
     fraction to 1e-4 or a ConstraintError is raised. The volume is evaluated
-    by `_volume` in one reused buffer.
+    by `_volume` in one reused buffer. A density that is not finite and
+    non-negative is a ParameterError, as in `assemble_and_solve`.
 
     The bisection path is the plain one, step by step, but most steps are
     decided without an evaluation. volume(lambda) is non-increasing in lambda
     also in floating point: divide, sqrt, multiply by x >= 0, maximum and
-    minimum are each correctly rounded and monotone in their operand (an
-    element with x < 0 clamps to a constant), and the pairwise add.reduce,
-    whose summation order depends only on the buffer, adds non-increasing
-    terms. So once one multiplier `above` is known to give a volume above the
-    target and one `below` a volume at or below it, every midpoint outside
-    (above, below) has its answer. `_oc_bracket` narrows that pair by a few
-    exact evaluations first, and the bisection evaluates only the midpoints
-    inside it. That needs the end volumes on either side of the target and
-    not NaN (a NaN from x = 0 times an overflowed sqrt, say, breaks the
-    order): otherwise every midpoint is evaluated. Nothing depends on an
-    earlier call.
+    minimum are each correctly rounded and monotone in their operand, and
+    the pairwise add.reduce, whose summation order depends only on the
+    buffer, adds non-increasing terms. So once one multiplier `above` is
+    known to give a volume above the target and one `below` a volume at or
+    below it, every midpoint outside (above, below) has its answer.
+    `_oc_bracket` narrows that pair by a few exact evaluations first, and the
+    bisection evaluates only the midpoints inside it. That needs the end
+    volumes on either side of the target and not NaN (a NaN from x = 0 times
+    an overflowed sqrt, say, breaks the order): otherwise every midpoint is
+    evaluated. Nothing depends on an earlier call.
     """
-    x = density.values
+    x = _check_density_values(density.values)
     dc = np.asarray(dc, dtype=np.float64)
     if dc.shape != x.shape:
         raise DimensionError(f"gradient shape {dc.shape} does not match density {x.shape}")
-    if not np.all(np.isfinite(dc)) or np.any(dc > 0.0):
+    # dc.max() is NaN where dc holds a NaN, and dc.min() is -inf where it holds -inf
+    if not (dc.max() <= 0.0 and math.isfinite(dc.min())):
         raise ParameterError("oc_update expects finite, non-positive sensitivities")
 
     lower = np.maximum(X_MIN, x - params.move)
@@ -597,7 +655,7 @@ def oc_update(density: DensityField, dc: np.ndarray, params: SimpParams) -> Dens
 
 def _mirror(a: np.ndarray) -> np.ndarray:
     """Top-half rows `a` stacked on their mirror image about the horizontal midline."""
-    return np.vstack([a, a[::-1]])
+    return np.concatenate([a, a[::-1]])
 
 
 def run_simp(mesh: MeshSpec, params: SimpParams) -> SolveResult:
